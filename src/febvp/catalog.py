@@ -32,6 +32,8 @@ from .functional_laws import (
     SampleSpec,
     Splitmix64,
     _Aggregator,
+    _Box,
+    _draw_pair,
     _jsonable,
     _SAMPLE_ERRORS,
     evaluator_from_ode,
@@ -257,22 +259,22 @@ def check_angelesco(spec: SampleSpec,
     from [0.25, 2] and g from the sampling plan's ab_range.  Draw order
     per sample:
     [k; g;] (alpha, beta) endpoint pair; a; b; tau0 from tau_range; delta
-    from [0.1, 0.5].
+    from [0.1, 0.5].  The pair is drawn by whole-pair rejection, at most
+    1000 attempts, like the other laws' pairs.
+
+    Raises:
+        ValueError: no pair at least min_separation apart was drawn.
     """
     rng = Splitmix64(spec.seed)
     agg = _Aggregator("angelesco")
+    box = _Box.of(spec, EvalDomain())
     fixed_k = params.get("k") if params else None
     fixed_g = params.get("g") if params else None
-    lo, hi = spec.alpha_beta_range
     for _ in range(spec.count):
         k = float(fixed_k) if fixed_k is not None else rng.uniform(0.25, 2.0)
         g = float(fixed_g) if fixed_g is not None else rng.uniform(
             *spec.ab_range)
-        alpha = rng.uniform(lo, hi)
-        beta = rng.uniform(lo, hi)
-        while abs(beta - alpha) < spec.min_separation:
-            alpha = rng.uniform(lo, hi)
-            beta = rng.uniform(lo, hi)
+        alpha, beta = _draw_pair(rng, box)
         a = rng.uniform(*spec.ab_range)
         b = rng.uniform(*spec.ab_range)
         tau0 = rng.uniform(*spec.tau_range)

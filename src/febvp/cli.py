@@ -22,6 +22,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
@@ -676,7 +677,18 @@ def cmd_geodesic(cfg: RunConfig, a, b, rhos: Sequence[float]) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+# argparse reads an argument that starts with "-" as an option unless its
+# negative-number pattern matches, and its own pattern takes only "-1" and
+# "-1.5".  This one also takes exponents and comma lists ("-1e-3",
+# "-0.3,0.4"), so that values like these need no "--flag=value" form.
+_NEGATIVE_VALUE = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?(,.*)?$")
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_VALUE
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -694,7 +706,8 @@ def _add_ode_source(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--param", action="append", metavar="NAME=VALUE",
                      help="family or expression parameter (repeatable)")
     sub.add_argument("--ode", action="append", metavar="EXPR",
-                     help="rhs expression; repeat for vector components")
+                     help="rhs expression; repeat for vector components; "
+                     "write one that starts with '-' as --ode=-x")
 
 
 def _add_tolerances(sub: argparse.ArgumentParser) -> None:

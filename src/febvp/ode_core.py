@@ -3,19 +3,29 @@
 The integrator is an explicit Dormand-Prince 5(4) pair with the standard
 quartic dense-output interpolant and a PI step-size controller (safety 0.9,
 step-ratio clamp [0.2, 5.0]).  Integration works forward or backward in tau
-and produces an immutable Trajectory that can be evaluated anywhere inside
-the covered span; evaluation exactly at a stored knot returns the stored
-state bitwise.
+and produces a Trajectory that can be evaluated anywhere inside the covered
+span; evaluation exactly at a stored knot returns the stored state bitwise.
 
-Results are deterministic: identical inputs and config yield identical bits.
+The step loop only records each accepted step: its start time, width,
+start state and the seven stage derivatives go into one flat
+``array('d')`` per run, and the knot times and states into two more.  A
+step's interpolant is built from that record when a tau inside it is
+evaluated, and never kept, so most steps (those of Jacobian and
+line-search runs that are never evaluated inside) cost no dense-output
+work at all.
+
+Results are deterministic: identical inputs and config yield identical bits,
+and a Trajectory returns the same bits for a tau whatever it was asked before.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import operator
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -32,7 +42,6 @@ __all__ = [
     "NonFiniteRhs",
     "OutOfSpan",
     "integrate_ivp",
-    "eval_trajectory",
 ]
 
 
@@ -148,6 +157,9 @@ _P = (
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
 _P_ARR = np.array(_P)
+# The nonzero entries (s, P[s][j]) of each column j of P, in stage order.
+_P_COLUMNS = tuple(tuple((s, row[j]) for s, row in enumerate(_P) if row[j] != 0.0)
+                   for j in range(4))
 
 # PI controller constants: factor = SAFETY * err^(-KI) * err_prev^(KP),
 # clamped to [MIN_FACTOR, MAX_FACTOR].
@@ -159,44 +171,80 @@ _MAX_FACTOR = 5.0
 _ERR_PREV_INIT = 1e-4
 
 
-class _Segment:
-    __slots__ = ("t_start", "h", "y0", "q")
+def _interpolate(t: float, h: float, y0: np.ndarray, q: np.ndarray,
+                 tau: float) -> np.ndarray:
+    th = (tau - t) / h
+    p = np.array([th, th * th, th ** 3, th ** 4])
+    return y0 + h * (q @ p)
 
-    def __init__(self, t_start: float, h: float, y0: np.ndarray, q: np.ndarray):
-        self.t_start = t_start
-        self.h = h
-        self.y0 = y0
-        self.q = q
 
-    def eval(self, tau: float) -> np.ndarray:
-        th = (tau - self.t_start) / self.h
-        p = np.array([th, th * th, th ** 3, th ** 4])
-        return self.y0 + self.h * (self.q @ p)
+def _dense_scalar(steps: array, base: int, n2: int, tau: float) -> np.ndarray:
+    """Interpolant of a scalar-kernel step, summed stage by stage in plain
+    floats over the nonzero entries of P."""
+    t, h, x, v = steps[base:base + 4]
+    kxs = steps[base + 4:base + 18:2]
+    kvs = steps[base + 5:base + 18:2]
+    qx = []
+    qv = []
+    for column in _P_COLUMNS:
+        ax = bv = 0.0
+        for s, ps in column:
+            ax += ps * kxs[s]
+            bv += ps * kvs[s]
+        qx.append(ax)
+        qv.append(bv)
+    return _interpolate(t, h, np.array((x, v)), np.array((qx, qv)), tau)
+
+
+def _dense_vector(steps: array, base: int, n2: int, tau: float) -> np.ndarray:
+    """Interpolant of a vector-kernel step: q = K.T @ P, as one matrix product."""
+    y0 = np.frombuffer(steps, count=n2, offset=8 * (base + 2))
+    K = np.frombuffer(steps, count=7 * n2, offset=8 * (base + 2 + n2)).reshape(7, n2)
+    return _interpolate(steps[base], steps[base + 1], y0, K.T @ _P_ARR, tau)
 
 
 class Trajectory:
-    """Piecewise dense solution of one integration run.
+    """Piecewise dense solution of one integration run, stored flat.
 
-    Knots are the accepted step boundaries (increasing).  Between knots the
-    method's quartic interpolant is used; exactly at a knot the stored state
-    is returned unchanged.
+    Three ``array('d')`` buffers hold the run in integration order, so a
+    backward run keeps decreasing tau and is indexed in reverse, never copied:
+
+    - ``_knots``: the accepted step boundaries, one double each;
+    - ``_states``: the (2n,) state ``(x, v)`` at each knot;
+    - ``_steps``: one record of ``2 + 16 n`` doubles per accepted step,
+      ``t, h, y (2n), K (7 x 2n, stage-major)``: start time, signed width,
+      start state and the seven stage derivatives.
+
+    A step's quartic interpolant is built from its record only when a tau
+    strictly inside it is evaluated, with the arithmetic of the kernel that
+    produced the run; exactly at a knot the stored state is returned.
+    Nothing is cached, so every query gives the same bits in any order.
     """
 
-    def __init__(self, dim: int, knots: Sequence[float], states: Sequence[np.ndarray],
-                 segments: Sequence[_Segment], label: str = ""):
+    def __init__(self, dim: int, knots: array, states: array, steps: array,
+                 dense: Callable = _dense_vector, label: str = ""):
         self.dim = dim
-        self.knots = list(knots)
-        self._states = list(states)
-        self._segments = list(segments)
+        self._knots = knots
+        self._states = states
+        self._steps = steps
+        self._dense = dense
+        self._backward = len(knots) > 1 and knots[-1] < knots[0]
         self.label = label
 
     @property
+    def knots(self) -> list[float]:
+        """Step boundaries in increasing tau."""
+        return list(reversed(self._knots) if self._backward else self._knots)
+
+    @property
     def span(self) -> tuple[float, float]:
-        return (self.knots[0], self.knots[-1])
+        k = self._knots
+        return (k[-1], k[0]) if self._backward else (k[0], k[-1])
 
     @property
     def n_segments(self) -> int:
-        return len(self._segments)
+        """Number of accepted steps."""
+        return len(self._steps) // (2 + 16 * self.dim)
 
     def eval(self, tau: float) -> StatePoint:
         """Evaluate the trajectory at tau.
@@ -205,28 +253,24 @@ class Trajectory:
             OutOfSpan: tau lies outside [span lo, span hi].
         """
         tau = float(tau)
-        knots = self.knots
-        if tau < knots[0] or tau > knots[-1]:
+        lo, hi = self.span
+        if not lo <= tau <= hi:
             raise OutOfSpan(
-                f"tau={tau!r} outside trajectory span [{knots[0]!r}, {knots[-1]!r}]",
-                tau=tau, span=(knots[0], knots[-1]),
+                f"tau={tau!r} outside trajectory span [{lo!r}, {hi!r}]",
+                tau=tau, span=(lo, hi),
             )
-        i = bisect.bisect_left(knots, tau)
-        if i < len(knots) and knots[i] == tau:
-            y = self._states[i]
+        knots = self._knots
+        if self._backward:
+            i = bisect.bisect_left(knots, -tau, key=operator.neg)
         else:
-            y = self._segments[i - 1].eval(tau)
+            i = bisect.bisect_left(knots, tau)
         n = self.dim
+        n2 = 2 * n
+        if knots[i] == tau:
+            y = np.frombuffer(self._states, count=n2, offset=8 * n2 * i)
+        else:
+            y = self._dense(self._steps, (i - 1) * (2 + 8 * n2), n2, tau)
         return StatePoint(tau, y[:n].copy(), y[n:].copy())
-
-    def state_at_knot(self, index: int) -> np.ndarray:
-        """Raw (2n,) state stored at a knot (no copy; treat as read-only)."""
-        return self._states[index]
-
-
-def eval_trajectory(traj: Trajectory, tau: float) -> StatePoint:
-    """Functional alias for Trajectory.eval."""
-    return traj.eval(tau)
 
 
 def _pi_factor(err_norm: float, err_prev: float) -> float:
@@ -259,20 +303,15 @@ def integrate_ivp(ode: SecondOrderOde, start: StatePoint, tau_end: float,
 
     t0 = float(start.tau)
     if tau_end == t0:
-        y0 = np.concatenate([start.x, start.v])
-        return Trajectory(n, [t0], [y0], [], label=ode.label)
+        states = array("d", np.concatenate([start.x, start.v]).astype(float).tobytes())
+        return Trajectory(n, array("d", (t0,)), states, array("d"), label=ode.label)
 
     if n == 1 and ode.rhs1 is not None:
-        knots, states, segments = _integrate_scalar(
+        knots, states, steps = _integrate_scalar(
             ode.rhs1, t0, float(start.x[0]), float(start.v[0]), tau_end, config)
-    else:
-        knots, states, segments = _integrate_vector(ode, t0, start, tau_end, config)
-
-    if tau_end < t0:
-        knots.reverse()
-        states.reverse()
-        segments.reverse()
-    return Trajectory(n, knots, states, segments, label=ode.label)
+        return Trajectory(n, knots, states, steps, _dense_scalar, label=ode.label)
+    knots, states, steps = _integrate_vector(ode, t0, start, tau_end, config)
+    return Trajectory(n, knots, states, steps, _dense_vector, label=ode.label)
 
 
 def _integrate_scalar(f, t0: float, x0: float, v0: float, t_end: float,
@@ -289,9 +328,9 @@ def _integrate_scalar(f, t0: float, x0: float, v0: float, t_end: float,
     err_prev = _ERR_PREV_INIT
     attempts = 0
 
-    knots = [t0]
-    states = [np.array((x0, v0))]
-    segments: list[_Segment] = []
+    knots = array("d", (t0,))
+    states = array("d", (x0, v0))
+    steps = array("d")
 
     while (t_end - t) * direction > 0.0:
         remaining = t_end - t
@@ -342,22 +381,10 @@ def _integrate_scalar(f, t0: float, x0: float, v0: float, t_end: float,
         en = math.sqrt(0.5 * (ex * ex + ev * ev))
 
         if math.isfinite(en) and en <= 1.0:
-            qx = [0.0] * 4
-            qv = [0.0] * 4
-            kxs = (kx1, v2, v3, v4, v5, v6, v_new)
-            kvs = (kv1, kv2, kv3, kv4, kv5, kv6, kv7)
-            for j in range(4):
-                ax = bv = 0.0
-                for s in range(7):
-                    ps = _P[s][j]
-                    if ps != 0.0:
-                        ax += ps * kxs[s]
-                        bv += ps * kvs[s]
-                qx[j] = ax
-                qv[j] = bv
-            segments.append(_Segment(t, hs, np.array((x, v)), np.array((qx, qv))))
+            steps.extend((t, hs, x, v, kx1, kv1, v2, kv2, v3, kv3, v4, kv4,
+                          v5, kv5, v6, kv6, v_new, kv7))
             knots.append(t_new)
-            states.append(np.array((x_new, v_new)))
+            states.extend((x_new, v_new))
             h = hs * _pi_factor(en, err_prev)
             err_prev = max(en, _ERR_PREV_INIT)
             t, x, v = t_new, x_new, v_new
@@ -369,7 +396,7 @@ def _integrate_scalar(f, t0: float, x0: float, v0: float, t_end: float,
                 raise StepSizeUnderflow(
                     f"step size {abs(h)!r} fell below h_min={cfg.h_min!r} at tau={t!r}",
                     tau=t, h=abs(h))
-    return knots, states, segments
+    return knots, states, steps
 
 
 def _integrate_vector(ode: SecondOrderOde, t0: float, start: StatePoint,
@@ -391,15 +418,15 @@ def _integrate_vector(ode: SecondOrderOde, t0: float, start: StatePoint,
     rel, at = cfg.rel_tol, cfg.abs_tol
     direction = 1.0 if t_end > t0 else -1.0
     t = t0
-    y = np.concatenate([start.x, start.v])
+    y = np.concatenate([start.x, start.v]).astype(float)
     k1 = fsys(t, y)
     h = direction * min(cfg.h_init, abs(t_end - t0))
     err_prev = _ERR_PREV_INIT
     attempts = 0
 
-    knots = [t0]
-    states = [y.copy()]
-    segments: list[_Segment] = []
+    knots = array("d", (t0,))
+    states = array("d", y.tobytes())
+    steps = array("d")
     K = np.empty((7, 2 * n))
 
     while (t_end - t) * direction > 0.0:
@@ -434,10 +461,11 @@ def _integrate_vector(ode: SecondOrderOde, t0: float, start: StatePoint,
         en = math.sqrt(float(ratio @ ratio) / (2 * n))
 
         if math.isfinite(en) and en <= 1.0:
-            q = K.T @ _P_ARR
-            segments.append(_Segment(t, hs, y, q))
+            steps.extend((t, hs))
+            steps.frombytes(y.tobytes())
+            steps.frombytes(K.tobytes())
             knots.append(t_new)
-            states.append(y_new)
+            states.frombytes(y_new.tobytes())
             h = hs * _pi_factor(en, err_prev)
             err_prev = max(en, _ERR_PREV_INIT)
             t, y, k1 = t_new, y_new, K[6].copy()
@@ -448,4 +476,4 @@ def _integrate_vector(ode: SecondOrderOde, t0: float, start: StatePoint,
                 raise StepSizeUnderflow(
                     f"step size {abs(h)!r} fell below h_min={cfg.h_min!r} at tau={t!r}",
                     tau=t, h=abs(h))
-    return knots, states, segments
+    return knots, states, steps

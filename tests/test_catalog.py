@@ -170,3 +170,26 @@ def test_angelesco_free_family():
 def test_angelesco_deterministic():
     spec = SampleSpec(count=12, seed=4)
     assert check_angelesco(spec).to_json() == check_angelesco(spec).to_json()
+
+
+def test_angelesco_pair_draws_follow_the_documented_stream():
+    # Draw order per sample: k; g; then (alpha, beta) by whole-pair
+    # rejection.  In [0, 0.3] with min_separation 0.2 about eight pairs in
+    # nine are rejected, so this pins the rejection loop's stream.
+    for seed in range(20):
+        spec = SampleSpec(count=1, seed=seed, alpha_beta_range=(0.0, 0.3),
+                          min_separation=0.2)
+        rng = Splitmix64(seed)
+        rng.uniform(0.25, 2.0)
+        rng.uniform(*spec.ab_range)
+        alpha, beta = rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.3)
+        while abs(beta - alpha) < 0.2:
+            alpha, beta = rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.3)
+        case = check_angelesco(spec).worst_case
+        assert (case["alpha"], case["beta"]) == (alpha, beta)
+
+
+def test_angelesco_unsatisfiable_range_raises():
+    with pytest.raises(ValueError, match="1000 attempts"):
+        check_angelesco(SampleSpec(count=1, seed=0,
+                                   alpha_beta_range=(0.0, 0.01)))

@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -52,6 +55,27 @@ def test_solve_expression_constant(capsys):
                             capsys)
     assert code == 0
     assert abs(doc["rows"][0]["x"] - 2.0) <= 1e-12
+
+
+def test_solve_vector_values_may_start_with_a_negative_number(capsys):
+    # argparse alone reads "-0.3,0.4" as an unknown option
+    code, doc, _ = run_json(["solve", "--ode", "x1", "--ode", "x2",
+                             "--neumann", "0", "1", "0,0", "-0.3,0.4",
+                             "--tau", "1", "--format", "json"], capsys)
+    assert code == 0
+    assert doc["rows"][0]["x"] == pytest.approx([-0.3, 0.4], abs=1e-9)
+
+
+def test_solve_negative_exponent_values_and_leading_minus_expression(capsys):
+    # x'' = -x from x(0) = -1e-3, v(0) = -0.5, read back at tau = -0.1
+    code, doc, _ = run_json(["solve", "--ode=-x", "--cauchy", "0", "-1e-3",
+                             "-.5", "--tau", "-1e-1", "--format", "json"],
+                            capsys)
+    assert code == 0
+    row = doc["rows"][0]
+    assert row["tau"] == -0.1
+    assert row["x"] == pytest.approx(
+        -1e-3 * math.cos(-0.1) - 0.5 * math.sin(-0.1), abs=1e-10)
 
 
 def test_solve_rows_sorted_by_tau(capsys):
@@ -155,6 +179,22 @@ def test_verify_jensen_is_flat_only(capsys):
     assert code == 1
 
 
+def test_verify_angelesco_unsatisfiable_range_fails_fast():
+    # No pair in [0, 0.01] is min_separation (0.05) apart.  The draw gives
+    # up after 1000 whole-pair attempts instead of spinning forever; run in
+    # a child process so that a hang fails the test instead of stalling it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "febvp", "verify", "--laws", "angelesco",
+         "--alpha-beta-range", "0", "0.01"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 1
+    assert stderr_doc(proc.stderr)["code"] == "config_error"
+
+
 # --------------------------------------------------------------- reconstruct
 
 def test_reconstruct_free_fall(capsys):
@@ -192,6 +232,16 @@ def test_reconstruct_tight_threshold(capsys):
                         "--threshold", "1e-15"], capsys)
     assert code == 2
     assert stderr_doc(err)["code"] == "reconstruction_mismatch"
+
+
+def test_reconstruct_point_may_start_with_a_negative_number(capsys):
+    code, doc, _ = run_json(["reconstruct", "--ode", "x1", "--ode", "x2",
+                             "--point", "0", "-0.3,0.4", "0,0",
+                             "--format", "json"], capsys)
+    assert code == 0
+    row = doc["rows"][0]
+    assert row["x"] == [-0.3, 0.4]
+    assert row["f_reconstructed"] == pytest.approx([-0.3, 0.4], abs=1e-8)
 
 
 # ------------------------------------------------------------------ geodesic
