@@ -8,11 +8,8 @@ tight residual thresholds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
-
-import numpy as np
 
 from .closed_forms import (
     COS_SIN_BASIS,
@@ -30,14 +27,11 @@ from .functional_laws import (
     EvalDomain,
     LawReport,
     SampleSpec,
-    Splitmix64,
-    _Aggregator,
-    _Box,
-    _draw_pair,
-    _jsonable,
-    _SAMPLE_ERRORS,
+    SampledLaw,
+    draw_pair,
     evaluator_from_ode,
     evaluator_from_scalar,
+    run_law,
 )
 from .bvp_shooting import DEFAULT_SHOOTING, ShootingConfig
 from .ode_core import SecondOrderOde
@@ -265,38 +259,36 @@ def check_angelesco(spec: SampleSpec,
     Raises:
         ValueError: no pair at least min_separation apart was drawn.
     """
-    rng = Splitmix64(spec.seed)
-    agg = _Aggregator("angelesco")
-    box = _Box.of(spec, EvalDomain())
     fixed_k = params.get("k") if params else None
     fixed_g = params.get("g") if params else None
-    for _ in range(spec.count):
+
+    def draw(rng, box):
         k = float(fixed_k) if fixed_k is not None else rng.uniform(0.25, 2.0)
         g = float(fixed_g) if fixed_g is not None else rng.uniform(
-            *spec.ab_range)
-        alpha, beta = _draw_pair(rng, box)
-        a = rng.uniform(*spec.ab_range)
-        b = rng.uniform(*spec.ab_range)
-        tau0 = rng.uniform(*spec.tau_range)
-        delta = rng.uniform(0.1, 0.5)
-        p = ConicParams(k, g)
+            *box.values)
+        alpha, beta = draw_pair(rng, box)
+        sample = dict(k=k, g=g, alpha=alpha, beta=beta,
+                      a=rng.uniform(*box.values), b=rng.uniform(*box.values),
+                      tau0=rng.uniform(*box.tau), delta=rng.uniform(0.1, 0.5))
+        ConicParams(k, g)  # a non-finite member is a configuration error
+        return sample
+
+    def residuals(s):
+        p = ConicParams(s["k"], s["g"])
+        alpha, beta, a, b = s["alpha"], s["beta"], s["a"], s["b"]
+        tau0, delta = s["tau0"], s["delta"]
 
         def member(t: float) -> float:
             return conic_F(p, t, alpha, beta, a, b)
 
-        try:
-            residual = angelesco_residual(member, tau0, delta)
-            x0 = member(tau0)
-            x1 = member(tau0 + delta)
-            x2 = member(tau0 + 2 * delta)
-            x3 = member(tau0 + 3 * delta)
-            x4 = member(tau0 + 4 * delta)
-        except _SAMPLE_ERRORS:
-            agg.fail()
-            continue
+        residual = angelesco_residual(member, tau0, delta)
+        x0 = member(tau0)
+        x1 = member(tau0 + delta)
+        x2 = member(tau0 + 2 * delta)
+        x3 = member(tau0 + 3 * delta)
+        x4 = member(tau0 + 4 * delta)
         scale = max(abs((x4 - x1) * (x2 - x1)), abs((x3 - x0) * (x3 - x2)),
                     1e-30)
-        agg.add(abs(residual) / scale,
-                _jsonable(k=k, g=g, alpha=alpha, beta=beta, a=a, b=b,
-                          tau0=tau0, delta=delta))
-    return agg.report()
+        return [(abs(residual) / scale, s)]
+
+    return run_law(SampledLaw(("angelesco",), draw, residuals), spec)[0]

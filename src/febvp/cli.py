@@ -25,7 +25,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .functional_laws import (
     check_composition,
     check_extension,
     check_lemma1_equivalence,
+    evaluator_from_ode,
 )
 from .geodesics import (
     GeodesicMap,
@@ -57,15 +58,12 @@ from .geodesics import (
     half_plane_connection,
     jensen_midpoint_check,
 )
-from .ode_core import IntegratorConfig, SecondOrderOde
-from .reconstruction import ReconstructionConfig, noise_aware_step, reconstruct_f
+from .ode_core import SecondOrderOde
+from .reconstruction import ReconstructionConfig, reconstruct_f, solver_extension
 from .rhs_parser import ParseError, bind, parse
 
 __all__ = ["RunConfig", "cmd_solve", "cmd_verify", "cmd_reconstruct",
            "cmd_geodesic", "main", "KNOWN_LAWS"]
-
-KNOWN_LAWS = ("composition", "boundary", "extension", "lemma1",
-              "klapka", "jensen", "angelesco")
 
 _FORMATS = ("table", "json", "csv")
 
@@ -353,44 +351,32 @@ def _resolve_sampling(args, config, seed: int) -> SampleSpec:
         raise _UsageError(str(exc))
 
 
+def _parse_threshold(value, what: str) -> float:
+    limit = _parse_float(value, what)
+    if not limit >= 0:
+        raise _UsageError(f"{what} must be a number >= 0, got {value!r}")
+    return limit
+
+
 def _resolve_thresholds(args, config) -> dict:
-    thresholds = dict(config.get("thresholds") or {})
+    keys = _threshold_keys()
+    thresholds = config.get("thresholds") or {}
+    if not isinstance(thresholds, dict):
+        raise _UsageError("config thresholds must be an object "
+                          "mapping threshold names to numbers")
+    thresholds = dict(thresholds)
     for item in getattr(args, "threshold", None) or ():
         name, sep, value = str(item).partition("=")
-        if not sep or name not in _THRESHOLD_KEYS:
+        if not sep or name not in keys:
             raise _UsageError(
                 f"--threshold expects LAW=VALUE with LAW one of "
-                f"{', '.join(_THRESHOLD_KEYS)}; got {item!r}")
-        thresholds[name] = _parse_float(value, f"threshold {name}")
+                f"{', '.join(keys)}; got {item!r}")
+        thresholds[name] = _parse_threshold(value, f"threshold {name}")
     for name in thresholds:
-        if name not in _THRESHOLD_KEYS:
+        if name not in keys:
             raise _UsageError(f"unknown threshold name {name!r}")
-    return {k: float(v) for k, v in thresholds.items()}
-
-
-_THRESHOLD_KEYS = ("composition", "boundary", "extension",
-                   "lemma1_agreement", "lemma1_quadrature",
-                   "klapka", "jensen", "angelesco")
-
-
-def _default_threshold(key: str, mode: str, connection: str) -> float:
-    if key == "composition":
-        return 1e-10 if mode == "closed" else 1e-7
-    if key == "boundary":
-        return 1e-9 if mode == "closed" else 1e-8
-    if key == "extension":
-        return 1e-8
-    if key == "lemma1_agreement":
-        return 1e-9
-    if key == "lemma1_quadrature":
-        return 1e-8
-    if key == "klapka":
-        return 1e-12 if connection == "flat" else 1e-6
-    if key == "jensen":
-        return 1e-12
-    if key == "angelesco":
-        return 1e-10
-    raise KeyError(key)
+    return {k: _parse_threshold(v, f"threshold {k}")
+            for k, v in thresholds.items()}
 
 
 def _apply_domain_override(domain: EvalDomain, override: Mapping) -> EvalDomain:
@@ -469,7 +455,6 @@ def _make_evaluator(cfg: RunConfig) -> DependenceEvaluator:
     if cfg.mode == "closed":
         raise _UsageError("expression odes have no closed form; "
                           "use --mode numeric")
-    from .functional_laws import evaluator_from_ode
     domain = _apply_domain_override(EvalDomain(), cfg.domain_override)
     return evaluator_from_ode(cfg.ode, cfg.shooting, domain=domain,
                               label=cfg.ode.label)
@@ -487,69 +472,93 @@ def _geodesic_map(cfg: RunConfig) -> GeodesicMap:
     return GeodesicMap(conn, cfg.shooting)
 
 
-def _run_law(law: str, cfg: RunConfig) -> tuple:
-    """Returns (reports, passed) for one law name."""
-    thr = cfg.thresholds
-    mode, conn = cfg.mode, cfg.connection
+def _run_extension(cfg: RunConfig) -> list:
+    ev = _make_evaluator(cfg)
+    if ev.eval_s is None:
+        raise _UsageError(
+            "the extension law needs a smooth extension; this source "
+            "does not provide one")
+    return check_extension(ev, cfg.sampling)
 
-    def limit(key):
-        return thr.get(key, _default_threshold(key, mode, conn))
 
-    def clean(report: LawReport, key: str) -> bool:
-        return (report.failures == 0
-                and np.isfinite(report.max_residual)
-                and report.max_residual <= limit(key))
+def _run_jensen(cfg: RunConfig) -> list:
+    if cfg.connection != "flat":
+        raise _UsageError(
+            "the jensen midpoint law assumes an interpolation map "
+            "affine in its endpoints; use --connection flat")
+    return [jensen_midpoint_check(_geodesic_map(cfg), cfg.sampling,
+                                  cfg.rho_range)]
 
-    if law in ("composition", "boundary", "extension"):
-        ev = _make_evaluator(cfg)
-        if law == "composition":
-            rep = check_composition(ev, cfg.sampling)
-            return [rep], clean(rep, "composition")
-        if law == "boundary":
-            rep = check_boundary(ev, cfg.sampling)
-            return [rep], clean(rep, "boundary")
-        if ev.eval_s is None:
-            raise _UsageError(
-                "the extension law needs a smooth extension; this source "
-                "does not provide one")
-        reports = check_extension(ev, cfg.sampling)
-        off, diags = reports[0], reports[1:]
-        # a residual that is exactly zero cannot decrease further; only a
-        # nonzero plateau signals a discontinuous extension
-        decreasing = all(
-            diags[i].max_residual > diags[i + 1].max_residual
-            or diags[i].max_residual == diags[i + 1].max_residual == 0.0
-            for i in range(len(diags) - 1))
-        finite = all(np.isfinite(d.max_residual) for d in diags)
-        no_fail = all(d.failures == 0 for d in diags)
-        return reports, (clean(off, "extension") and decreasing
-                         and finite and no_fail)
-    if law == "lemma1":
-        reports = check_lemma1_equivalence(cfg.ode, cfg.sampling,
-                                           cfg.shooting)
-        ok = (clean(reports[0], "lemma1_agreement")
-              and clean(reports[1], "lemma1_quadrature"))
-        return reports, ok
-    if law == "klapka":
-        gmap = _geodesic_map(cfg)
-        rep = check_klapka(gmap, cfg.sampling, cfg.rho_range)
-        return [rep], clean(rep, "klapka")
-    if law == "jensen":
-        if cfg.connection != "flat":
-            raise _UsageError(
-                "the jensen midpoint law assumes an interpolation map "
-                "affine in its endpoints; use --connection flat")
-        gmap = _geodesic_map(cfg)
-        rep = jensen_midpoint_check(gmap, cfg.sampling, cfg.rho_range)
-        return [rep], clean(rep, "jensen")
-    if law == "angelesco":
-        pin = (cfg.catalog_name == "conic"
-               or (cfg.catalog_name is None and bool(cfg.params)))
-        rep = _catalog.check_angelesco(cfg.sampling,
-                                       cfg.params if pin else None)
-        return [rep], clean(rep, "angelesco")
-    raise _UsageError(
-        f"unknown law {law!r} (available: {', '.join(KNOWN_LAWS)})")
+
+def _run_angelesco(cfg: RunConfig) -> list:
+    pin = (cfg.catalog_name == "conic"
+           or (cfg.catalog_name is None and bool(cfg.params)))
+    return [_catalog.check_angelesco(cfg.sampling,
+                                     cfg.params if pin else None)]
+
+
+def _diagonals_shrink(reports: list) -> bool:
+    """Extension's diagonal reports: no failures, finite, and strictly
+    decreasing with eps.  A residual that is exactly zero cannot decrease
+    further; only a nonzero plateau signals a discontinuous extension."""
+    diags = reports[1:]
+    return (all(d.failures == 0 and np.isfinite(d.max_residual)
+                for d in diags)
+            and all(d.max_residual > e.max_residual
+                    or d.max_residual == e.max_residual == 0.0
+                    for d, e in zip(diags, diags[1:])))
+
+
+class _Law(NamedTuple):
+    """run(cfg) returns the law's reports.  thresholds maps each
+    --threshold key, in report order, to its default: one literal, or one
+    per mode or per connection.  A run passes when each of those reports
+    is free of failures and within its threshold, and passes(reports)
+    holds."""
+
+    run: Callable[[RunConfig], list]
+    needs_ode: bool
+    thresholds: dict
+    passes: Callable[[list], bool] = lambda reports: True
+
+
+_LAWS = {
+    "composition": _Law(
+        lambda cfg: [check_composition(_make_evaluator(cfg), cfg.sampling)],
+        True, {"composition": {"closed": 1e-10, "numeric": 1e-7}}),
+    "boundary": _Law(
+        lambda cfg: [check_boundary(_make_evaluator(cfg), cfg.sampling)],
+        True, {"boundary": {"closed": 1e-9, "numeric": 1e-8}}),
+    "extension": _Law(_run_extension, True, {"extension": 1e-8},
+                      _diagonals_shrink),
+    "lemma1": _Law(
+        lambda cfg: check_lemma1_equivalence(cfg.ode, cfg.sampling,
+                                             cfg.shooting),
+        True, {"lemma1_agreement": 1e-9, "lemma1_quadrature": 1e-8}),
+    "klapka": _Law(
+        lambda cfg: [check_klapka(_geodesic_map(cfg), cfg.sampling,
+                                  cfg.rho_range)],
+        False, {"klapka": {"flat": 1e-12, "half_plane": 1e-6}}),
+    "jensen": _Law(_run_jensen, False, {"jensen": 1e-12}),
+    "angelesco": _Law(_run_angelesco, False, {"angelesco": 1e-10}),
+}
+
+KNOWN_LAWS = tuple(_LAWS)
+
+
+def _threshold_keys() -> list:
+    return [key for law in _LAWS.values() for key in law.thresholds]
+
+
+def _limit(key: str, default, cfg: RunConfig) -> float:
+    if isinstance(default, dict):
+        default = default.get(cfg.mode, default.get(cfg.connection))
+    return cfg.thresholds.get(key, default)
+
+
+def _clean(report: LawReport, limit: float) -> bool:
+    return (report.failures == 0 and np.isfinite(report.max_residual)
+            and report.max_residual <= limit)
 
 
 def cmd_verify(cfg: RunConfig, laws: Sequence[str]) -> int:
@@ -559,15 +568,19 @@ def cmd_verify(cfg: RunConfig, laws: Sequence[str]) -> int:
                 f"unknown law {law!r} (available: {', '.join(KNOWN_LAWS)})")
     reports: list[LawReport] = []
     all_ok = True
-    for law in laws:
+    for name in laws:
+        law = _LAWS[name]
         try:
-            law_reports, ok = _run_law(law, cfg)
+            law_reports = law.run(cfg)
         except ValueError as exc:
             raise _UsageError(str(exc))
         except FebvpError as exc:
             return _numeric_exit(exc)
         reports.extend(law_reports)
-        all_ok = all_ok and ok
+        limits = [_limit(key, default, cfg)
+                  for key, default in law.thresholds.items()]
+        all_ok = (all_ok and law.passes(law_reports)
+                  and all(map(_clean, law_reports, limits)))
     doc = [r.to_json() for r in reports]
     columns = ["law", "samples", "max_residual", "mean_residual",
                "failures", "worst_case"]
@@ -585,14 +598,7 @@ def cmd_reconstruct(cfg: RunConfig, points: Sequence) -> int:
     ode = cfg.ode
     truth = (_catalog.rhs_true(cfg.catalog_name, cfg.params)
              if cfg.catalog_name else None)
-    step = noise_aware_step(cfg.recon, cfg.shooting.newton_tol)
-    eff = ReconstructionConfig(fd_step=step, richardson=cfg.recon.richardson)
-
-    def S(query_tau, alpha, beta, a, v):
-        cond = IntegralConditions(alpha, beta, a, v)
-        from .bvp_shooting import eval_S
-        return eval_S(ode, query_tau, cond, cfg.shooting)
-
+    S, eff = solver_extension(ode, cfg.recon, cfg.shooting)
     rows = []
     worst = 0.0
     try:
@@ -766,7 +772,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--rho-range", nargs=2, type=float, dest="rho_range",
                         metavar=("LO", "HI"))
     verify.add_argument("--threshold", action="append", metavar="LAW=VALUE",
-                        help="override a pass threshold (repeatable)")
+                        help="override a pass threshold (repeatable; LAW "
+                        "one of: " + ", ".join(_threshold_keys()) + ")")
 
     recon = subs.add_parser("reconstruct", help="rebuild the rhs from the "
                             "solution operator at given states")
@@ -855,8 +862,8 @@ def _dispatch(args) -> int:
             laws = [str(w) for w in laws_value]
         if not laws:
             raise _UsageError("no laws requested")
-        needs_ode = any(law in ("composition", "boundary", "extension",
-                                "lemma1") for law in laws)
+        needs_ode = any(_LAWS[law].needs_ode for law in laws
+                        if law in _LAWS)
         source_given = (_pick(args.catalog, config, "catalog", None)
                         or _pick(args.ode, config, "ode", None))
         if needs_ode or source_given:
@@ -894,7 +901,7 @@ def _dispatch(args) -> int:
             cfg.recon = ReconstructionConfig(fd_step=float(fd_step))
         threshold = _pick(args.threshold, config, "threshold", None)
         if threshold is not None:
-            cfg.recon_threshold = float(threshold)
+            cfg.recon_threshold = _parse_threshold(threshold, "threshold")
         raw_points = _pick(args.point, config, "points", None) or []
         dim = cfg.ode.dim
         points = []

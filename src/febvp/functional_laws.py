@@ -2,6 +2,14 @@
 satisfy: composition, boundary behavior, smooth extension across the
 diagonal, and the equivalence of endpoint data with average-slope data.
 
+Each law is a SampledLaw record: the names of its reports, a draw(rng, box)
+function that draws one sample in the law's documented order, and a
+residuals(sample) function that returns one outcome per report.  run_law
+owns everything else: the sampling box, the seeded stream, the loop over
+spec.count samples, per-sample failures and the aggregation into
+LawReports.  The laws of catalog, geodesics and reconstruction are records
+over the same runner.
+
 Every check draws its samples from a seeded splitmix64 stream so that any
 implementation, in any language, can reproduce the exact sample tuples.  The
 draw order is part of the contract and is documented on each check; all
@@ -45,6 +53,12 @@ __all__ = [
     "SampleSpec",
     "LawReport",
     "DIAG_EPSILONS",
+    "SAMPLE_ERRORS",
+    "SampleBox",
+    "SampledLaw",
+    "draw_pair",
+    "draw_vec",
+    "run_law",
     "check_composition",
     "check_boundary",
     "check_extension",
@@ -166,8 +180,8 @@ DIAG_EPSILONS = (1e-2, 1e-3, 1e-4)
 _MAX_PAIR_TRIES = 1000
 
 # Errors that mark a sample as failed rather than aborting the whole check.
-_SAMPLE_ERRORS = (FebvpError, ValueError, ZeroDivisionError,
-                  OverflowError, FloatingPointError)
+SAMPLE_ERRORS = (FebvpError, ValueError, ZeroDivisionError,
+                 OverflowError, FloatingPointError)
 
 
 def _intersect(spec_range: tuple[float, float],
@@ -183,7 +197,11 @@ def _intersect(spec_range: tuple[float, float],
 
 
 @dataclass(frozen=True)
-class _Box:
+class SampleBox:
+    """A sampling plan's ranges intersected with an evaluator's domain:
+    tau, the interval endpoints, the data values, and the separation
+    constraints on an endpoint pair."""
+
     tau: tuple[float, float]
     endpoints: tuple[float, float]
     values: tuple[float, float]
@@ -191,8 +209,8 @@ class _Box:
     max_interval: Optional[float]
 
     @staticmethod
-    def of(spec: SampleSpec, domain: EvalDomain) -> "_Box":
-        return _Box(
+    def of(spec: SampleSpec, domain: EvalDomain) -> "SampleBox":
+        return SampleBox(
             tau=_intersect(spec.tau_range, domain.tau_range, "tau"),
             endpoints=_intersect(spec.alpha_beta_range,
                                  domain.alpha_beta_range, "alpha/beta"),
@@ -202,7 +220,8 @@ class _Box:
         )
 
 
-def _draw_pair(rng: Splitmix64, box: _Box) -> tuple[float, float]:
+def draw_pair(rng: Splitmix64, box: SampleBox) -> tuple[float, float]:
+    """An endpoint pair by whole-pair rejection (module docstring)."""
     lo, hi = box.endpoints
     for _ in range(_MAX_PAIR_TRIES):
         p = rng.uniform(lo, hi)
@@ -219,7 +238,8 @@ def _draw_pair(rng: Splitmix64, box: _Box) -> tuple[float, float]:
         f"min_separation {box.min_sep}, max_interval {box.max_interval})")
 
 
-def _draw_vec(rng: Splitmix64, box: _Box, n: int) -> np.ndarray:
+def draw_vec(rng: Splitmix64, box: SampleBox, n: int) -> np.ndarray:
+    """n data components, each from the box's value range."""
     lo, hi = box.values
     return np.array([rng.uniform(lo, hi) for _ in range(n)])
 
@@ -232,49 +252,70 @@ def _as_value(raw, dim: int) -> np.ndarray:
     return out
 
 
-class _Aggregator:
-    def __init__(self, law_name: str):
-        self.law_name = law_name
-        self.n = 0
-        self.failures = 0
-        self.total = 0.0
-        self.max_residual = 0.0
-        self.worst_case: Optional[dict] = None
-
-    def add(self, residual: float, case: dict):
-        self.n += 1
-        if not math.isfinite(residual):
-            self.failures += 1
-            return
-        self.total += residual
-        if residual >= self.max_residual:
-            self.max_residual = residual
-            self.worst_case = case
-
-    def fail(self):
-        self.n += 1
-        self.failures += 1
-
-    def report(self) -> LawReport:
-        ok = self.n - self.failures
-        return LawReport(
-            law_name=self.law_name,
-            samples=self.n,
-            max_residual=self.max_residual,
-            mean_residual=self.total / ok if ok else 0.0,
-            worst_case=self.worst_case,
-            failures=self.failures,
-        )
+def _gap(x: np.ndarray, y: np.ndarray) -> float:
+    return float(np.max(np.abs(x - y)))
 
 
-def _jsonable(**kwargs) -> dict:
-    out = {}
-    for key, val in kwargs.items():
-        if isinstance(val, np.ndarray):
-            out[key] = [float(c) for c in val]
-        else:
-            out[key] = float(val)
-    return out
+@dataclass(frozen=True)
+class SampledLaw:
+    """A law checked over a seeded sample stream.
+
+    reports names the law's reports.  draw(rng, box) draws one sample in
+    the law's documented order and returns its named values, in that
+    order.  residuals(sample) returns one outcome per report: a pair
+    (residual, case), case being the named values a worst case reports,
+    or None when the sample failed for that report.  Raising a
+    SAMPLE_ERRORS error instead fails the sample in every report.
+    """
+
+    reports: tuple[str, ...]
+    draw: Callable[[Splitmix64, SampleBox], dict]
+    residuals: Callable[[dict], Sequence[Optional[tuple[float, dict]]]]
+
+
+def _jsonable(case: dict) -> dict:
+    return {key: [float(c) for c in val] if isinstance(val, np.ndarray)
+            else float(val) for key, val in case.items()}
+
+
+def run_law(law: SampledLaw, spec: SampleSpec,
+            domain: EvalDomain = EvalDomain()) -> list[LawReport]:
+    """Draw spec.count samples from a splitmix64 stream seeded with
+    spec.seed over the box of spec and domain, and aggregate each report's
+    residuals: a failed or non-finite outcome counts as a failure, and the
+    worst case is the last sample to reach the maximum residual."""
+    box = SampleBox.of(spec, domain)
+    rng = Splitmix64(spec.seed)
+    n = len(law.reports)
+    failures = [0] * n
+    totals = [0.0] * n
+    maxima = [0.0] * n
+    worst: list[Optional[dict]] = [None] * n
+    for _ in range(spec.count):
+        sample = law.draw(rng, box)
+        try:
+            outcomes = law.residuals(sample)
+        except SAMPLE_ERRORS:
+            outcomes = (None,) * n
+        for i, outcome in enumerate(outcomes):
+            if outcome is None or not math.isfinite(outcome[0]):
+                failures[i] += 1
+                continue
+            residual, case = outcome
+            totals[i] += residual
+            if residual >= maxima[i]:
+                maxima[i] = residual
+                worst[i] = _jsonable(case)
+    reports = []
+    for i, name in enumerate(law.reports):
+        ok = spec.count - failures[i]
+        # rounding in the sum can lift the mean of equal residuals above
+        # their maximum
+        mean = min(totals[i] / ok, maxima[i]) if ok else 0.0
+        reports.append(LawReport(law_name=name, samples=spec.count,
+                                 max_residual=maxima[i], mean_residual=mean,
+                                 worst_case=worst[i], failures=failures[i]))
+    return reports
 
 
 def check_composition(F: DependenceEvaluator, spec: SampleSpec) -> LawReport:
@@ -287,28 +328,27 @@ def check_composition(F: DependenceEvaluator, spec: SampleSpec) -> LawReport:
     Draw order per sample: tau; (alpha, beta) pair; (gamma, delta) pair;
     a components; b components.
     """
-    box = _Box.of(spec, F.domain)
-    rng = Splitmix64(spec.seed)
-    agg = _Aggregator("composition")
-    for _ in range(spec.count):
+
+    def draw(rng, box):
         tau = rng.uniform(*box.tau)
-        alpha, beta = _draw_pair(rng, box)
-        gamma, delta = _draw_pair(rng, box)
-        a = _draw_vec(rng, box, F.dim)
-        b = _draw_vec(rng, box, F.dim)
-        try:
-            direct = _as_value(F.eval_f(tau, alpha, beta, a, b), F.dim)
-            at_gamma = _as_value(F.eval_f(gamma, alpha, beta, a, b), F.dim)
-            at_delta = _as_value(F.eval_f(delta, alpha, beta, a, b), F.dim)
-            rebased = _as_value(
-                F.eval_f(tau, gamma, delta, at_gamma, at_delta), F.dim)
-        except _SAMPLE_ERRORS:
-            agg.fail()
-            continue
-        residual = float(np.max(np.abs(direct - rebased)))
-        agg.add(residual, _jsonable(tau=tau, alpha=alpha, beta=beta,
-                                    gamma=gamma, delta=delta, a=a, b=b))
-    return agg.report()
+        alpha, beta = draw_pair(rng, box)
+        gamma, delta = draw_pair(rng, box)
+        return dict(tau=tau, alpha=alpha, beta=beta, gamma=gamma,
+                    delta=delta, a=draw_vec(rng, box, F.dim),
+                    b=draw_vec(rng, box, F.dim))
+
+    def residuals(s):
+        tau, alpha, beta = s["tau"], s["alpha"], s["beta"]
+        gamma, delta, a, b = s["gamma"], s["delta"], s["a"], s["b"]
+        direct = _as_value(F.eval_f(tau, alpha, beta, a, b), F.dim)
+        at_gamma = _as_value(F.eval_f(gamma, alpha, beta, a, b), F.dim)
+        at_delta = _as_value(F.eval_f(delta, alpha, beta, a, b), F.dim)
+        rebased = _as_value(
+            F.eval_f(tau, gamma, delta, at_gamma, at_delta), F.dim)
+        return [(_gap(direct, rebased), s)]
+
+    law = SampledLaw(("composition",), draw, residuals)
+    return run_law(law, spec, F.domain)[0]
 
 
 def check_boundary(F: DependenceEvaluator, spec: SampleSpec) -> LawReport:
@@ -317,23 +357,21 @@ def check_boundary(F: DependenceEvaluator, spec: SampleSpec) -> LawReport:
 
     Draw order per sample: (alpha, beta) pair; a components; b components.
     """
-    box = _Box.of(spec, F.domain)
-    rng = Splitmix64(spec.seed)
-    agg = _Aggregator("boundary")
-    for _ in range(spec.count):
-        alpha, beta = _draw_pair(rng, box)
-        a = _draw_vec(rng, box, F.dim)
-        b = _draw_vec(rng, box, F.dim)
-        try:
-            at_alpha = _as_value(F.eval_f(alpha, alpha, beta, a, b), F.dim)
-            at_beta = _as_value(F.eval_f(beta, alpha, beta, a, b), F.dim)
-        except _SAMPLE_ERRORS:
-            agg.fail()
-            continue
-        residual = float(max(np.max(np.abs(at_alpha - a)),
-                             np.max(np.abs(at_beta - b))))
-        agg.add(residual, _jsonable(alpha=alpha, beta=beta, a=a, b=b))
-    return agg.report()
+
+    def draw(rng, box):
+        alpha, beta = draw_pair(rng, box)
+        return dict(alpha=alpha, beta=beta, a=draw_vec(rng, box, F.dim),
+                    b=draw_vec(rng, box, F.dim))
+
+    def residuals(s):
+        alpha, beta, a, b = s["alpha"], s["beta"], s["a"], s["b"]
+        at_alpha = _as_value(F.eval_f(alpha, alpha, beta, a, b), F.dim)
+        at_beta = _as_value(F.eval_f(beta, alpha, beta, a, b), F.dim)
+        return [(float(max(np.max(np.abs(at_alpha - a)),
+                           np.max(np.abs(at_beta - b)))), s)]
+
+    law = SampledLaw(("boundary",), draw, residuals)
+    return run_law(law, spec, F.domain)[0]
 
 
 def check_extension(F: DependenceEvaluator,
@@ -349,47 +387,51 @@ def check_extension(F: DependenceEvaluator,
     evaluated on the same sample tuples for all three eps so the three maxima
     are comparable; they must shrink as eps does for a continuous extension.
 
+    Failures are counted per report: an off-diagonal failure and a failure
+    at one eps fail only their own report, while a failure at
+    S(tau, alpha, alpha, a, v) fails all three diagonal reports.
+
     Draw order per sample: tau; (alpha, beta) pair; a components;
     v components.  The diagonal family reuses tau, alpha, a, v.
     """
     if F.eval_s is None:
         raise ValueError("check_extension requires an evaluator with eval_s")
-    box = _Box.of(spec, F.domain)
-    rng = Splitmix64(spec.seed)
-    agg_off = _Aggregator("extension_offdiag")
-    agg_diag = {eps: _Aggregator(f"extension_diag_{eps:.0e}".replace("e-0", "e-"))
-                for eps in DIAG_EPSILONS}
-    for _ in range(spec.count):
+    names = ("extension_offdiag",) + tuple(
+        f"extension_diag_{eps:.0e}".replace("e-0", "e-")
+        for eps in DIAG_EPSILONS)
+
+    def draw(rng, box):
         tau = rng.uniform(*box.tau)
-        alpha, beta = _draw_pair(rng, box)
-        a = _draw_vec(rng, box, F.dim)
-        v = _draw_vec(rng, box, F.dim)
+        alpha, beta = draw_pair(rng, box)
+        return dict(tau=tau, alpha=alpha, beta=beta,
+                    a=draw_vec(rng, box, F.dim), v=draw_vec(rng, box, F.dim))
+
+    def residuals(s):
+        tau, alpha, beta, a, v = s["tau"], s["alpha"], s["beta"], s["a"], s["v"]
         try:
             s_val = _as_value(F.eval_s(tau, alpha, beta, a, v), F.dim)
             f_val = _as_value(
                 F.eval_f(tau, alpha, beta, a, a + v * (beta - alpha)), F.dim)
-        except _SAMPLE_ERRORS:
-            agg_off.fail()
+        except SAMPLE_ERRORS:
+            outcomes = [None]
         else:
-            agg_off.add(float(np.max(np.abs(s_val - f_val))),
-                        _jsonable(tau=tau, alpha=alpha, beta=beta, a=a, v=v))
+            outcomes = [(_gap(s_val, f_val), s)]
         try:
             on_diag = _as_value(F.eval_s(tau, alpha, alpha, a, v), F.dim)
-        except _SAMPLE_ERRORS:
-            for agg in agg_diag.values():
-                agg.fail()
-            continue
-        for eps, agg in agg_diag.items():
+        except SAMPLE_ERRORS:
+            return outcomes + [None] * len(DIAG_EPSILONS)
+        for eps in DIAG_EPSILONS:
             try:
                 near = _as_value(F.eval_s(tau, alpha, alpha + eps, a, v),
                                  F.dim)
-            except _SAMPLE_ERRORS:
-                agg.fail()
+            except SAMPLE_ERRORS:
+                outcomes.append(None)
                 continue
-            agg.add(float(np.max(np.abs(near - on_diag))),
-                    _jsonable(tau=tau, alpha=alpha, eps=eps, a=a, v=v))
-    return [agg_off.report()] + [agg_diag[eps].report()
-                                 for eps in DIAG_EPSILONS]
+            outcomes.append((_gap(near, on_diag),
+                             dict(tau=tau, alpha=alpha, eps=eps, a=a, v=v)))
+        return outcomes
+
+    return run_law(SampledLaw(names, draw, residuals), spec, F.domain)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -416,39 +458,32 @@ def check_lemma1_equivalence(ode: SecondOrderOde, spec: SampleSpec,
     Solver breakdowns (conjugate intervals included) count as failures in
     both reports.
     """
-    box = _Box.of(spec, EvalDomain())
-    rng = Splitmix64(spec.seed)
-    agg_agree = _Aggregator("lemma1_agreement")
-    agg_quad = _Aggregator("lemma1_quadrature")
-    for _ in range(spec.count):
-        alpha, beta = _draw_pair(rng, box)
-        a = _draw_vec(rng, box, ode.dim)
-        v = _draw_vec(rng, box, ode.dim)
-        case = _jsonable(alpha=alpha, beta=beta, a=a, v=v)
-        try:
-            by_integral = solve_integral(
-                ode, IntegralConditions(alpha, beta, a, v), cfg)
-            b = a + v * (beta - alpha)
-            by_endpoint = solve_neumann(
-                ode, NeumannConditions(alpha, beta, a, b), cfg)
-        except _SAMPLE_ERRORS:
-            agg_agree.fail()
-            agg_quad.fail()
-            continue
-        taus = np.linspace(alpha, beta, 20)
-        worst = 0.0
-        for t in taus:
-            diff = (by_integral.trajectory.eval(float(t)).x
-                    - by_endpoint.trajectory.eval(float(t)).x)
-            worst = max(worst, float(np.max(np.abs(diff))))
-        agg_agree.add(worst, case)
 
+    def draw(rng, box):
+        alpha, beta = draw_pair(rng, box)
+        return dict(alpha=alpha, beta=beta, a=draw_vec(rng, box, ode.dim),
+                    v=draw_vec(rng, box, ode.dim))
+
+    def residuals(s):
+        alpha, beta, a, v = s["alpha"], s["beta"], s["a"], s["v"]
+        by_integral = solve_integral(
+            ode, IntegralConditions(alpha, beta, a, v), cfg).trajectory
+        b = a + v * (beta - alpha)
+        by_endpoint = solve_neumann(
+            ode, NeumannConditions(alpha, beta, a, b), cfg).trajectory
+        worst = 0.0
+        for t in np.linspace(alpha, beta, 20):
+            diff = by_integral.eval(float(t)).x - by_endpoint.eval(float(t)).x
+            worst = max(worst, float(np.max(np.abs(diff))))
         mean_slope = np.zeros(ode.dim)
         for node, weight in zip(_GL01_NODES, _GL01_WEIGHTS):
             t = (1.0 - node) * alpha + node * beta
-            mean_slope += weight * by_integral.trajectory.eval(float(t)).v
-        agg_quad.add(float(np.max(np.abs(mean_slope - v))), case)
-    return [agg_agree.report(), agg_quad.report()]
+            mean_slope += weight * by_integral.eval(float(t)).v
+        return [(worst, s), (_gap(mean_slope, v), s)]
+
+    law = SampledLaw(("lemma1_agreement", "lemma1_quadrature"), draw,
+                     residuals)
+    return run_law(law, spec)
 
 
 def evaluator_from_scalar(eval_f: Callable, eval_s: Optional[Callable] = None,

@@ -36,10 +36,9 @@ from .bvp_shooting import (
 from .functional_laws import (
     LawReport,
     SampleSpec,
+    SampledLaw,
     Splitmix64,
-    _Aggregator,
-    _jsonable,
-    _SAMPLE_ERRORS,
+    run_law,
 )
 from .ode_core import SecondOrderOde
 
@@ -146,9 +145,23 @@ def geodesic_G(gmap: GeodesicMap, a, b, rho: float) -> np.ndarray:
     return gmap.eval(a, b, rho)
 
 
-def _draw_point(rng: Splitmix64, box: Sequence[tuple[float, float]]
-                ) -> np.ndarray:
-    return np.array([rng.uniform(lo, hi) for lo, hi in box])
+def _interpolation_law(name: str, gmap: GeodesicMap,
+                       rho_range: tuple[float, float],
+                       residual: Callable) -> SampledLaw:
+    """A law over sampled (a, b, zeta, eta, rho), drawn in that order: the
+    points from the connection's sampling_box (falling back to the spec's
+    ab_range per coordinate), zeta, eta and rho from rho_range.
+    residual(a, b, zeta, eta, rho) is the sample's residual."""
+    conn = gmap.connection
+
+    def draw(rng: Splitmix64, box) -> dict:
+        points = conn.sampling_box or [box.values] * conn.dim
+        a = np.array([rng.uniform(lo, hi) for lo, hi in points])
+        b = np.array([rng.uniform(lo, hi) for lo, hi in points])
+        return dict(a=a, b=b, zeta=rng.uniform(*rho_range),
+                    eta=rng.uniform(*rho_range), rho=rng.uniform(*rho_range))
+
+    return SampledLaw((name,), draw, lambda s: [(residual(**s), s)])
 
 
 def check_klapka(gmap: GeodesicMap, spec: SampleSpec,
@@ -165,31 +178,20 @@ def check_klapka(gmap: GeodesicMap, spec: SampleSpec,
 
     Draw order per sample: a coords; b coords; zeta; eta; rho.
     """
-    conn = gmap.connection
-    box = conn.sampling_box or [spec.ab_range] * conn.dim
-    rng = Splitmix64(spec.seed)
-    agg = _Aggregator("klapka")
-    for _ in range(spec.count):
-        a = _draw_point(rng, box)
-        b = _draw_point(rng, box)
-        zeta = rng.uniform(*rho_range)
-        eta = rng.uniform(*rho_range)
-        rho = rng.uniform(*rho_range)
-        try:
-            at0 = gmap.eval(a, b, 0.0)
-            at1 = gmap.eval(a, b, 1.0)
-            at_zeta = gmap.eval(a, b, zeta)
-            at_eta = gmap.eval(a, b, eta)
-            mixed = gmap.eval(a, b, (1.0 - rho) * zeta + rho * eta)
-            rebased = gmap.eval(at_zeta, at_eta, rho)
-        except _SAMPLE_ERRORS:
-            agg.fail()
-            continue
-        residual = max(float(np.max(np.abs(at0 - a))),
-                       float(np.max(np.abs(at1 - b))),
-                       float(np.max(np.abs(mixed - rebased))))
-        agg.add(residual, _jsonable(a=a, b=b, zeta=zeta, eta=eta, rho=rho))
-    return agg.report()
+
+    def residual(a, b, zeta, eta, rho):
+        at0 = gmap.eval(a, b, 0.0)
+        at1 = gmap.eval(a, b, 1.0)
+        at_zeta = gmap.eval(a, b, zeta)
+        at_eta = gmap.eval(a, b, eta)
+        mixed = gmap.eval(a, b, (1.0 - rho) * zeta + rho * eta)
+        rebased = gmap.eval(at_zeta, at_eta, rho)
+        return max(float(np.max(np.abs(at0 - a))),
+                   float(np.max(np.abs(at1 - b))),
+                   float(np.max(np.abs(mixed - rebased))))
+
+    law = _interpolation_law("klapka", gmap, rho_range, residual)
+    return run_law(law, spec)[0]
 
 
 def jensen_midpoint_check(gmap: GeodesicMap, spec: SampleSpec,
@@ -206,33 +208,22 @@ def jensen_midpoint_check(gmap: GeodesicMap, spec: SampleSpec,
 
     Draw order per sample: a coords; b coords; zeta; eta; rho.
     """
-    conn = gmap.connection
-    box = conn.sampling_box or [spec.ab_range] * conn.dim
-    rng = Splitmix64(spec.seed)
-    zero = np.zeros(conn.dim)
-    agg = _Aggregator("jensen")
-    for _ in range(spec.count):
-        a = _draw_point(rng, box)
-        b = _draw_point(rng, box)
-        zeta = rng.uniform(*rho_range)
-        eta = rng.uniform(*rho_range)
-        rho = rng.uniform(*rho_range)
-        try:
-            q_mid = gmap.eval(zero, b, 0.5 * (zeta + eta))
-            q_zeta = gmap.eval(zero, b, zeta)
-            q_eta = gmap.eval(zero, b, eta)
-            forward = gmap.eval(a, b, 1.0 - rho)
-            reversed_ = gmap.eval(b, a, rho)
-            q_half = gmap.eval(zero, a, 0.5)
-        except _SAMPLE_ERRORS:
-            agg.fail()
-            continue
-        residual = max(
+    zero = np.zeros(gmap.connection.dim)
+
+    def residual(a, b, zeta, eta, rho):
+        q_mid = gmap.eval(zero, b, 0.5 * (zeta + eta))
+        q_zeta = gmap.eval(zero, b, zeta)
+        q_eta = gmap.eval(zero, b, eta)
+        forward = gmap.eval(a, b, 1.0 - rho)
+        reversed_ = gmap.eval(b, a, rho)
+        q_half = gmap.eval(zero, a, 0.5)
+        return max(
             float(np.max(np.abs(q_mid - 0.5 * (q_zeta + q_eta)))),
             float(np.max(np.abs(forward - reversed_))),
             float(np.max(np.abs(q_half - 0.5 * a))))
-        agg.add(residual, _jsonable(a=a, b=b, zeta=zeta, eta=eta, rho=rho))
-    return agg.report()
+
+    law = _interpolation_law("jensen", gmap, rho_range, residual)
+    return run_law(law, spec)[0]
 
 
 def half_plane_geodesic_point(a, b, rho: float) -> np.ndarray:

@@ -11,24 +11,20 @@ numeric shooting extension of an ODE and compares with the true rhs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
+from . import bvp_shooting
 from .errors import FebvpError
-from .bvp_shooting import (
-    DEFAULT_SHOOTING,
-    IntegralConditions,
-    ShootingConfig,
-    eval_S,
-)
+from .bvp_shooting import DEFAULT_SHOOTING, IntegralConditions, ShootingConfig
 from .functional_laws import (
+    SAMPLE_ERRORS,
     LawReport,
     SampleSpec,
-    Splitmix64,
-    _Aggregator,
-    _jsonable,
-    _SAMPLE_ERRORS,
+    SampledLaw,
+    draw_vec,
+    run_law,
 )
 from .ode_core import SecondOrderOde
 
@@ -39,6 +35,7 @@ __all__ = [
     "reconstruct_f",
     "roundtrip_check",
     "noise_aware_step",
+    "solver_extension",
 ]
 
 
@@ -87,7 +84,7 @@ def _second_difference(S: Callable, tau: float, x: np.ndarray,
                                         dtype=float))
         minus = np.atleast_1d(np.asarray(S(tau - h, tau, tau, x, v),
                                          dtype=float))
-    except _SAMPLE_ERRORS as exc:
+    except SAMPLE_ERRORS as exc:
         raise EvaluationFailure(
             f"extension failed at a stencil point: {exc}",
             tau=tau, h=h) from exc
@@ -110,7 +107,7 @@ def reconstruct_f(S: Callable, tau: float, x, v,
     try:
         center = np.atleast_1d(np.asarray(S(tau, tau, tau, x, v),
                                           dtype=float))
-    except _SAMPLE_ERRORS as exc:
+    except SAMPLE_ERRORS as exc:
         raise EvaluationFailure(
             f"extension failed at the midpoint: {exc}", tau=tau) from exc
     drift = float(np.max(np.abs(center - x)))
@@ -126,6 +123,23 @@ def reconstruct_f(S: Callable, tau: float, x, v,
     return (4.0 * fine - coarse) / 3.0
 
 
+def solver_extension(ode: SecondOrderOde, cfg: ReconstructionConfig,
+                     shooting_cfg: ShootingConfig
+                     ) -> tuple[Callable, ReconstructionConfig]:
+    """The ODE's numeric extension S(query_tau, alpha, beta, a, v) from the
+    shooting solver, and cfg with its difference step widened by
+    noise_aware_step against the solver tolerance."""
+
+    def S(query_tau, alpha, beta, a, v):
+        cond = IntegralConditions(alpha, beta, a, v)
+        # looked up at call time, so that a wrapper installed on
+        # bvp_shooting.eval_S (tracing, tests) sees every stencil call
+        return bvp_shooting.eval_S(ode, query_tau, cond, shooting_cfg)
+
+    step = noise_aware_step(cfg, shooting_cfg.newton_tol)
+    return S, ReconstructionConfig(fd_step=step, richardson=cfg.richardson)
+
+
 def roundtrip_check(ode: SecondOrderOde,
                     cfg: ReconstructionConfig = ReconstructionConfig(),
                     shooting_cfg: ShootingConfig = DEFAULT_SHOOTING,
@@ -139,25 +153,17 @@ def roundtrip_check(ode: SecondOrderOde,
     The difference step is widened by noise_aware_step against the solver
     tolerance.  Draw order per sample: tau; x components; v components.
     """
-    rng = Splitmix64(spec.seed)
-    step = noise_aware_step(cfg, shooting_cfg.newton_tol)
-    eff_cfg = ReconstructionConfig(fd_step=step, richardson=cfg.richardson)
+    S, eff_cfg = solver_extension(ode, cfg, shooting_cfg)
 
-    def S(query_tau, alpha, beta, a, v):
-        cond = IntegralConditions(alpha, beta, a, v)
-        return eval_S(ode, query_tau, cond, shooting_cfg)
+    def draw(rng, box):
+        return dict(tau=rng.uniform(*box.tau), x=draw_vec(rng, box, ode.dim),
+                    v=draw_vec(rng, box, ode.dim))
 
-    agg = _Aggregator("reconstruction_roundtrip")
-    for _ in range(spec.count):
-        tau = rng.uniform(*spec.tau_range)
-        x = np.array([rng.uniform(*spec.ab_range) for _ in range(ode.dim)])
-        v = np.array([rng.uniform(*spec.ab_range) for _ in range(ode.dim)])
-        try:
-            rebuilt = reconstruct_f(S, tau, x, v, eff_cfg)
-            truth = np.atleast_1d(np.asarray(ode.rhs(tau, x, v), dtype=float))
-        except _SAMPLE_ERRORS:
-            agg.fail()
-            continue
-        agg.add(float(np.max(np.abs(rebuilt - truth))),
-                _jsonable(tau=tau, x=x, v=v))
-    return agg.report()
+    def residuals(s):
+        tau, x, v = s["tau"], s["x"], s["v"]
+        rebuilt = reconstruct_f(S, tau, x, v, eff_cfg)
+        truth = np.atleast_1d(np.asarray(ode.rhs(tau, x, v), dtype=float))
+        return [(float(np.max(np.abs(rebuilt - truth))), s)]
+
+    law = SampledLaw(("reconstruction_roundtrip",), draw, residuals)
+    return run_law(law, spec)[0]

@@ -193,3 +193,11 @@ def test_angelesco_unsatisfiable_range_raises():
     with pytest.raises(ValueError, match="1000 attempts"):
         check_angelesco(SampleSpec(count=1, seed=0,
                                    alpha_beta_range=(0.0, 0.01)))
+
+
+def test_angelesco_non_finite_member_is_a_configuration_error():
+    # raised by the draw, before any residual, so it is not counted as a
+    # sample failure
+    with pytest.raises(ValueError, match="finite"):
+        check_angelesco(SampleSpec(count=3, seed=0), {"k": math.inf,
+                                                      "g": 0.0})

@@ -146,6 +146,86 @@ def test_verify_threshold_override_can_fail(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_verify_rejects_bad_threshold_flag(value, capsys):
+    code, out, err = run(["verify", "--catalog", "free_fall", "--laws",
+                          "boundary", "--samples", "5", "--threshold",
+                          f"boundary={value}"], capsys)
+    assert code == 1
+    assert out == ""
+    assert stderr_doc(err)["code"] == "config_error"
+
+
+@pytest.mark.parametrize("thresholds", [
+    {"boundary": float("nan")}, {"boundary": -1.0}, {"boundary": "-1"},
+    [1.0, 2.0]])
+def test_verify_rejects_bad_thresholds_in_config(thresholds, tmp_path,
+                                                 capsys):
+    cfg = tmp_path / "run.json"
+    # json.dumps writes NaN, which json.load reads back
+    cfg.write_text(json.dumps({"thresholds": thresholds}))
+    code, out, err = run(["verify", "--catalog", "free_fall", "--laws",
+                          "boundary", "--samples", "5", "--config",
+                          str(cfg)], capsys)
+    assert code == 1
+    assert out == ""
+    assert stderr_doc(err)["code"] == "config_error"
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_reconstruct_rejects_bad_threshold(value, capsys):
+    code, out, err = run(["reconstruct", "--catalog", "free_fall",
+                          "--point", "0", "0.2", "0.3", "--threshold",
+                          value], capsys)
+    assert code == 1
+    assert out == ""
+    assert stderr_doc(err)["code"] == "config_error"
+
+
+def _readme_section(title: str) -> str:
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index(title)
+    return text[start:text.index("\n#", start)]
+
+
+def _threshold_cell(thresholds: dict) -> str:
+    def num(value):
+        return f"{value:.0e}".replace("e-0", "e-")
+
+    parts = []
+    for key, default in thresholds.items():
+        if isinstance(default, dict):
+            text = ", ".join(f"{num(v)} ({setting})"
+                             for setting, v in default.items())
+        else:
+            text = num(default)
+        parts.append(f"`{key}`: {text}")
+    return "; ".join(parts)
+
+
+def test_readme_threshold_table_matches_the_law_table():
+    section = _readme_section("### Verification laws and default thresholds")
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            cells = [c.strip() for c in line.strip("|").split(" | ")]
+            rows[cells[0].strip("`")] = cells[-1]
+    assert tuple(rows) == cli.KNOWN_LAWS
+    for name, law in cli._LAWS.items():
+        assert rows[name] == _threshold_cell(law.thresholds), name
+
+
+def test_verify_help_lists_laws_and_threshold_keys(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert ", ".join(cli.KNOWN_LAWS) in text
+    keys = [k for law in cli._LAWS.values() for k in law.thresholds]
+    assert ", ".join(keys) in text
+
+
 def test_verify_unknown_law(capsys):
     code, _, err = run(["verify", "--catalog", "free_fall", "--laws",
                         "associativity"], capsys)

@@ -15,6 +15,7 @@ from febvp.functional_laws import (
     DIAG_EPSILONS,
     DependenceEvaluator,
     EvalDomain,
+    EvaluatorFailure,
     LawReport,
     SampleSpec,
     Splitmix64,
@@ -231,3 +232,74 @@ def test_numeric_evaluator_consistent_with_closed():
     got = num.eval_f(0.3, 0.0, 1.0, np.array([0.2]), np.array([-0.4]))
     want = free_fall_F(-9.8, 0.3, 0.0, 1.0, 0.2, -0.4)
     assert abs(float(got[0]) - want) < 1e-9
+
+
+def test_mean_of_equal_residuals_stays_at_their_max():
+    # 0.1 three times sums to 0.30000000000000004, whose third lies above
+    # 0.1: the mean must be clamped to the maximum, not rejected
+    ev = DependenceEvaluator(
+        dim=1, eval_f=lambda t, al, be, a, b: (np.asarray(a) + 0.1 if t == al
+                                               else np.asarray(b) + 0.1))
+    rep = check_boundary(ev, SampleSpec(count=3, seed=0,
+                                        ab_range=(0.0, 1e-20)))
+    assert rep.failures == 0
+    assert rep.max_residual == 0.1
+    assert rep.mean_residual == rep.max_residual
+
+
+def counting_evaluator(calls, fail_s=lambda al, be: False):
+    """Free fall that logs "f" or "s" per call and raises EvaluatorFailure
+    from eval_s wherever fail_s(alpha, beta) holds."""
+
+    def eval_f(t, al, be, a, b):
+        calls.append("f")
+        return np.array([free_fall_F(-9.8, t, al, be, float(a[0]),
+                                     float(b[0]))])
+
+    def eval_s(t, al, be, a, v):
+        calls.append("s")
+        if fail_s(al, be):
+            raise EvaluatorFailure("synthetic")
+        return np.array([free_fall_S(-9.8, t, al, be, float(a[0]),
+                                     float(v[0]))])
+
+    return DependenceEvaluator(dim=1, eval_f=eval_f, eval_s=eval_s)
+
+
+@pytest.mark.parametrize("check, per_sample", [
+    (check_composition, "ffff"),
+    (check_boundary, "ff"),
+    (check_extension, "sfssss"),
+])
+def test_evaluator_calls_per_sample(check, per_sample):
+    calls = []
+    check(counting_evaluator(calls), SampleSpec(count=7, seed=12))
+    assert "".join(calls) == per_sample * 7
+
+
+def extension_failures(fail_s):
+    calls = []
+    reports = check_extension(counting_evaluator(calls, fail_s),
+                              SampleSpec(count=9, seed=13))
+    return {r.law_name: r.failures for r in reports}
+
+
+def test_extension_offdiag_failure_leaves_diagonal_reports_clean():
+    # drawn pairs lie at least min_separation = 0.05 apart, the diagonal
+    # probes at most 1e-2
+    assert extension_failures(lambda al, be: abs(be - al) > 0.02) == {
+        "extension_offdiag": 9, "extension_diag_1e-2": 0,
+        "extension_diag_1e-3": 0, "extension_diag_1e-4": 0}
+
+
+def test_extension_on_diagonal_failure_fails_every_diagonal_report():
+    assert extension_failures(lambda al, be: al == be) == {
+        "extension_offdiag": 0, "extension_diag_1e-2": 9,
+        "extension_diag_1e-3": 9, "extension_diag_1e-4": 9}
+
+
+def test_extension_failure_at_one_eps_fails_only_its_report():
+    assert extension_failures(
+        lambda al, be: abs((be - al) - 1e-3) < 1e-9) == {
+        "extension_offdiag": 0, "extension_diag_1e-2": 0,
+        "extension_diag_1e-3": 9, "extension_diag_1e-4": 0}

@@ -1,0 +1,34 @@
+"""Source-level rules of the package layout: modules share helpers only
+through public names, and every sampled law runs through one loop."""
+
+import ast
+import os
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src", "febvp")
+MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
+
+
+def parse(name):
+    with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=name)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_private_names_imported_across_modules(name):
+    private = [f"line {node.lineno}: from .{node.module} import {a.name}"
+               for node in ast.walk(parse(name))
+               if isinstance(node, ast.ImportFrom) and node.level > 0
+               for a in node.names if a.name.startswith("_")]
+    assert not private, private
+
+
+def test_one_sample_loop_over_spec_count():
+    loops = [(name, node.lineno) for name in MODULES
+             for node in ast.walk(parse(name))
+             if isinstance(node, ast.For)
+             and isinstance(node.iter, ast.Call)
+             and ast.unparse(node.iter) == "range(spec.count)"]
+    assert [name for name, _ in loops] == ["functional_laws.py"], loops
