@@ -19,7 +19,6 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 

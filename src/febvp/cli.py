@@ -312,13 +312,17 @@ def _resolve_shooting(args, config) -> ShootingConfig:
         icfg = cfg.integrator
         icfg = dataclasses.replace(
             icfg,
-            rel_tol=float(rel_tol) if rel_tol is not None else icfg.rel_tol,
-            abs_tol=float(abs_tol) if abs_tol is not None else icfg.abs_tol)
+            rel_tol=(_parse_float(rel_tol, "rel_tol") if rel_tol is not None
+                     else icfg.rel_tol),
+            abs_tol=(_parse_float(abs_tol, "abs_tol") if abs_tol is not None
+                     else icfg.abs_tol))
         cfg = dataclasses.replace(cfg, integrator=icfg)
     if newton_tol is not None:
-        cfg = dataclasses.replace(cfg, newton_tol=float(newton_tol))
+        cfg = dataclasses.replace(cfg, newton_tol=_parse_float(
+            newton_tol, "newton_tol"))
     if floor is not None:
-        cfg = dataclasses.replace(cfg, singular_floor=float(floor))
+        cfg = dataclasses.replace(cfg, singular_floor=_parse_float(
+            floor, "singular_floor"))
     return cfg
 
 
@@ -341,7 +345,7 @@ def _resolve_sampling(args, config, seed: int) -> SampleSpec:
         "data range") or defaults.ab_range
     min_sep = _pick(getattr(args, "min_separation", None), config,
                     "min_separation", None)
-    min_sep = (float(min_sep) if min_sep is not None
+    min_sep = (_parse_float(min_sep, "min_separation") if min_sep is not None
                else defaults.min_separation)
     try:
         return SampleSpec(count=count, seed=seed, tau_range=tau_range,
@@ -889,7 +893,8 @@ def _dispatch(args) -> int:
             cfg.rho_range = rho_range
         max_interval = _pick(args.max_interval, config, "max_interval", None)
         if max_interval is not None:
-            cfg.domain_override["max_interval"] = float(max_interval)
+            cfg.domain_override["max_interval"] = _parse_float(
+                max_interval, "max_interval")
         cfg.thresholds = _resolve_thresholds(args, config)
         return cmd_verify(cfg, laws)
 
@@ -898,7 +903,8 @@ def _dispatch(args) -> int:
             args, config)
         fd_step = _pick(args.fd_step, config, "fd_step", None)
         if fd_step is not None:
-            cfg.recon = ReconstructionConfig(fd_step=float(fd_step))
+            cfg.recon = ReconstructionConfig(
+                fd_step=_parse_float(fd_step, "fd_step"))
         threshold = _pick(args.threshold, config, "threshold", None)
         if threshold is not None:
             cfg.recon_threshold = _parse_threshold(threshold, "threshold")

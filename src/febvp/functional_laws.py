@@ -471,14 +471,15 @@ def check_lemma1_equivalence(ode: SecondOrderOde, spec: SampleSpec,
         b = a + v * (beta - alpha)
         by_endpoint = solve_neumann(
             ode, NeumannConditions(alpha, beta, a, b), cfg).trajectory
+        grid = list(np.linspace(alpha, beta, 20))
+        nodes = [(1.0 - node) * alpha + node * beta for node in _GL01_NODES]
+        on_integral = by_integral.eval_many(grid + nodes)
         worst = 0.0
-        for t in np.linspace(alpha, beta, 20):
-            diff = by_integral.eval(float(t)).x - by_endpoint.eval(float(t)).x
-            worst = max(worst, float(np.max(np.abs(diff))))
+        for p, q in zip(on_integral, by_endpoint.eval_many(grid)):
+            worst = max(worst, float(np.max(np.abs(p.x - q.x))))
         mean_slope = np.zeros(ode.dim)
-        for node, weight in zip(_GL01_NODES, _GL01_WEIGHTS):
-            t = (1.0 - node) * alpha + node * beta
-            mean_slope += weight * by_integral.eval(float(t)).v
+        for p, weight in zip(on_integral[len(grid):], _GL01_WEIGHTS):
+            mean_slope += weight * p.v
         return [(worst, s), (_gap(mean_slope, v), s)]
 
     law = SampledLaw(("lemma1_agreement", "lemma1_quadrature"), draw,

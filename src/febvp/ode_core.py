@@ -8,11 +8,14 @@ span; evaluation exactly at a stored knot returns the stored state bitwise.
 
 The step loop only records each accepted step: its start time, width,
 start state and the seven stage derivatives go into one flat
-``array('d')`` per run, and the knot times and states into two more.  A
-step's interpolant is built from that record when a tau inside it is
-evaluated, and never kept, so most steps (those of Jacobian and
-line-search runs that are never evaluated inside) cost no dense-output
-work at all.
+``array('d')`` per run, and the knot times and states into two more.  The
+scalar kernel appends each accepted step to Python lists, moves them into
+those arrays with ``fromlist`` every _FLUSH_DOUBLES doubles of step records
+and appends the rest by concatenation at the end of the run, so it pays no
+per-step array call and holds a bounded number of pending floats.  A step's interpolant is built
+from its record when a tau inside it is evaluated, and never kept, so
+most steps (those of Jacobian and line-search runs that are never
+evaluated inside) cost no dense-output work at all.
 
 Results are deterministic: identical inputs and config yield identical bits,
 and a Trajectory returns the same bits for a tau whatever it was asked before.
@@ -170,6 +173,11 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _ERR_PREV_INIT = 1e-4
 
+# The scalar kernel moves its pending step records from Python lists into
+# the flat arrays once they hold this many doubles, so a long run keeps
+# about this many floats as Python objects.
+_FLUSH_DOUBLES = 4096
+
 
 def _interpolate(t: float, h: float, y0: np.ndarray, q: np.ndarray,
                  tau: float) -> np.ndarray:
@@ -178,9 +186,9 @@ def _interpolate(t: float, h: float, y0: np.ndarray, q: np.ndarray,
     return y0 + h * (q @ p)
 
 
-def _dense_scalar(steps: array, base: int, n2: int, tau: float) -> np.ndarray:
-    """Interpolant of a scalar-kernel step, summed stage by stage in plain
-    floats over the nonzero entries of P."""
+def _dense_scalar(steps: array, base: int, n2: int) -> tuple:
+    """Interpolant ``(t, h, y0, q)`` of a scalar-kernel step, q summed stage
+    by stage in plain floats over the nonzero entries of P."""
     t, h, x, v = steps[base:base + 4]
     kxs = steps[base + 4:base + 18:2]
     kvs = steps[base + 5:base + 18:2]
@@ -193,14 +201,15 @@ def _dense_scalar(steps: array, base: int, n2: int, tau: float) -> np.ndarray:
             bv += ps * kvs[s]
         qx.append(ax)
         qv.append(bv)
-    return _interpolate(t, h, np.array((x, v)), np.array((qx, qv)), tau)
+    return t, h, np.array((x, v)), np.array((qx, qv))
 
 
-def _dense_vector(steps: array, base: int, n2: int, tau: float) -> np.ndarray:
-    """Interpolant of a vector-kernel step: q = K.T @ P, as one matrix product."""
+def _dense_vector(steps: array, base: int, n2: int) -> tuple:
+    """Interpolant ``(t, h, y0, q)`` of a vector-kernel step: q = K.T @ P, as
+    one matrix product."""
     y0 = np.frombuffer(steps, count=n2, offset=8 * (base + 2))
     K = np.frombuffer(steps, count=7 * n2, offset=8 * (base + 2 + n2)).reshape(7, n2)
-    return _interpolate(steps[base], steps[base + 1], y0, K.T @ _P_ARR, tau)
+    return steps[base], steps[base + 1], y0, K.T @ _P_ARR
 
 
 class Trajectory:
@@ -218,7 +227,8 @@ class Trajectory:
     A step's quartic interpolant is built from its record only when a tau
     strictly inside it is evaluated, with the arithmetic of the kernel that
     produced the run; exactly at a knot the stored state is returned.
-    Nothing is cached, so every query gives the same bits in any order.
+    Nothing is kept between calls, so every query gives the same bits in
+    any order; eval_many shares one step's interpolant among its taus.
     """
 
     def __init__(self, dim: int, knots: array, states: array, steps: array,
@@ -252,25 +262,45 @@ class Trajectory:
         Raises:
             OutOfSpan: tau lies outside [span lo, span hi].
         """
-        tau = float(tau)
+        return self.eval_many((tau,))[0]
+
+    def eval_many(self, taus) -> list[StatePoint]:
+        """Evaluate the trajectory at each tau of taus, in the order given.
+
+        Each result has the bits of eval(tau); a step's interpolant is built
+        once however many of the taus fall inside it.
+
+        Raises:
+            OutOfSpan: a tau lies outside [span lo, span hi].
+        """
+        taus = [float(tau) for tau in taus]
         lo, hi = self.span
-        if not lo <= tau <= hi:
-            raise OutOfSpan(
-                f"tau={tau!r} outside trajectory span [{lo!r}, {hi!r}]",
-                tau=tau, span=(lo, hi),
-            )
+        for tau in taus:
+            if not lo <= tau <= hi:
+                raise OutOfSpan(
+                    f"tau={tau!r} outside trajectory span [{lo!r}, {hi!r}]",
+                    tau=tau, span=(lo, hi),
+                )
         knots = self._knots
-        if self._backward:
-            i = bisect.bisect_left(knots, -tau, key=operator.neg)
-        else:
-            i = bisect.bisect_left(knots, tau)
         n = self.dim
         n2 = 2 * n
-        if knots[i] == tau:
-            y = np.frombuffer(self._states, count=n2, offset=8 * n2 * i)
-        else:
-            y = self._dense(self._steps, (i - 1) * (2 + 8 * n2), n2, tau)
-        return StatePoint(tau, y[:n].copy(), y[n:].copy())
+        built = {}
+        out = []
+        for tau in taus:
+            if self._backward:
+                i = bisect.bisect_left(knots, -tau, key=operator.neg)
+            else:
+                i = bisect.bisect_left(knots, tau)
+            if knots[i] == tau:
+                y = np.frombuffer(self._states, count=n2, offset=8 * n2 * i)
+            else:
+                segment = built.get(i)
+                if segment is None:
+                    segment = built[i] = self._dense(
+                        self._steps, (i - 1) * (2 + 8 * n2), n2)
+                y = _interpolate(*segment, tau)
+            out.append(StatePoint(tau, y[:n].copy(), y[n:].copy()))
+        return out
 
 
 def _pi_factor(err_norm: float, err_prev: float) -> float:
@@ -316,87 +346,133 @@ def integrate_ivp(ode: SecondOrderOde, start: StatePoint, tau_end: float,
 
 def _integrate_scalar(f, t0: float, x0: float, v0: float, t_end: float,
                       cfg: IntegratorConfig):
-    """Unrolled dim-1 kernel; same scheme as the vector path, plain floats."""
+    """Unrolled dim-1 kernel; same scheme as the vector path, plain floats.
+
+    The loop does the floating-point operations of _pi_factor and of the
+    builtin max/min inline, in the same order: max(a, b) is written
+    ``b if b > a else a`` and min(a, b) ``b if b < a else a``.
+    """
+    # Locals are cheaper to read than module globals on every step.
+    isfinite, sqrt = math.isfinite, math.sqrt
+    c2, c3, c4, c5 = _C2, _C3, _C4, _C5
+    a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
+    a51, a52, a53, a54 = _A51, _A52, _A53, _A54
+    a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
+    b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
+    e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
+    safety, neg_ki, kp = _SAFETY, -_KI, _KP
+    min_factor, max_factor, err_prev_init = _MIN_FACTOR, _MAX_FACTOR, _ERR_PREV_INIT
     rel, at = cfg.rel_tol, cfg.abs_tol
+    h_min, max_steps = cfg.h_min, cfg.max_steps
+
     direction = 1.0 if t_end > t0 else -1.0
     t, x, v = t0, x0, v0
     kv1 = f(t, x, v)
-    if not math.isfinite(kv1):
+    if not isfinite(kv1):
         raise NonFiniteRhs(f"rhs returned a non-finite value at tau={t!r}", tau=t)
     kx1 = v
     h = direction * min(cfg.h_init, abs(t_end - t0))
-    err_prev = _ERR_PREV_INIT
+    err_prev = err_prev_init
     attempts = 0
 
     knots = array("d", (t0,))
     states = array("d", (x0, v0))
     steps = array("d")
+    # Accepted steps collect in lists, moved into the arrays in batches.
+    pending_knots = []
+    pending_states = []
+    pending_steps = []
 
-    while (t_end - t) * direction > 0.0:
-        remaining = t_end - t
+    remaining = t_end - t
+    while remaining * direction > 0.0:
         if abs(h) >= abs(remaining):
             hs, last = remaining, True
         else:
             hs, last = h, False
-            if abs(hs) < cfg.h_min:
+            if abs(hs) < h_min:
                 raise StepSizeUnderflow(
-                    f"step size {abs(hs)!r} fell below h_min={cfg.h_min!r} at tau={t!r}",
+                    f"step size {abs(hs)!r} fell below h_min={h_min!r} at tau={t!r}",
                     tau=t, h=abs(hs))
         attempts += 1
-        if attempts > cfg.max_steps:
+        if attempts > max_steps:
             raise MaxStepsExceeded(
-                f"exceeded max_steps={cfg.max_steps} before reaching tau={t_end!r}",
-                tau=t, max_steps=cfg.max_steps)
+                f"exceeded max_steps={max_steps} before reaching tau={t_end!r}",
+                tau=t, max_steps=max_steps)
 
         # Stages 2..6: x-derivative is the stage velocity, v-derivative is f.
-        x2 = x + hs * (_A21 * kx1)
-        v2 = v + hs * (_A21 * kv1)
-        kv2 = f(t + _C2 * hs, x2, v2)
-        x3 = x + hs * (_A31 * kx1 + _A32 * v2)
-        v3 = v + hs * (_A31 * kv1 + _A32 * kv2)
-        kv3 = f(t + _C3 * hs, x3, v3)
-        x4 = x + hs * (_A41 * kx1 + _A42 * v2 + _A43 * v3)
-        v4 = v + hs * (_A41 * kv1 + _A42 * kv2 + _A43 * kv3)
-        kv4 = f(t + _C4 * hs, x4, v4)
-        x5 = x + hs * (_A51 * kx1 + _A52 * v2 + _A53 * v3 + _A54 * v4)
-        v5 = v + hs * (_A51 * kv1 + _A52 * kv2 + _A53 * kv3 + _A54 * kv4)
-        kv5 = f(t + _C5 * hs, x5, v5)
-        x6 = x + hs * (_A61 * kx1 + _A62 * v2 + _A63 * v3 + _A64 * v4 + _A65 * v5)
-        v6 = v + hs * (_A61 * kv1 + _A62 * kv2 + _A63 * kv3 + _A64 * kv4 + _A65 * kv5)
+        x2 = x + hs * (a21 * kx1)
+        v2 = v + hs * (a21 * kv1)
+        kv2 = f(t + c2 * hs, x2, v2)
+        x3 = x + hs * (a31 * kx1 + a32 * v2)
+        v3 = v + hs * (a31 * kv1 + a32 * kv2)
+        kv3 = f(t + c3 * hs, x3, v3)
+        x4 = x + hs * (a41 * kx1 + a42 * v2 + a43 * v3)
+        v4 = v + hs * (a41 * kv1 + a42 * kv2 + a43 * kv3)
+        kv4 = f(t + c4 * hs, x4, v4)
+        x5 = x + hs * (a51 * kx1 + a52 * v2 + a53 * v3 + a54 * v4)
+        v5 = v + hs * (a51 * kv1 + a52 * kv2 + a53 * kv3 + a54 * kv4)
+        kv5 = f(t + c5 * hs, x5, v5)
+        x6 = x + hs * (a61 * kx1 + a62 * v2 + a63 * v3 + a64 * v4 + a65 * v5)
+        v6 = v + hs * (a61 * kv1 + a62 * kv2 + a63 * kv3 + a64 * kv4 + a65 * kv5)
         kv6 = f(t + hs, x6, v6)
-        x_new = x + hs * (_B1 * kx1 + _B3 * v3 + _B4 * v4 + _B5 * v5 + _B6 * v6)
-        v_new = v + hs * (_B1 * kv1 + _B3 * kv3 + _B4 * kv4 + _B5 * kv5 + _B6 * kv6)
+        x_new = x + hs * (b1 * kx1 + b3 * v3 + b4 * v4 + b5 * v5 + b6 * v6)
+        v_new = v + hs * (b1 * kv1 + b3 * kv3 + b4 * kv4 + b5 * kv5 + b6 * kv6)
         t_new = t_end if last else t + hs
         kv7 = f(t_new, x_new, v_new)
-        if not (math.isfinite(kv2) and math.isfinite(kv3) and math.isfinite(kv4)
-                and math.isfinite(kv5) and math.isfinite(kv6) and math.isfinite(kv7)):
+        if not (isfinite(kv2) and isfinite(kv3) and isfinite(kv4)
+                and isfinite(kv5) and isfinite(kv6) and isfinite(kv7)):
             raise NonFiniteRhs(f"rhs returned a non-finite value near tau={t!r}", tau=t)
 
-        err_x = hs * (_E1 * kx1 + _E3 * v3 + _E4 * v4 + _E5 * v5 + _E6 * v6 + _E7 * v_new)
-        err_v = hs * (_E1 * kv1 + _E3 * kv3 + _E4 * kv4 + _E5 * kv5 + _E6 * kv6 + _E7 * kv7)
-        sx = at + rel * max(abs(x), abs(x_new))
-        sv = at + rel * max(abs(v), abs(v_new))
+        err_x = hs * (e1 * kx1 + e3 * v3 + e4 * v4 + e5 * v5 + e6 * v6 + e7 * v_new)
+        err_v = hs * (e1 * kv1 + e3 * kv3 + e4 * kv4 + e5 * kv5 + e6 * kv6 + e7 * kv7)
+        s0, s1 = abs(x), abs(x_new)
+        sx = at + rel * (s1 if s1 > s0 else s0)
+        s0, s1 = abs(v), abs(v_new)
+        sv = at + rel * (s1 if s1 > s0 else s0)
         ex = err_x / sx
         ev = err_v / sv
-        en = math.sqrt(0.5 * (ex * ex + ev * ev))
+        en = sqrt(0.5 * (ex * ex + ev * ev))
 
-        if math.isfinite(en) and en <= 1.0:
-            steps.extend((t, hs, x, v, kx1, kv1, v2, kv2, v3, kv3, v4, kv4,
-                          v5, kv5, v6, kv6, v_new, kv7))
-            knots.append(t_new)
-            states.extend((x_new, v_new))
-            h = hs * _pi_factor(en, err_prev)
-            err_prev = max(en, _ERR_PREV_INIT)
+        if isfinite(en) and en <= 1.0:
+            pending_steps += (t, hs, x, v, kx1, kv1, v2, kv2, v3, kv3, v4, kv4,
+                              v5, kv5, v6, kv6, v_new, kv7)
+            pending_knots.append(t_new)
+            pending_states += (x_new, v_new)
+            if len(pending_steps) >= _FLUSH_DOUBLES:
+                steps.fromlist(pending_steps)
+                knots.fromlist(pending_knots)
+                states.fromlist(pending_states)
+                pending_steps.clear()
+                pending_knots.clear()
+                pending_states.clear()
+            # _pi_factor(en, err_prev), then max(en, _ERR_PREV_INIT).
+            if en == 0.0:
+                fac = max_factor
+            else:
+                fac = safety * en ** neg_ki * err_prev ** kp
+                fac = fac if fac > min_factor else min_factor
+                fac = fac if fac < max_factor else max_factor
+            h = hs * fac
+            err_prev = err_prev_init if err_prev_init > en else en
             t, x, v = t_new, x_new, v_new
             kx1, kv1 = v_new, kv7
+            remaining = t_end - t
         else:
-            fac = _MIN_FACTOR if not math.isfinite(en) else max(_MIN_FACTOR, _SAFETY * en ** -0.2)
+            if isfinite(en):
+                fac = safety * en ** -0.2
+                fac = fac if fac > min_factor else min_factor
+            else:
+                fac = min_factor
             h = hs * fac
-            if abs(h) < cfg.h_min:
+            if abs(h) < h_min:
                 raise StepSizeUnderflow(
-                    f"step size {abs(h)!r} fell below h_min={cfg.h_min!r} at tau={t!r}",
+                    f"step size {abs(h)!r} fell below h_min={h_min!r} at tau={t!r}",
                     tau=t, h=abs(h))
-    return knots, states, steps
+    # Concatenation allocates each buffer at its exact size (fromlist would
+    # over-allocate by about 1/16, and cached trajectories keep that).
+    return (knots + array("d", pending_knots),
+            states + array("d", pending_states),
+            steps + array("d", pending_steps))
 
 
 def _integrate_vector(ode: SecondOrderOde, t0: float, start: StatePoint,

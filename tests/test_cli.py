@@ -172,6 +172,27 @@ def test_verify_rejects_bad_thresholds_in_config(thresholds, tmp_path,
     assert stderr_doc(err)["code"] == "config_error"
 
 
+@pytest.mark.parametrize("command, key", [
+    ("verify", "min_separation"), ("verify", "max_interval"),
+    ("verify", "newton_tol"), ("verify", "rel_tol"), ("verify", "abs_tol"),
+    ("verify", "singular_floor"), ("reconstruct", "fd_step")])
+def test_config_rejects_non_numeric_value(command, key, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: "abc"}))
+    if command == "verify":
+        argv = ["verify", "--catalog", "free_fall", "--laws", "boundary",
+                "--samples", "5"]
+    else:
+        argv = ["reconstruct", "--catalog", "free_fall", "--point", "0",
+                "0.2", "0.3"]
+    code, out, err = run(argv + ["--config", str(cfg)], capsys)
+    assert code == 1
+    assert out == ""
+    doc = stderr_doc(err)
+    assert doc["code"] == "config_error"
+    assert doc["message"] == f"{key} must be a real number, got 'abc'"
+
+
 @pytest.mark.parametrize("value", ["nan", "-1"])
 def test_reconstruct_rejects_bad_threshold(value, capsys):
     code, out, err = run(["reconstruct", "--catalog", "free_fall",

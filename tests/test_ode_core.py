@@ -1,11 +1,17 @@
 """Integrator tests against closed-form solutions."""
 
 import math
+from array import array
 
 import numpy as np
 import pytest
 
+from febvp import catalog
 from febvp.ode_core import (
+    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
+    _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
+    _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7,
+    _ERR_PREV_INIT, _FLUSH_DOUBLES, _MIN_FACTOR, _SAFETY,
     IntegrationError,
     IntegratorConfig,
     MaxStepsExceeded,
@@ -13,8 +19,11 @@ from febvp.ode_core import (
     OutOfSpan,
     SecondOrderOde,
     StatePoint,
+    StepSizeUnderflow,
     _P,
     _P_ARR,
+    _integrate_scalar,
+    _pi_factor,
     integrate_ivp,
 )
 
@@ -259,3 +268,197 @@ def test_scalar_and_vector_kernels_agree_within_fixed_tolerance():
         a, b = scalar.eval(t), vector.eval(t)
         assert abs(float(a.x[0]) - float(b.x[0])) <= 1e-12
         assert abs(float(a.v[0]) - float(b.v[0])) <= 1e-12
+
+
+# ------------------------------------------------- scalar kernel bit parity
+#
+# The scalar kernel is written for few interpreter operations per step
+# (locals for the tableau, the PI controller and max/min inline, steps
+# collected in lists and moved into the arrays in batches).  The plain
+# version below, with a module-global lookup and an array call per step, is
+# the reference: the kernel must give the same bits and the same errors.
+
+def reference_integrate_scalar(f, t0: float, x0: float, v0: float, t_end: float,
+                               cfg: IntegratorConfig):
+    """Unrolled dim-1 kernel; same scheme as the vector path, plain floats."""
+    rel, at = cfg.rel_tol, cfg.abs_tol
+    direction = 1.0 if t_end > t0 else -1.0
+    t, x, v = t0, x0, v0
+    kv1 = f(t, x, v)
+    if not math.isfinite(kv1):
+        raise NonFiniteRhs(f"rhs returned a non-finite value at tau={t!r}", tau=t)
+    kx1 = v
+    h = direction * min(cfg.h_init, abs(t_end - t0))
+    err_prev = _ERR_PREV_INIT
+    attempts = 0
+
+    knots = array("d", (t0,))
+    states = array("d", (x0, v0))
+    steps = array("d")
+
+    while (t_end - t) * direction > 0.0:
+        remaining = t_end - t
+        if abs(h) >= abs(remaining):
+            hs, last = remaining, True
+        else:
+            hs, last = h, False
+            if abs(hs) < cfg.h_min:
+                raise StepSizeUnderflow(
+                    f"step size {abs(hs)!r} fell below h_min={cfg.h_min!r} at tau={t!r}",
+                    tau=t, h=abs(hs))
+        attempts += 1
+        if attempts > cfg.max_steps:
+            raise MaxStepsExceeded(
+                f"exceeded max_steps={cfg.max_steps} before reaching tau={t_end!r}",
+                tau=t, max_steps=cfg.max_steps)
+
+        # Stages 2..6: x-derivative is the stage velocity, v-derivative is f.
+        x2 = x + hs * (_A21 * kx1)
+        v2 = v + hs * (_A21 * kv1)
+        kv2 = f(t + _C2 * hs, x2, v2)
+        x3 = x + hs * (_A31 * kx1 + _A32 * v2)
+        v3 = v + hs * (_A31 * kv1 + _A32 * kv2)
+        kv3 = f(t + _C3 * hs, x3, v3)
+        x4 = x + hs * (_A41 * kx1 + _A42 * v2 + _A43 * v3)
+        v4 = v + hs * (_A41 * kv1 + _A42 * kv2 + _A43 * kv3)
+        kv4 = f(t + _C4 * hs, x4, v4)
+        x5 = x + hs * (_A51 * kx1 + _A52 * v2 + _A53 * v3 + _A54 * v4)
+        v5 = v + hs * (_A51 * kv1 + _A52 * kv2 + _A53 * kv3 + _A54 * kv4)
+        kv5 = f(t + _C5 * hs, x5, v5)
+        x6 = x + hs * (_A61 * kx1 + _A62 * v2 + _A63 * v3 + _A64 * v4 + _A65 * v5)
+        v6 = v + hs * (_A61 * kv1 + _A62 * kv2 + _A63 * kv3 + _A64 * kv4 + _A65 * kv5)
+        kv6 = f(t + hs, x6, v6)
+        x_new = x + hs * (_B1 * kx1 + _B3 * v3 + _B4 * v4 + _B5 * v5 + _B6 * v6)
+        v_new = v + hs * (_B1 * kv1 + _B3 * kv3 + _B4 * kv4 + _B5 * kv5 + _B6 * kv6)
+        t_new = t_end if last else t + hs
+        kv7 = f(t_new, x_new, v_new)
+        if not (math.isfinite(kv2) and math.isfinite(kv3) and math.isfinite(kv4)
+                and math.isfinite(kv5) and math.isfinite(kv6) and math.isfinite(kv7)):
+            raise NonFiniteRhs(f"rhs returned a non-finite value near tau={t!r}", tau=t)
+
+        err_x = hs * (_E1 * kx1 + _E3 * v3 + _E4 * v4 + _E5 * v5 + _E6 * v6 + _E7 * v_new)
+        err_v = hs * (_E1 * kv1 + _E3 * kv3 + _E4 * kv4 + _E5 * kv5 + _E6 * kv6 + _E7 * kv7)
+        sx = at + rel * max(abs(x), abs(x_new))
+        sv = at + rel * max(abs(v), abs(v_new))
+        ex = err_x / sx
+        ev = err_v / sv
+        en = math.sqrt(0.5 * (ex * ex + ev * ev))
+
+        if math.isfinite(en) and en <= 1.0:
+            steps.extend((t, hs, x, v, kx1, kv1, v2, kv2, v3, kv3, v4, kv4,
+                          v5, kv5, v6, kv6, v_new, kv7))
+            knots.append(t_new)
+            states.extend((x_new, v_new))
+            h = hs * _pi_factor(en, err_prev)
+            err_prev = max(en, _ERR_PREV_INIT)
+            t, x, v = t_new, x_new, v_new
+            kx1, kv1 = v_new, kv7
+        else:
+            fac = _MIN_FACTOR if not math.isfinite(en) else max(_MIN_FACTOR, _SAFETY * en ** -0.2)
+            h = hs * fac
+            if abs(h) < cfg.h_min:
+                raise StepSizeUnderflow(
+                    f"step size {abs(h)!r} fell below h_min={cfg.h_min!r} at tau={t!r}",
+                    tau=t, h=abs(h))
+    return knots, states, steps
+
+
+
+def kernel_outcome(kernel, f, t0, x0, v0, t1, cfg):
+    """The three buffers' bytes, or the error's class, message and context."""
+    try:
+        return tuple(buf.tobytes() for buf in kernel(f, t0, x0, v0, t1, cfg))
+    except IntegrationError as exc:
+        return type(exc), str(exc), exc.context
+
+
+def _rhs1(name, **params):
+    return catalog.make_ode(name, params)[0].rhs1
+
+
+DEFAULT = IntegratorConfig()
+PARITY_CASES = [
+    pytest.param(_rhs1("free_fall"), 0.0, 0.3, -0.2, 2.0, DEFAULT,
+                 id="free_fall-forward"),
+    pytest.param(_rhs1("free_fall"), 2.0, 0.3, -0.2, -1.0, DEFAULT,
+                 id="free_fall-backward"),
+    pytest.param(_rhs1("conic", k=2.0, g=-2.0), 0.0, 0.3, -0.2, 2.0, DEFAULT,
+                 id="conic-forward"),
+    pytest.param(_rhs1("conic", k=2.0, g=-2.0), 2.0, 0.3, -0.2, -1.0, DEFAULT,
+                 id="conic-backward"),
+    pytest.param(_rhs1("oscillator"), 0.0, 1.0, 0.0, math.pi, DEFAULT,
+                 id="oscillator-forward"),
+    pytest.param(_rhs1("oscillator"), math.pi, 0.0, -1.0, -0.5, DEFAULT,
+                 id="oscillator-backward"),
+    pytest.param(DAMPED.rhs1, 0.0, 0.5, -0.3, 5.0, DEFAULT,
+                 id="damped-forward"),
+    pytest.param(DAMPED.rhs1, 5.0, 0.5, -0.3, -1.0, DEFAULT,
+                 id="damped-backward"),
+    pytest.param(DAMPED.rhs1, 1.5, 0.5, -0.3, 1.5, DEFAULT,
+                 id="damped-zero-width"),
+    pytest.param(DAMPED.rhs1, 0.0, 0.5, -0.3, 30.0, DEFAULT,
+                 id="damped-long"),
+    pytest.param(DAMPED.rhs1, 0.0, 0.5, -0.3, 5.0,
+                 IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, h_init=0.5),
+                 id="damped-loose-rejecting"),
+    # errors
+    pytest.param(lambda t, x, v: math.nan, 0.0, 0.0, 0.0, 1.0, DEFAULT,
+                 id="nonfinite-at-start"),
+    pytest.param(lambda t, x, v: math.inf if t > 0.5 else 0.0,
+                 0.0, 0.0, 0.0, 1.0, DEFAULT, id="nonfinite-in-step"),
+    pytest.param(_rhs1("oscillator"), 0.0, 1.0, 0.0, 10.0,
+                 IntegratorConfig(h_min=1e-2), id="underflow-before-step"),
+    pytest.param(_rhs1("oscillator"), 0.0, 1.0, 0.0, 10.0,
+                 IntegratorConfig(h_init=1.0, h_min=0.5, rel_tol=1e-14,
+                                  abs_tol=1e-16),
+                 id="underflow-after-rejection"),
+    pytest.param(lambda t, x, v: x * x, 0.0, 1.0, 1.0, 5.0, DEFAULT,
+                 id="underflow-at-blow-up"),
+    pytest.param(_rhs1("oscillator"), 0.0, 1.0, 0.0, 100.0,
+                 IntegratorConfig(max_steps=40), id="max-steps"),
+]
+
+
+@pytest.mark.parametrize("f, t0, x0, v0, t1, cfg", PARITY_CASES)
+def test_scalar_kernel_matches_reference_bits(f, t0, x0, v0, t1, cfg):
+    got = kernel_outcome(_integrate_scalar, f, t0, x0, v0, t1, cfg)
+    assert got == kernel_outcome(reference_integrate_scalar,
+                                 f, t0, x0, v0, t1, cfg)
+
+
+def test_parity_cases_cover_every_error_and_the_flush():
+    errors = set()
+    longest = 0
+    for case in PARITY_CASES:
+        got = kernel_outcome(_integrate_scalar, *case.values)
+        if isinstance(got[0], type):
+            errors.add(got[0])
+        else:
+            longest = max(longest, len(got[2]) // 8)
+    assert errors == {NonFiniteRhs, StepSizeUnderflow, MaxStepsExceeded}
+    assert longest > 4 * _FLUSH_DOUBLES
+
+
+# ----------------------------------------------------------- batched eval
+
+@pytest.mark.parametrize("ode, eager_q, x0, v0, t0, t1", LAZY_CASES)
+def test_eval_many_matches_eval_in_any_order(ode, eager_q, x0, v0, t0, t1):
+    traj = integrate_ivp(ode, StatePoint.of(t0, x0, v0), t1, IntegratorConfig())
+    lo, hi = traj.span
+    # several taus per step, the knots, and repeats
+    taus = list(np.linspace(lo, hi, 701)) + traj.knots[::5] + [lo, hi, lo]
+    single = {float(t): bits(traj.eval(t)) for t in taus}
+    for order in (taus, taus[::-1],
+                  list(np.random.default_rng(5).permutation(taus))):
+        got = traj.eval_many(order)
+        assert [st.tau for st in got] == [float(t) for t in order]
+        assert [bits(st) for st in got] == [single[float(t)] for t in order]
+
+
+def test_eval_many_rejects_out_of_span():
+    traj = integrate_ivp(FREE_FALL, StatePoint.of(0.0, [0.0], [0.0]), 1.0,
+                         IntegratorConfig())
+    assert traj.eval_many([]) == []
+    for taus in ([0.5, 1.5], [math.nan], [-0.1, 0.2]):
+        with pytest.raises(OutOfSpan):
+            traj.eval_many(taus)

@@ -1,5 +1,6 @@
 """Source-level rules of the package layout: modules share helpers only
-through public names, and every sampled law runs through one loop."""
+through public names, import nothing they do not use, and every sampled
+law runs through one loop."""
 
 import ast
 import os
@@ -23,6 +24,38 @@ def test_no_private_names_imported_across_modules(name):
                if isinstance(node, ast.ImportFrom) and node.level > 0
                for a in node.names if a.name.startswith("_")]
     assert not private, private
+
+
+def exported(tree):
+    """The names a literal ``__all__`` lists, or None when ``__all__`` is
+    computed (the package's ``__init__`` exports every public name)."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [ast.unparse(t) for t in node.targets] == ["__all__"]):
+            try:
+                return set(ast.literal_eval(node.value))
+            except ValueError:
+                return None
+    return set()
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    tree = parse(name)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names = exported(tree)
+    unused = [f"line {line}: {imp}" for imp, line in imported.items()
+              if imp not in used
+              and (imp.startswith("_") if names is None else imp not in names)]
+    assert not unused, unused
 
 
 def test_one_sample_loop_over_spec_count():
