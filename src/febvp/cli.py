@@ -21,6 +21,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import re
 import sys
@@ -180,6 +181,16 @@ def _parse_float(text, what: str) -> float:
         raise _UsageError(f"{what} must be a real number, got {text!r}")
 
 
+def _parse_positive(text, what: str) -> float:
+    """A finite number > 0: a NaN Newton tolerance never compares as met,
+    and a NaN or negative singular floor turns off the conjugate-point
+    certificate."""
+    value = _parse_float(text, what)
+    if not (math.isfinite(value) and value > 0):
+        raise _UsageError(f"{what} must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _parse_vec(text, dim: int, what: str) -> np.ndarray:
     """Scalar or comma-separated component list, validated against dim."""
     if isinstance(text, (list, tuple)):
@@ -318,10 +329,10 @@ def _resolve_shooting(args, config) -> ShootingConfig:
                      else icfg.abs_tol))
         cfg = dataclasses.replace(cfg, integrator=icfg)
     if newton_tol is not None:
-        cfg = dataclasses.replace(cfg, newton_tol=_parse_float(
+        cfg = dataclasses.replace(cfg, newton_tol=_parse_positive(
             newton_tol, "newton_tol"))
     if floor is not None:
-        cfg = dataclasses.replace(cfg, singular_floor=_parse_float(
+        cfg = dataclasses.replace(cfg, singular_floor=_parse_positive(
             floor, "singular_floor"))
     return cfg
 

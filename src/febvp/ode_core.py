@@ -6,16 +6,26 @@ step-ratio clamp [0.2, 5.0]).  Integration works forward or backward in tau
 and produces a Trajectory that can be evaluated anywhere inside the covered
 span; evaluation exactly at a stored knot returns the stored state bitwise.
 
+There are two step kernels: a dim-1 one for an ode with a float-valued
+``rhs1``, and a dim-n one for any ``rhs``.  Both compute on plain Python
+floats; the dim-n kernel keeps the state and the seven stages as lists of
+2n floats and builds each stage state with one list comprehension, in the
+operation order of the whole-array NumPy expressions it replaced (NumPy's
+elementwise ops round as Python floats do, so the bits are those of the
+array version).  Its error norm stays a NumPy dot product of the 2n
+ratios: OpenBLAS ``ddot`` rounds like a sequence of fused multiply-adds,
+which a Python sum does not reproduce.
+
 The step loop only records each accepted step: its start time, width,
 start state and the seven stage derivatives go into one flat
-``array('d')`` per run, and the knot times and states into two more.  The
-scalar kernel appends each accepted step to Python lists, moves them into
-those arrays with ``fromlist`` every _FLUSH_DOUBLES doubles of step records
-and appends the rest by concatenation at the end of the run, so it pays no
-per-step array call and holds a bounded number of pending floats.  A step's interpolant is built
-from its record when a tau inside it is evaluated, and never kept, so
-most steps (those of Jacobian and line-search runs that are never
-evaluated inside) cost no dense-output work at all.
+``array('d')`` per run, and the knot times and states into two more.  Both
+kernels append each accepted step to Python lists, move them into those
+arrays with ``fromlist`` every _FLUSH_DOUBLES doubles of step records and
+append the rest by concatenation at the end of the run, so they pay no
+per-step array call and hold a bounded number of pending floats.  A step's
+interpolant is built from its record when a tau inside it is evaluated,
+and never kept, so most steps (those of Jacobian and line-search runs that
+are never evaluated inside) cost no dense-output work at all.
 
 Results are deterministic: identical inputs and config yield identical bits,
 and a Trajectory returns the same bits for a tau whatever it was asked before.
@@ -173,9 +183,9 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _ERR_PREV_INIT = 1e-4
 
-# The scalar kernel moves its pending step records from Python lists into
-# the flat arrays once they hold this many doubles, so a long run keeps
-# about this many floats as Python objects.
+# The kernels move their pending step records from Python lists into the
+# flat arrays once they hold this many doubles, so a long run keeps about
+# this many floats as Python objects.
 _FLUSH_DOUBLES = 4096
 
 
@@ -477,79 +487,140 @@ def _integrate_scalar(f, t0: float, x0: float, v0: float, t_end: float,
 
 def _integrate_vector(ode: SecondOrderOde, t0: float, start: StatePoint,
                       t_end: float, cfg: IntegratorConfig):
-    n = ode.dim
-    rhs = ode.rhs
+    """Dim-n kernel on lists of plain floats, with the bits of whole-array
+    NumPy expressions.
 
-    def fsys(t: float, y: np.ndarray) -> np.ndarray:
-        x = y[:n]
-        v = y[n:]
-        fv = rhs(t, x, v)
-        if not np.all(np.isfinite(fv)):
-            raise NonFiniteRhs(f"rhs returned a non-finite value at tau={t!r}", tau=t)
-        out = np.empty(2 * n)
-        out[:n] = v
-        out[n:] = fv
-        return out
-
+    y and the stages K1..K7 are lists of 2n floats; each stage state is one
+    comprehension ``y[i] + hs * (a1 * K1[i] + a2 * K2[i] + ...)``, in the
+    order NumPy evaluates the same expression on arrays.  The rhs still gets
+    fresh (n,) arrays.  Accepted steps collect in lists as in the scalar
+    kernel.
+    """
+    isfinite, sqrt = math.isfinite, math.sqrt
+    c2, c3, c4, c5 = _C2, _C3, _C4, _C5
+    a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
+    a51, a52, a53, a54 = _A51, _A52, _A53, _A54
+    a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
+    b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
+    e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
+    safety, neg_ki, kp = _SAFETY, -_KI, _KP
+    min_factor, max_factor, err_prev_init = _MIN_FACTOR, _MAX_FACTOR, _ERR_PREV_INIT
     rel, at = cfg.rel_tol, cfg.abs_tol
+    h_min, max_steps = cfg.h_min, cfg.max_steps
+
+    n = ode.dim
+    n2 = 2 * n
+    rhs = ode.rhs
+    new_array, divide = np.array, np.divide
+    ndarray, float64, shape = np.ndarray, np.dtype(float), (n,)
+    buf = np.empty(n)
+
+    def deriv(t: float, ys: list) -> list:
+        """The stage (v, f(t, x, v)) at ys = (x, v), as a list of 2n floats."""
+        fv = rhs(t, new_array(ys[:n]), new_array(ys[n:]))
+        if type(fv) is ndarray and fv.dtype is float64 and fv.shape == shape:
+            fs = fv.tolist()
+            for f in fs:
+                if not isfinite(f):
+                    raise NonFiniteRhs(f"rhs returned a non-finite value at tau={t!r}", tau=t)
+        else:
+            # Lists, scalars, other dtypes and shapes: the finiteness check,
+            # then the broadcast and cast into (n,) floats, in that order.
+            if not np.all(np.isfinite(fv)):
+                raise NonFiniteRhs(f"rhs returned a non-finite value at tau={t!r}", tau=t)
+            buf[:] = fv
+            fs = buf.tolist()
+        return ys[n:] + fs
+
     direction = 1.0 if t_end > t0 else -1.0
     t = t0
-    y = np.concatenate([start.x, start.v]).astype(float)
-    k1 = fsys(t, y)
+    y = np.concatenate([start.x, start.v]).astype(float).tolist()
+    K1 = deriv(t, y)
     h = direction * min(cfg.h_init, abs(t_end - t0))
-    err_prev = _ERR_PREV_INIT
+    err_prev = err_prev_init
     attempts = 0
 
     knots = array("d", (t0,))
-    states = array("d", y.tobytes())
+    states = array("d", y)
     steps = array("d")
-    K = np.empty((7, 2 * n))
+    # Accepted steps collect in lists, moved into the arrays in batches.
+    pending_knots = []
+    pending_states = []
+    pending_steps = []
 
-    while (t_end - t) * direction > 0.0:
-        remaining = t_end - t
+    remaining = t_end - t
+    while remaining * direction > 0.0:
         if abs(h) >= abs(remaining):
             hs, last = remaining, True
         else:
             hs, last = h, False
-            if abs(hs) < cfg.h_min:
+            if abs(hs) < h_min:
                 raise StepSizeUnderflow(
-                    f"step size {abs(hs)!r} fell below h_min={cfg.h_min!r} at tau={t!r}",
+                    f"step size {abs(hs)!r} fell below h_min={h_min!r} at tau={t!r}",
                     tau=t, h=abs(hs))
         attempts += 1
-        if attempts > cfg.max_steps:
+        if attempts > max_steps:
             raise MaxStepsExceeded(
-                f"exceeded max_steps={cfg.max_steps} before reaching tau={t_end!r}",
-                tau=t, max_steps=cfg.max_steps)
+                f"exceeded max_steps={max_steps} before reaching tau={t_end!r}",
+                tau=t, max_steps=max_steps)
 
-        K[0] = k1
-        K[1] = fsys(t + _C2 * hs, y + hs * (_A21 * K[0]))
-        K[2] = fsys(t + _C3 * hs, y + hs * (_A31 * K[0] + _A32 * K[1]))
-        K[3] = fsys(t + _C4 * hs, y + hs * (_A41 * K[0] + _A42 * K[1] + _A43 * K[2]))
-        K[4] = fsys(t + _C5 * hs, y + hs * (_A51 * K[0] + _A52 * K[1] + _A53 * K[2] + _A54 * K[3]))
-        K[5] = fsys(t + hs, y + hs * (_A61 * K[0] + _A62 * K[1] + _A63 * K[2] + _A64 * K[3] + _A65 * K[4]))
-        y_new = y + hs * (_B1 * K[0] + _B3 * K[2] + _B4 * K[3] + _B5 * K[4] + _B6 * K[5])
+        K2 = deriv(t + c2 * hs, [yi + hs * (a21 * k1) for yi, k1 in zip(y, K1)])
+        K3 = deriv(t + c3 * hs, [yi + hs * (a31 * k1 + a32 * k2)
+                                 for yi, k1, k2 in zip(y, K1, K2)])
+        K4 = deriv(t + c4 * hs, [yi + hs * (a41 * k1 + a42 * k2 + a43 * k3)
+                                 for yi, k1, k2, k3 in zip(y, K1, K2, K3)])
+        K5 = deriv(t + c5 * hs, [yi + hs * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4)
+                                 for yi, k1, k2, k3, k4 in zip(y, K1, K2, K3, K4)])
+        K6 = deriv(t + hs, [yi + hs * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5)
+                            for yi, k1, k2, k3, k4, k5 in zip(y, K1, K2, K3, K4, K5)])
+        y_new = [yi + hs * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
+                 for yi, k1, k3, k4, k5, k6 in zip(y, K1, K3, K4, K5, K6)]
         t_new = t_end if last else t + hs
-        K[6] = fsys(t_new, y_new)
+        K7 = deriv(t_new, y_new)
 
-        err = hs * (_E1 * K[0] + _E3 * K[2] + _E4 * K[3] + _E5 * K[4] + _E6 * K[5] + _E7 * K[6])
-        scale = at + rel * np.maximum(np.abs(y), np.abs(y_new))
-        ratio = err / scale
-        en = math.sqrt(float(ratio @ ratio) / (2 * n))
+        err = [hs * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
+               for k1, k3, k4, k5, k6, k7 in zip(K1, K3, K4, K5, K6, K7)]
+        # np.maximum(|y|, |y_new|): a NaN s1 wins, where builtin max keeps s0.
+        scale = [at + rel * (s1 if s1 > s0 or s1 != s1 else s0)
+                 for s0, s1 in zip(map(abs, y), map(abs, y_new))]
+        # NumPy divides (a zero scale gives inf or nan, not an exception)
+        # and sums the squares (BLAS ddot, which a Python sum does not match).
+        ratio = divide(err, scale)
+        en = sqrt(float(ratio @ ratio) / n2)
 
-        if math.isfinite(en) and en <= 1.0:
-            steps.extend((t, hs))
-            steps.frombytes(y.tobytes())
-            steps.frombytes(K.tobytes())
-            knots.append(t_new)
-            states.frombytes(y_new.tobytes())
-            h = hs * _pi_factor(en, err_prev)
-            err_prev = max(en, _ERR_PREV_INIT)
-            t, y, k1 = t_new, y_new, K[6].copy()
-        else:
-            fac = _MIN_FACTOR if not math.isfinite(en) else max(_MIN_FACTOR, _SAFETY * en ** -0.2)
+        if isfinite(en) and en <= 1.0:
+            pending_steps += [t, hs, *y, *K1, *K2, *K3, *K4, *K5, *K6, *K7]
+            pending_knots.append(t_new)
+            pending_states += y_new
+            if len(pending_steps) >= _FLUSH_DOUBLES:
+                steps.fromlist(pending_steps)
+                knots.fromlist(pending_knots)
+                states.fromlist(pending_states)
+                pending_steps.clear()
+                pending_knots.clear()
+                pending_states.clear()
+            # _pi_factor(en, err_prev), then max(en, _ERR_PREV_INIT).
+            if en == 0.0:
+                fac = max_factor
+            else:
+                fac = safety * en ** neg_ki * err_prev ** kp
+                fac = fac if fac > min_factor else min_factor
+                fac = fac if fac < max_factor else max_factor
             h = hs * fac
-            if abs(h) < cfg.h_min:
+            err_prev = err_prev_init if err_prev_init > en else en
+            t, y, K1 = t_new, y_new, K7
+            remaining = t_end - t
+        else:
+            if isfinite(en):
+                fac = safety * en ** -0.2
+                fac = fac if fac > min_factor else min_factor
+            else:
+                fac = min_factor
+            h = hs * fac
+            if abs(h) < h_min:
                 raise StepSizeUnderflow(
-                    f"step size {abs(h)!r} fell below h_min={cfg.h_min!r} at tau={t!r}",
+                    f"step size {abs(h)!r} fell below h_min={h_min!r} at tau={t!r}",
                     tau=t, h=abs(h))
-    return knots, states, steps
+    return (knots + array("d", pending_knots),
+            states + array("d", pending_states),
+            steps + array("d", pending_steps))

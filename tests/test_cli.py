@@ -193,6 +193,39 @@ def test_config_rejects_non_numeric_value(command, key, tmp_path, capsys):
     assert doc["message"] == f"{key} must be a real number, got 'abc'"
 
 
+SOLVE_AT_PI = ["solve", "--catalog", "oscillator", "--neumann", "0",
+               "3.141592653589793", "0", "0", "--tau", "1"]
+
+
+@pytest.mark.parametrize("flag", ["--newton-tol", "--singular-floor"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_solve_rejects_bad_shooting_flag(flag, value, capsys):
+    # A NaN tolerance is never met and a NaN or negative floor turns off
+    # the conjugate-point certificate: both used to print x with exit 0.
+    code, out, err = run(SOLVE_AT_PI + [flag, value], capsys)
+    assert code == 1
+    assert out == ""
+    doc = stderr_doc(err)
+    assert doc["code"] == "config_error"
+    key = flag[2:].replace("-", "_")
+    assert doc["message"] == (f"{key} must be a finite number > 0, "
+                              f"got {float(value)!r}")
+
+
+@pytest.mark.parametrize("key", ["newton_tol", "singular_floor"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.0])
+def test_solve_rejects_bad_shooting_config(key, value, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    # json.dumps writes NaN and Infinity, which json.load reads back
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = run(SOLVE_AT_PI + ["--config", str(cfg)], capsys)
+    assert code == 1
+    assert out == ""
+    doc = stderr_doc(err)
+    assert doc["code"] == "config_error"
+    assert doc["message"] == f"{key} must be a finite number > 0, got {value!r}"
+
+
 @pytest.mark.parametrize("value", ["nan", "-1"])
 def test_reconstruct_rejects_bad_threshold(value, capsys):
     code, out, err = run(["reconstruct", "--catalog", "free_fall",

@@ -5,8 +5,10 @@ from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from febvp import catalog
+from febvp import catalog, cli, geodesics
 from febvp.ode_core import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
     _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
@@ -23,6 +25,7 @@ from febvp.ode_core import (
     _P,
     _P_ARR,
     _integrate_scalar,
+    _integrate_vector,
     _pi_factor,
     integrate_ivp,
 )
@@ -364,12 +367,12 @@ def reference_integrate_scalar(f, t0: float, x0: float, v0: float, t_end: float,
 
 
 
-def kernel_outcome(kernel, f, t0, x0, v0, t1, cfg):
+def kernel_outcome(kernel, *args):
     """The three buffers' bytes, or the error's class, message and context."""
     try:
-        return tuple(buf.tobytes() for buf in kernel(f, t0, x0, v0, t1, cfg))
-    except IntegrationError as exc:
-        return type(exc), str(exc), exc.context
+        return tuple(buf.tobytes() for buf in kernel(*args))
+    except (IntegrationError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "context", None)
 
 
 def _rhs1(name, **params):
@@ -437,6 +440,206 @@ def test_parity_cases_cover_every_error_and_the_flush():
             longest = max(longest, len(got[2]) // 8)
     assert errors == {NonFiniteRhs, StepSizeUnderflow, MaxStepsExceeded}
     assert longest > 4 * _FLUSH_DOUBLES
+
+
+# ------------------------------------------------- vector kernel bit parity
+#
+# The vector kernel computes on lists of plain floats in the order of the
+# NumPy expressions below, which are the reference: the kernel must give
+# the same bits and the same errors, for any rhs return type.
+
+def reference_integrate_vector(ode: SecondOrderOde, t0: float, start: StatePoint,
+                               t_end: float, cfg: IntegratorConfig):
+    """The vector kernel as whole-array NumPy expressions."""
+    n = ode.dim
+    rhs = ode.rhs
+
+    def fsys(t: float, y: np.ndarray) -> np.ndarray:
+        x = y[:n]
+        v = y[n:]
+        fv = rhs(t, x, v)
+        if not np.all(np.isfinite(fv)):
+            raise NonFiniteRhs(f"rhs returned a non-finite value at tau={t!r}", tau=t)
+        out = np.empty(2 * n)
+        out[:n] = v
+        out[n:] = fv
+        return out
+
+    rel, at = cfg.rel_tol, cfg.abs_tol
+    direction = 1.0 if t_end > t0 else -1.0
+    t = t0
+    y = np.concatenate([start.x, start.v]).astype(float)
+    k1 = fsys(t, y)
+    h = direction * min(cfg.h_init, abs(t_end - t0))
+    err_prev = _ERR_PREV_INIT
+    attempts = 0
+
+    knots = array("d", (t0,))
+    states = array("d", y.tobytes())
+    steps = array("d")
+    K = np.empty((7, 2 * n))
+
+    while (t_end - t) * direction > 0.0:
+        remaining = t_end - t
+        if abs(h) >= abs(remaining):
+            hs, last = remaining, True
+        else:
+            hs, last = h, False
+            if abs(hs) < cfg.h_min:
+                raise StepSizeUnderflow(
+                    f"step size {abs(hs)!r} fell below h_min={cfg.h_min!r} at tau={t!r}",
+                    tau=t, h=abs(hs))
+        attempts += 1
+        if attempts > cfg.max_steps:
+            raise MaxStepsExceeded(
+                f"exceeded max_steps={cfg.max_steps} before reaching tau={t_end!r}",
+                tau=t, max_steps=cfg.max_steps)
+
+        K[0] = k1
+        K[1] = fsys(t + _C2 * hs, y + hs * (_A21 * K[0]))
+        K[2] = fsys(t + _C3 * hs, y + hs * (_A31 * K[0] + _A32 * K[1]))
+        K[3] = fsys(t + _C4 * hs, y + hs * (_A41 * K[0] + _A42 * K[1] + _A43 * K[2]))
+        K[4] = fsys(t + _C5 * hs, y + hs * (_A51 * K[0] + _A52 * K[1] + _A53 * K[2] + _A54 * K[3]))
+        K[5] = fsys(t + hs, y + hs * (_A61 * K[0] + _A62 * K[1] + _A63 * K[2] + _A64 * K[3] + _A65 * K[4]))
+        y_new = y + hs * (_B1 * K[0] + _B3 * K[2] + _B4 * K[3] + _B5 * K[4] + _B6 * K[5])
+        t_new = t_end if last else t + hs
+        K[6] = fsys(t_new, y_new)
+
+        err = hs * (_E1 * K[0] + _E3 * K[2] + _E4 * K[3] + _E5 * K[4] + _E6 * K[5] + _E7 * K[6])
+        scale = at + rel * np.maximum(np.abs(y), np.abs(y_new))
+        ratio = err / scale
+        en = math.sqrt(float(ratio @ ratio) / (2 * n))
+
+        if math.isfinite(en) and en <= 1.0:
+            steps.extend((t, hs))
+            steps.frombytes(y.tobytes())
+            steps.frombytes(K.tobytes())
+            knots.append(t_new)
+            states.frombytes(y_new.tobytes())
+            h = hs * _pi_factor(en, err_prev)
+            err_prev = max(en, _ERR_PREV_INIT)
+            t, y, k1 = t_new, y_new, K[6].copy()
+        else:
+            fac = _MIN_FACTOR if not math.isfinite(en) else max(_MIN_FACTOR, _SAFETY * en ** -0.2)
+            h = hs * fac
+            if abs(h) < cfg.h_min:
+                raise StepSizeUnderflow(
+                    f"step size {abs(h)!r} fell below h_min={cfg.h_min!r} at tau={t!r}",
+                    tau=t, h=abs(h))
+    return knots, states, steps
+
+
+HALF_PLANE = geodesics.geodesic_ode(geodesics.half_plane_connection())
+EXPRESSION2 = cli._build_expression_ode(["k^2*x1 + g", "-x2"],
+                                        {"k": 1.5, "g": -0.5})
+
+
+def vector_case(ode, t0, x0, v0, t1, cfg=DEFAULT, *, id):
+    return pytest.param(ode, float(t0), StatePoint.of(t0, x0, v0), t1, cfg, id=id)
+
+
+VECTOR_PARITY_CASES = [
+    vector_case(HALF_PLANE, 0.0, [0.2, 1.0], [0.7, 0.4], 1.0,
+                id="geodesic-forward"),
+    vector_case(HALF_PLANE, 1.0, [0.2, 1.0], [0.7, 0.4], -0.5,
+                id="geodesic-backward"),
+    vector_case(EXPRESSION2, 0.0, [0.5, 1.0], [-0.3, 0.2], 2.0,
+                id="expression-forward"),
+    vector_case(EXPRESSION2, 2.0, [0.5, 1.0], [-0.3, 0.2], -1.0,
+                id="expression-backward"),
+    vector_case(DAMPED_VEC1, 0.0, [0.5], [-0.3], 5.0, id="damped-vec1-forward"),
+    vector_case(DAMPED_VEC1, 5.0, [0.5], [-0.3], -1.0,
+                id="damped-vec1-backward"),
+    vector_case(COUPLED, 1.5, [0.5, 1.0], [-0.3, 0.2], 1.5, id="zero-width"),
+    vector_case(DAMPED_VEC1, 0.0, [0.5], [-0.3], 5.0,
+                IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, h_init=0.5),
+                id="loose-rejecting"),
+    vector_case(COUPLED, 0.0, [0.5, 1.0], [-0.3, 0.2], 30.0, id="long"),
+    # rhs return types other than a float (n,) array
+    vector_case(SecondOrderOde(2, lambda t, x, v: [-x[1] + 0.1 * v[0], x[0]]),
+                0.0, [0.5, 1.0], [-0.3, 0.2], 3.0, id="list-rhs"),
+    vector_case(SecondOrderOde(2, lambda t, x, v: -1.5),
+                0.0, [0.5, 1.0], [-0.3, 0.2], 3.0, id="scalar-rhs-broadcast"),
+    vector_case(SecondOrderOde(2, lambda t, x, v: np.zeros(3)),
+                0.0, [0.5, 1.0], [-0.3, 0.2], 3.0, id="wrong-shape"),
+    # The finiteness check comes before the shape check.
+    vector_case(SecondOrderOde(2, lambda t, x, v: np.array([0.0, 1.0, math.nan])),
+                0.0, [0.5, 1.0], [-0.3, 0.2], 3.0, id="wrong-shape-nonfinite"),
+    # A zero scale (abs_tol 0 on a component that stays 0) divides 0 by 0.
+    vector_case(HALF_PLANE, 0.0, [0.0, 1.0], [0.0, 0.5], 1.0,
+                IntegratorConfig(abs_tol=0.0), id="zero-scale"),
+    # x overflows to inf and later meets -inf: a NaN in y_new must make
+    # its scale NaN (np.maximum), where builtin max would keep |y| = inf.
+    vector_case(SecondOrderOde(1, lambda t, x, v: np.array([-1e305])),
+                0.0, [0.0], [1e307], 300.0, id="overflow-nan-scale"),
+    # errors
+    vector_case(SecondOrderOde(2, lambda t, x, v: np.array([math.nan, 0.0])),
+                0.0, [0.5, 1.0], [-0.3, 0.2], 1.0, id="nonfinite-at-start"),
+    vector_case(SecondOrderOde(
+        2, lambda t, x, v: np.array([0.0, math.inf if t > 0.5 else 0.0])),
+                0.0, [0.5, 1.0], [-0.3, 0.2], 1.0, id="nonfinite-in-step"),
+    vector_case(HALF_PLANE, 0.0, [0.2, 1.0], [0.7, 0.4], 10.0,
+                IntegratorConfig(h_min=1e-2), id="underflow-before-step"),
+    vector_case(SecondOrderOde(2, lambda t, x, v: x * x),
+                0.0, [1.0, 1.0], [1.0, 0.5], 5.0, id="underflow-at-blow-up"),
+    vector_case(HALF_PLANE, 0.0, [0.2, 1.0], [0.7, 0.4], 10.0,
+                IntegratorConfig(max_steps=20), id="max-steps"),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("ode, t0, start, t1, cfg", VECTOR_PARITY_CASES)
+def test_vector_kernel_matches_reference_bits(ode, t0, start, t1, cfg):
+    got = kernel_outcome(_integrate_vector, ode, t0, start, t1, cfg)
+    assert got == kernel_outcome(reference_integrate_vector,
+                                 ode, t0, start, t1, cfg)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_vector_parity_cases_cover_every_error_rejection_and_the_flush():
+    errors = set()
+    longest = 0
+    rejecting = 0
+    for case in VECTOR_PARITY_CASES:
+        ode, t0, start, t1, cfg = case.values
+        calls = []
+
+        def counted(t, x, v, rhs=ode.rhs):
+            calls.append(t)
+            return rhs(t, x, v)
+
+        counting = SecondOrderOde(ode.dim, counted)
+        got = kernel_outcome(_integrate_vector, counting, t0, start, t1, cfg)
+        if isinstance(got[0], type):
+            errors.add(got[0])
+        else:
+            longest = max(longest, len(got[2]) // 8)
+            accepted = len(got[0]) // 8 - 1
+            rejecting += len(calls) > 1 + 6 * accepted
+    assert errors == {NonFiniteRhs, StepSizeUnderflow, MaxStepsExceeded,
+                      ValueError}
+    assert longest > 4 * _FLUSH_DOUBLES
+    assert rejecting
+
+
+_entries = hst.floats(-2.0, 2.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(A=hst.lists(_entries, min_size=4, max_size=4),
+       B=hst.lists(_entries, min_size=4, max_size=4),
+       c=hst.lists(_entries, min_size=2, max_size=2),
+       x0=hst.lists(_entries, min_size=2, max_size=2),
+       v0=hst.lists(_entries, min_size=2, max_size=2),
+       t0=hst.floats(-2.0, 2.0), span=hst.floats(-3.0, 3.0))
+def test_vector_kernel_matches_reference_on_random_linear_systems(
+        A, B, c, x0, v0, t0, span):
+    A, B, c = np.reshape(A, (2, 2)), np.reshape(B, (2, 2)), np.array(c)
+    ode = SecondOrderOde(2, lambda t, x, v: A @ x + B @ v + c)
+    start = StatePoint.of(t0, x0, v0)
+    args = (ode, start.tau, start, t0 + span, DEFAULT)
+    assert (kernel_outcome(_integrate_vector, *args)
+            == kernel_outcome(reference_integrate_vector, *args))
 
 
 # ----------------------------------------------------------- batched eval
