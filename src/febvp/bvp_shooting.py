@@ -16,6 +16,7 @@ a converged residual alone cannot tell).
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 from dataclasses import dataclass, field
@@ -139,6 +140,15 @@ class ShootingConfig:
     singular_floor: float = 1e-4
     cond_limit: float = 1e12
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
+
+    def __post_init__(self):
+        # A NaN tolerance never compares as met, so the solve would return
+        # its unconverged guess; a NaN or non-positive floor turns off the
+        # conjugate-point certificate.
+        for name in ("newton_tol", "singular_floor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
     def _key(self) -> tuple:
         ic = self.integrator

@@ -287,7 +287,7 @@ def _build_expression_ode(exprs: Sequence[str], params: Mapping) -> SecondOrderO
     def rhs(tau, x, v):
         return np.asarray(rhs_list(tau, x, v), dtype=float)
 
-    return SecondOrderOde(dim=dim, rhs=rhs, label=label)
+    return SecondOrderOde(dim=dim, rhs=rhs, label=label, rhs1=rhs_list)
 
 
 def _resolve_ode(args, config) -> tuple:

@@ -63,13 +63,17 @@ class Connection:
     gamma(point) returns an (n, n, n) array Gamma[k][i][j], symmetric in
     (i, j).  sampling_box lists per-coordinate (lo, hi) bounds inside which
     two-point solves are expected to converge (the operational stand-in for
-    a convex neighborhood).
+    a convex neighborhood).  accel(tau, x, v), optional for dim >= 2, is
+    the geodesic acceleration -Gamma^k_ij(x) v^i v^j on lists of n floats,
+    returning n floats with the bits of the einsum in geodesic_ode; the
+    integrator calls it instead of building Gamma.
     """
 
     dim: int
     gamma: Callable[[np.ndarray], np.ndarray]
     label: str = ""
     sampling_box: Optional[Sequence[tuple[float, float]]] = None
+    accel: Optional[Callable[[float, list, list], list]] = None
 
 
 def flat_connection(dim: int = 2) -> Connection:
@@ -96,8 +100,19 @@ def half_plane_connection() -> Connection:
         out[1, 1, 1] = -1.0 / y
         return out
 
+    def accel(tau: float, x: list, v: list) -> list:
+        # einsum adds (G[k, i, j] * v[i]) * v[j] for (i, j) in C order to
+        # +0.0, zero symbols included.  For finite v the zero terms only
+        # decide the sign of a zero first component: the last one,
+        # (0.0 * v1) * v1 = +0.0, makes it +0.0, hence the + 0.0.
+        g = -1.0 / x[1]
+        h = 1.0 / x[1]
+        v0, v1 = v
+        return [-((g * v0) * v1 + (g * v1) * v0 + 0.0),
+                -((h * v0) * v0 + (g * v1) * v1)]
+
     return Connection(dim=2, gamma=gamma, label="half_plane",
-                      sampling_box=[(-0.5, 0.5), (0.5, 2.0)])
+                      sampling_box=[(-0.5, 0.5), (0.5, 2.0)], accel=accel)
 
 
 def connection_asymmetry(conn: Connection, points: Sequence) -> float:
@@ -110,14 +125,15 @@ def connection_asymmetry(conn: Connection, points: Sequence) -> float:
 
 
 def geodesic_ode(conn: Connection) -> SecondOrderOde:
-    """The geodesic equation xdd^k = -Gamma^k_ij(x) xd^i xd^j."""
+    """The geodesic equation xdd^k = -Gamma^k_ij(x) xd^i xd^j, with the
+    connection's accel, if any, as its float-level rhs1."""
 
     def rhs(tau: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         g = conn.gamma(x)
         return -np.einsum("kij,i,j->k", g, v, v)
 
     return SecondOrderOde(dim=conn.dim, rhs=rhs,
-                          label=f"geodesic[{conn.label}]")
+                          label=f"geodesic[{conn.label}]", rhs1=conn.accel)
 
 
 @dataclass(eq=False)

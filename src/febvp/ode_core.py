@@ -6,10 +6,15 @@ step-ratio clamp [0.2, 5.0]).  Integration works forward or backward in tau
 and produces a Trajectory that can be evaluated anywhere inside the covered
 span; evaluation exactly at a stored knot returns the stored state bitwise.
 
-There are two step kernels: a dim-1 one for an ode with a float-valued
-``rhs1``, and a dim-n one for any ``rhs``.  Both compute on plain Python
-floats; the dim-n kernel keeps the state and the seven stages as lists of
-2n floats and builds each stage state with one list comprehension, in the
+There are two step kernels, and both compute on plain Python floats and
+call a float-level rhs, ``SecondOrderOde.rhs1``: a dim-1 one for an ode
+whose ``rhs1`` takes and returns floats, and a dim-n one for every other
+ode.  The dim-n kernel calls ``rhs1`` with lists of n floats when it is set
+(geodesics of connections with a float-level acceleration, compiled
+``--ode`` expressions), and otherwise a wrapper around the array ``rhs``,
+built once per run, that hands it fresh (n,) arrays and reads its result
+back as floats.  It keeps the state and the seven stages as lists of 2n
+floats and builds each stage state with one list comprehension, in the
 operation order of the whole-array NumPy expressions it replaced (NumPy's
 elementwise ops round as Python floats do, so the bits are those of the
 array version).  Its error norm stays a NumPy dot product of the 2n
@@ -86,10 +91,12 @@ class SecondOrderOde:
         dim: number of components n (>= 1).
         rhs: map (tau, x, v) -> f with x, v, f numpy arrays of shape (n,).
         label: human-readable name used in reports and error context.
-        rhs1: optional scalar fast path for dim == 1, called with plain
-            floats (tau, x, v) and returning a float.  Semantically it must
-            equal ``rhs``; when present the integrator uses it to avoid
-            array overhead on one-dimensional problems.
+        rhs1: optional float-level form of ``rhs``, which the integrator
+            calls instead of ``rhs`` to avoid array overhead.  For dim == 1
+            it takes plain floats (tau, x, v) and returns a float; for
+            dim n it takes tau and lists of n floats x, v and returns a
+            sequence of n floats (any other length raises ValueError).  It
+            must give the bits of ``rhs``.
     """
 
     dim: int
@@ -363,7 +370,7 @@ def _integrate_scalar(f, t0: float, x0: float, v0: float, t_end: float,
     ``b if b > a else a`` and min(a, b) ``b if b < a else a``.
     """
     # Locals are cheaper to read than module globals on every step.
-    isfinite, sqrt = math.isfinite, math.sqrt
+    isfinite, sqrt, inf = math.isfinite, math.sqrt, math.inf
     c2, c3, c4, c5 = _C2, _C3, _C4, _C5
     a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
     a51, a52, a53, a54 = _A51, _A52, _A53, _A54
@@ -439,9 +446,14 @@ def _integrate_scalar(f, t0: float, x0: float, v0: float, t_end: float,
         sx = at + rel * (s1 if s1 > s0 else s0)
         s0, s1 = abs(v), abs(v_new)
         sv = at + rel * (s1 if s1 > s0 else s0)
-        ex = err_x / sx
-        ev = err_v / sv
-        en = sqrt(0.5 * (ex * ex + ev * ev))
+        try:
+            ex = err_x / sx
+            ev = err_v / sv
+        except ZeroDivisionError:
+            # A zero scale: reject as the dim-n kernel does on its inf/nan.
+            en = inf
+        else:
+            en = sqrt(0.5 * (ex * ex + ev * ev))
 
         if isfinite(en) and en <= 1.0:
             pending_steps += (t, hs, x, v, kx1, kv1, v2, kv2, v3, kv3, v4, kv4,
@@ -485,6 +497,27 @@ def _integrate_scalar(f, t0: float, x0: float, v0: float, t_end: float,
             steps + array("d", pending_steps))
 
 
+def _float_rhs(rhs: Callable, n: int) -> Callable:
+    """The float-level form f(tau, xs, vs) -> list of n floats of an array
+    rhs, which gets fresh (n,) arrays.  A float64 (n,) result is read back
+    as it is (the kernel checks its finiteness); any other result (lists,
+    scalars, other dtypes and shapes) is checked for finiteness, then
+    broadcast and cast into (n,) floats, in that order."""
+    new_array, ndarray, float64, shape = np.array, np.ndarray, np.dtype(float), (n,)
+    buf = np.empty(n)
+
+    def f(t: float, xs: list, vs: list) -> list:
+        fv = rhs(t, new_array(xs), new_array(vs))
+        if type(fv) is ndarray and fv.dtype is float64 and fv.shape == shape:
+            return fv.tolist()
+        if not np.all(np.isfinite(fv)):
+            raise NonFiniteRhs(f"rhs returned a non-finite value at tau={t!r}", tau=t)
+        buf[:] = fv
+        return buf.tolist()
+
+    return f
+
+
 def _integrate_vector(ode: SecondOrderOde, t0: float, start: StatePoint,
                       t_end: float, cfg: IntegratorConfig):
     """Dim-n kernel on lists of plain floats, with the bits of whole-array
@@ -492,9 +525,9 @@ def _integrate_vector(ode: SecondOrderOde, t0: float, start: StatePoint,
 
     y and the stages K1..K7 are lists of 2n floats; each stage state is one
     comprehension ``y[i] + hs * (a1 * K1[i] + a2 * K2[i] + ...)``, in the
-    order NumPy evaluates the same expression on arrays.  The rhs still gets
-    fresh (n,) arrays.  Accepted steps collect in lists as in the scalar
-    kernel.
+    order NumPy evaluates the same expression on arrays.  The rhs is the
+    float-level ``ode.rhs1``, or the array ``ode.rhs`` behind _float_rhs.
+    Accepted steps collect in lists as in the scalar kernel.
     """
     isfinite, sqrt = math.isfinite, math.sqrt
     c2, c3, c4, c5 = _C2, _C3, _C4, _C5
@@ -510,27 +543,23 @@ def _integrate_vector(ode: SecondOrderOde, t0: float, start: StatePoint,
 
     n = ode.dim
     n2 = 2 * n
-    rhs = ode.rhs
-    new_array, divide = np.array, np.divide
-    ndarray, float64, shape = np.ndarray, np.dtype(float), (n,)
-    buf = np.empty(n)
+    rhs = ode.rhs1 if ode.rhs1 is not None else _float_rhs(ode.rhs, n)
+    divide = np.divide
 
     def deriv(t: float, ys: list) -> list:
         """The stage (v, f(t, x, v)) at ys = (x, v), as a list of 2n floats."""
-        fv = rhs(t, new_array(ys[:n]), new_array(ys[n:]))
-        if type(fv) is ndarray and fv.dtype is float64 and fv.shape == shape:
-            fs = fv.tolist()
-            for f in fs:
-                if not isfinite(f):
-                    raise NonFiniteRhs(f"rhs returned a non-finite value at tau={t!r}", tau=t)
-        else:
-            # Lists, scalars, other dtypes and shapes: the finiteness check,
-            # then the broadcast and cast into (n,) floats, in that order.
-            if not np.all(np.isfinite(fv)):
+        vs = ys[n:]
+        fs = rhs(t, ys[:n], vs)
+        try:
+            wrong = len(fs) != n
+        except TypeError:
+            wrong = True
+        if wrong:
+            raise ValueError(f"rhs1 must return {n} values, got {fs!r}")
+        for f in fs:
+            if not isfinite(f):
                 raise NonFiniteRhs(f"rhs returned a non-finite value at tau={t!r}", tau=t)
-            buf[:] = fv
-            fs = buf.tolist()
-        return ys[n:] + fs
+        return [*vs, *fs]
 
     direction = 1.0 if t_end > t0 else -1.0
     t = t0

@@ -17,6 +17,9 @@ UnboundReference / EvaluationError for runtime faults.  Evaluation is IEEE
 double precision; division by zero, domain faults (log, sqrt, fractional
 powers of negatives), and range overflow raise EvaluationError rather than
 returning non-finite values silently.
+
+eval_expr walks the tree and is the reference; bind compiles each
+expression once into nested closures with the same results and errors.
 """
 
 from __future__ import annotations
@@ -420,19 +423,130 @@ def pretty(e: Expr) -> str:
     raise TypeError(f"not an Expr node: {e!r}")
 
 
+def _constant(value) -> Callable:
+    """A closure returning value; its ``value`` attribute marks it constant
+    for _fold."""
+    def f(tau, x, v):
+        return value
+    f.value = value
+    return f
+
+
+def _fold(f: Callable, *operands: Callable) -> Callable:
+    """f, or f's value as a constant when its operands are constants and
+    it evaluates without error: the same operation, done once."""
+    if all(hasattr(g, "value") for g in operands):
+        try:
+            return _constant(f(None, None, None))
+        except EvaluationError:
+            pass  # raised again each time f is called
+    return f
+
+
+def _compile(e: Expr, params: Mapping[str, float] | None) -> Callable:
+    """e as nested closures f(tau, x, v) with the results and errors of
+    eval_expr(e, tau, x, v, params): the same operations in the same order,
+    without the per-node type dispatch (closure compilation, Feeley and
+    Lapalme 1987).  Parameter values are read and converted to float here,
+    and subexpressions without variables are evaluated here once; an
+    unbound name, or a fault in a constant subexpression, raises when f is
+    called."""
+    if isinstance(e, Num):
+        return _constant(e.value)
+    if isinstance(e, Var):
+        if e.kind == "tau":
+            return lambda tau, x, v: float(tau)
+        i, index, name, pos = e.index - 1, e.index, f"{e.kind}{e.index}", e.pos
+        # float(values[i]) for a sequence; _component for the rest (a
+        # scalar, None, too short) and for its errors.
+        if e.kind == "x":
+            def x_component(tau, x, v):
+                try:
+                    return float(x[i])
+                except (IndexError, TypeError):
+                    return _component(x, index, name, pos)
+            return x_component
+
+        def v_component(tau, x, v):
+            try:
+                return float(v[i])
+            except (IndexError, TypeError):
+                return _component(v, index, name, pos)
+        return v_component
+    if isinstance(e, Param):
+        name, pos = e.name, e.pos
+        if params is None or name not in params:
+            def unbound(tau, x, v):
+                raise UnboundReference(name, pos)
+            return unbound
+        return _constant(float(params[name]))
+    if isinstance(e, Neg):
+        operand = _compile(e.operand, params)
+        return _fold(lambda tau, x, v: -operand(tau, x, v), operand)
+    if isinstance(e, BinOp):
+        left = _compile(e.left, params)
+        right = _compile(e.right, params)
+        op, pos = e.op, e.pos
+        if op == "+":
+            def f(tau, x, v):
+                return left(tau, x, v) + right(tau, x, v)
+        elif op == "-":
+            def f(tau, x, v):
+                return left(tau, x, v) - right(tau, x, v)
+        elif op == "*":
+            def f(tau, x, v):
+                return left(tau, x, v) * right(tau, x, v)
+        elif op == "/":
+            def f(tau, x, v):
+                lv = left(tau, x, v)
+                rv = right(tau, x, v)
+                if rv == 0.0:
+                    raise EvaluationError("division_by_zero", pos)
+                return lv / rv
+        else:
+            def f(tau, x, v):
+                lv = left(tau, x, v)
+                rv = right(tau, x, v)
+                try:
+                    result = lv ** rv
+                except ZeroDivisionError:
+                    raise EvaluationError("division_by_zero", pos)
+                except OverflowError:
+                    raise EvaluationError("overflow", pos)
+                except ValueError:
+                    raise EvaluationError("pow_domain", pos)
+                if isinstance(result, complex):
+                    raise EvaluationError("pow_domain", pos)
+                return result
+        return _fold(f, left, right)
+    if isinstance(e, Call):
+        arg = _compile(e.arg, params)
+        fn, pos = FUNCTIONS[e.func], e.pos
+        domain = {"log": "log_domain", "sqrt": "sqrt_domain"}.get(
+            e.func, "pow_domain")
+
+        def call(tau, x, v):
+            av = arg(tau, x, v)
+            try:
+                return float(fn(av))
+            except OverflowError:
+                raise EvaluationError("overflow", pos)
+            except ValueError:
+                raise EvaluationError(domain, pos)
+        return _fold(call, arg)
+    raise TypeError(f"not an Expr node: {e!r}")
+
+
 def bind(exprs: Sequence[Expr] | Expr, params: Mapping[str, float]):
     """Close one expression (scalar) or a per-component list (vector) over
-    fixed parameter values, yielding rhs(tau, x, v)."""
+    fixed parameter values, yielding rhs(tau, x, v): a float, or a list of
+    floats.  Each expression is compiled once into closures that give the
+    bits and errors of eval_expr."""
     if isinstance(exprs, (Num, Var, Param, Neg, BinOp, Call)):
-        single = exprs
-
-        def rhs_scalar(tau: float, x: float, v: float) -> float:
-            return eval_expr(single, tau, x, v, params)
-
-        return rhs_scalar
-    parts = list(exprs)
+        return _compile(exprs, params)
+    parts = [_compile(p, params) for p in exprs]
 
     def rhs_vector(tau, x, v):
-        return [eval_expr(p, tau, x, v, params) for p in parts]
+        return [f(tau, x, v) for f in parts]
 
     return rhs_vector

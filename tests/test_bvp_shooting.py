@@ -2,6 +2,7 @@
 solve cache, and the smooth extension."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,3 +181,14 @@ def test_vector_shooting():
     mid = res.trajectory.eval(0.5)
     assert abs(float(mid.x[0]) - math.cos(0.5)) < 1e-9
     assert abs(float(mid.x[1]) - math.sin(0.5)) < 1e-9
+
+
+@pytest.mark.parametrize("field", ["newton_tol", "singular_floor"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_shooting_config_rejects_bad_tolerances(field, value):
+    # A NaN newton_tol used to return the unconverged guess (0 iterations)
+    # to a Python caller; the CLI checked these values, the config did not.
+    with pytest.raises(ValueError, match=f"{field} must be a finite number > 0"):
+        replace(DEFAULT_SHOOTING, **{field: value})
+    with pytest.raises(ValueError, match=f"{field} must be a finite number > 0"):
+        ShootingConfig(**{field: value})

@@ -226,6 +226,22 @@ def test_solve_rejects_bad_shooting_config(key, value, tmp_path, capsys):
     assert doc["message"] == f"{key} must be a finite number > 0, got {value!r}"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_zero_error_scale_is_step_underflow_in_both_kernels(capsys):
+    # --abs-tol 0 on the zero solution: the dim-1 catalog solve used to end
+    # in a ZeroDivisionError traceback; it now fails as the 2-d one does.
+    scalar = run(["solve", "--catalog", "oscillator", "--cauchy", "0", "0",
+                  "0", "--tau", "1", "--abs-tol", "0"], capsys)
+    vector = run(["solve", "--ode", "x2", "--ode=-x1", "--cauchy", "0",
+                  "0,0", "0,0", "--tau", "1", "--abs-tol", "0"], capsys)
+    for code, out, err in (scalar, vector):
+        assert code == 2
+        assert out == ""
+    doc = stderr_doc(scalar[2])
+    assert doc["code"] == "step_underflow"
+    assert doc == stderr_doc(vector[2])
+
+
 @pytest.mark.parametrize("value", ["nan", "-1"])
 def test_reconstruct_rejects_bad_threshold(value, capsys):
     code, out, err = run(["reconstruct", "--catalog", "free_fall",

@@ -1,6 +1,8 @@
 """Geodesic interpolation tests: flat and hyperbolic half-plane."""
 
+import itertools
 import math
+import struct
 import types
 
 import numpy as np
@@ -53,6 +55,23 @@ def test_geodesic_rhs_values():
     # (2 u w / y, (w^2 - u^2) / y) at u=w=1, y=2
     assert abs(float(f[0]) - 1.0) < 1e-15
     assert abs(float(f[1]) - 0.0) < 1e-15
+
+
+def test_half_plane_accel_has_the_einsum_bits():
+    conn = half_plane_connection()
+    ode = geodesic_ode(conn)
+    assert ode.rhs1 is conn.accel
+    comps = [0.0, -0.0, 0.7, -1.3, 1e-200, -2.5e-170, 3e150, 5e-324]
+    ys = [0.5, 1.0, 2.0, 1e-300, -1.0, 3e200, math.inf, -math.inf]
+    for y, v0, v1 in itertools.product(ys, comps, comps):
+        with np.errstate(all="ignore"):
+            want = ode.rhs(0.0, np.array([0.2, y]), np.array([v0, v1]))
+        got = conn.accel(0.0, [0.2, y], [v0, v1])
+        if np.all(np.isfinite(want)):
+            assert [struct.pack("<d", f) for f in got] == [
+                struct.pack("<d", f) for f in want.tolist()], (y, v0, v1)
+        else:
+            assert not all(map(math.isfinite, got)), (y, v0, v1)
 
 
 def test_vertical_geodesic_is_geometric_mean():

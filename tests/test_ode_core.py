@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from febvp import catalog, cli, geodesics
+from febvp.rhs_parser import eval_expr, parse
 from febvp.ode_core import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
     _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
@@ -620,6 +621,100 @@ def test_vector_parity_cases_cover_every_error_rejection_and_the_flush():
                       ValueError}
     assert longest > 4 * _FLUSH_DOUBLES
     assert rejecting
+
+
+# ------------------------------------------------------ float-level rhs1
+#
+# The dim-n kernel calls a dim-n ode's rhs1 on lists of floats when it is
+# set.  The half-plane geodesic and the compiled --ode system have one; the
+# reference above still calls the array rhs, so these cases check rhs1
+# against einsum and against the tree-walking evaluator, bit for bit.
+
+EXPRESSION2_TEXTS = ["k^2*x1 + g", "-x2"]
+EXPRESSION2_PARAMS = {"k": 1.5, "g": -0.5}
+_tree = [parse(text, dim=2, params=("g", "k")) for text in EXPRESSION2_TEXTS]
+TREE_WALK2 = SecondOrderOde(2, lambda t, x, v: np.array(
+    [eval_expr(e, t, x, v, EXPRESSION2_PARAMS) for e in _tree]))
+
+
+def without_array_rhs(ode):
+    """ode with an array rhs that fails if the kernel calls it."""
+    def rhs(t, x, v):
+        raise AssertionError("the kernel called the array rhs")
+    return SecondOrderOde(ode.dim, rhs, ode.label, rhs1=ode.rhs1)
+
+
+def rhs1_case(ode, reference, t0, x0, v0, t1, cfg=DEFAULT, *, id):
+    return pytest.param(ode, reference, float(t0), StatePoint.of(t0, x0, v0),
+                        t1, cfg, id=id)
+
+
+RHS1_CASES = [
+    rhs1_case(HALF_PLANE, HALF_PLANE, 0.0, [0.2, 1.0], [0.7, 0.4], 1.0,
+              id="geodesic-forward"),
+    rhs1_case(HALF_PLANE, HALF_PLANE, 1.0, [0.2, 1.0], [0.7, 0.4], -0.5,
+              id="geodesic-backward"),
+    # v1 = 0 stays 0: einsum's zero symbols turn -0.0 sums into +0.0
+    rhs1_case(HALF_PLANE, HALF_PLANE, 0.0, [0.2, 1.0], [0.7, 0.0], 1.0,
+              id="geodesic-zero-velocity-component"),
+    rhs1_case(HALF_PLANE, HALF_PLANE, 0.0, [0.2, 1.0], [-0.0, 0.5], 1.0,
+              id="geodesic-vertical"),
+    rhs1_case(HALF_PLANE, HALF_PLANE, 0.0, [0.2, 1.0], [0.7, 0.4], 10.0,
+              IntegratorConfig(max_steps=20), id="geodesic-max-steps"),
+    rhs1_case(EXPRESSION2, TREE_WALK2, 0.0, [0.5, 1.0], [-0.3, 0.2], 2.0,
+              id="expression-forward"),
+    rhs1_case(EXPRESSION2, TREE_WALK2, 2.0, [0.5, 1.0], [-0.3, 0.2], -1.0,
+              id="expression-backward"),
+    rhs1_case(EXPRESSION2, TREE_WALK2, 0.0, [0.5, 1.0], [-0.3, 0.2], 30.0,
+              id="expression-long"),
+]
+
+
+@pytest.mark.parametrize("ode, reference, t0, start, t1, cfg", RHS1_CASES)
+def test_vector_kernel_runs_rhs1_with_the_reference_bits(
+        ode, reference, t0, start, t1, cfg):
+    assert ode.rhs1 is not None
+    got = kernel_outcome(_integrate_vector, without_array_rhs(ode),
+                         t0, start, t1, cfg)
+    assert got == kernel_outcome(reference_integrate_vector,
+                                 reference, t0, start, t1, cfg)
+
+
+@pytest.mark.parametrize("result", [[1.0], (1.0,), [1.0, 2.0, 3.0], 1.0, []])
+def test_dim_n_rhs1_of_the_wrong_length_raises_value_error(result):
+    # one value too few or too many is never truncated or broadcast
+    ode = SecondOrderOde(2, lambda t, x, v: np.zeros(2),
+                         rhs1=lambda t, x, v: result)
+    with pytest.raises(ValueError, match="rhs1 must return 2 values"):
+        integrate_ivp(ode, StatePoint.of(0.0, [0.5, 1.0], [0.0, 0.0]), 1.0)
+
+
+def test_dim_n_rhs1_nonfinite_raises_like_the_array_rhs():
+    array_rhs = SecondOrderOde(
+        2, lambda t, x, v: np.array([0.0, math.inf if t > 0.5 else 0.0]))
+    float_rhs = SecondOrderOde(
+        2, array_rhs.rhs,
+        rhs1=lambda t, x, v: (0.0, math.inf if t > 0.5 else 0.0))
+    start = StatePoint.of(0.0, [0.5, 1.0], [-0.3, 0.2])
+    got = kernel_outcome(_integrate_vector, float_rhs, 0.0, start, 1.0, DEFAULT)
+    assert got[0] is NonFiniteRhs
+    assert got == kernel_outcome(_integrate_vector, array_rhs, 0.0, start,
+                                 1.0, DEFAULT)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_zero_scale_raises_the_same_underflow_in_both_kernels():
+    # abs_tol 0 on the zero solution: every error scale is 0.  The scalar
+    # kernel's 0/0 used to escape as ZeroDivisionError; both kernels now
+    # reject the step and end in the same StepSizeUnderflow.
+    cfg = IntegratorConfig(abs_tol=0.0)
+    scalar = kernel_outcome(_integrate_scalar, OSC.rhs1, 0.0, 0.0, 0.0, 1.0,
+                            cfg)
+    vector = kernel_outcome(_integrate_vector,
+                            SecondOrderOde(1, lambda t, x, v: -x), 0.0,
+                            StatePoint.of(0.0, [0.0], [0.0]), 1.0, cfg)
+    assert scalar[0] is StepSizeUnderflow
+    assert scalar == vector
 
 
 _entries = hst.floats(-2.0, 2.0)

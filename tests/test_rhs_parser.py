@@ -5,12 +5,17 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from febvp.rhs_parser import (
+    FUNCTIONS,
     BinOp,
+    Call,
     EvaluationError,
     Neg,
     Num,
+    Param,
     ParseError,
     UnboundReference,
     Var,
@@ -194,3 +199,67 @@ def test_ast_nodes_are_frozen():
     assert isinstance(parse("-x"), Neg)
     assert isinstance(parse("2"), Num)
     assert isinstance(parse("x"), Var)
+
+
+# ------------------------------------------- compiled against tree walk
+#
+# bind compiles each expression into closures; eval_expr walks the tree
+# and is the reference.  Both must give the same bits, or the same error
+# class, kind or name, and position, for any tree and any point.
+
+_num_values = (hst.floats()
+               | hst.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.0, -1.0]))
+_pos = hst.integers(0, 40)
+_leaves = (hst.builds(Num, _num_values, _pos)
+           | hst.builds(Var, hst.just("tau"), hst.just(0), _pos)
+           | hst.builds(Var, hst.sampled_from(["x", "v"]),
+                        hst.integers(1, 3), _pos)
+           # "w" is never bound: UnboundReference when called
+           | hst.builds(Param, hst.sampled_from(["k", "g", "w"]), _pos))
+_exprs = hst.recursive(_leaves, lambda sub: (
+    hst.builds(Neg, sub, _pos)
+    | hst.builds(BinOp, hst.sampled_from(list("+-*/^")), sub, sub, _pos)
+    | hst.builds(Call, hst.sampled_from(sorted(FUNCTIONS)), sub, _pos)),
+    max_leaves=12)
+_coords = hst.floats(-4.0, 4.0) | hst.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 1e308, -1e-320, math.inf, math.nan])
+# dim 1 (a float or a list of one), dim 2, and unbound (None)
+_points = (_coords | hst.lists(_coords, min_size=1, max_size=2)
+           | hst.none())
+
+
+def outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except (EvaluationError, UnboundReference) as exc:
+        return (type(exc), getattr(exc, "kind", None),
+                getattr(exc, "name", None), exc.position)
+    if isinstance(result, list):
+        return [struct.pack("<d", r) for r in result]
+    return struct.pack("<d", result)
+
+
+@settings(max_examples=400, deadline=None)
+@given(exprs=hst.lists(_exprs, min_size=1, max_size=3), tau=_coords,
+       x=_points, v=_points, k=_coords, g=_coords)
+def test_compiled_expressions_match_the_tree_walk(exprs, tau, x, v, k, g):
+    params = {"k": k, "g": g}
+    # binding never raises; an unbound name fails when called
+    scalar = bind(exprs[0], params)
+    vector = bind(exprs, params)
+    assert (outcome(scalar, tau, x, v)
+            == outcome(eval_expr, exprs[0], tau, x, v, params))
+    assert outcome(vector, tau, x, v) == outcome(
+        lambda: [eval_expr(e, tau, x, v, params) for e in exprs])
+
+
+def test_compiled_errors_are_raised_when_called():
+    f = bind(parse("x1 + w", dim=2, params=("w",)), {})
+    with pytest.raises(UnboundReference) as exc:
+        f(0.0, [1.0, 2.0], [0.0, 0.0])
+    assert (exc.value.name, exc.value.position) == ("w", 5)
+    # a constant subexpression that fails is not evaluated by bind
+    g = bind(parse("x + 1/(k - 2)", params=("k",)), {"k": 2.0})
+    with pytest.raises(EvaluationError) as exc:
+        g(0.0, 1.0, 0.0)
+    assert (exc.value.kind, exc.value.position) == ("division_by_zero", 5)
