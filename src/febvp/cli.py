@@ -13,6 +13,8 @@ Exit status: 0 success, 1 usage or configuration error, 2 numeric failure
 
 A JSON config file (--config) provides defaults for most options; explicit
 flags win.  The environment variable FEBVP_SEED supplies the default seed.
+Every option is one row of _OPTIONS, which builds the argparse parsers and
+checks a flag value and a config-file value with the same parser.
 """
 
 from __future__ import annotations
@@ -20,57 +22,39 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import catalog as _catalog
-from .bvp_shooting import (
-    DEFAULT_SHOOTING,
-    IntegralConditions,
-    NeumannConditions,
-    ShootingConfig,
-    eval_state,
-    solve_integral,
-    solve_neumann,
-)
+from .bvp_shooting import (DEFAULT_SHOOTING, IntegralConditions, NeumannConditions,
+                           ShootingConfig, eval_state, solve_integral, solve_neumann)
 from .errors import FebvpError
-from .functional_laws import (
-    DependenceEvaluator,
-    EvalDomain,
-    LawReport,
-    SampleSpec,
-    check_boundary,
-    check_composition,
-    check_extension,
-    check_lemma1_equivalence,
-    evaluator_from_ode,
-)
-from .geodesics import (
-    GeodesicMap,
-    check_klapka,
-    flat_connection,
-    half_plane_connection,
-    jensen_midpoint_check,
-)
+from .functional_laws import (DependenceEvaluator, EvalDomain, LawReport, SampleSpec,
+                              check_boundary, check_composition, check_extension,
+                              check_lemma1_equivalence, evaluator_from_ode)
+from .geodesics import (GeodesicMap, check_klapka, flat_connection, half_plane_connection,
+                        jensen_midpoint_check)
 from .ode_core import SecondOrderOde
 from .reconstruction import ReconstructionConfig, reconstruct_f, solver_extension
 from .rhs_parser import ParseError, bind, parse
 
-__all__ = ["RunConfig", "cmd_solve", "cmd_verify", "cmd_reconstruct",
-           "cmd_geodesic", "main", "KNOWN_LAWS"]
+__all__ = ["RunConfig", "main", "KNOWN_LAWS"]
 
 _FORMATS = ("table", "json", "csv")
+_CONNECTIONS = ("flat", "half_plane")
 
 
-class _UsageError(Exception):
-    """Configuration or argument problem; maps to exit status 1."""
+class _UsageError(ValueError):
+    """Configuration or argument problem; maps to exit status 1, as every
+    ValueError that reaches main does."""
 
     def __init__(self, message: str, **context):
         super().__init__(message)
@@ -79,160 +63,170 @@ class _UsageError(Exception):
 
 @dataclass
 class RunConfig:
-    """Everything a subcommand needs, resolved from flags, config file,
-    environment, and defaults (in that precedence order)."""
+    """What the laws of ``verify`` read: the ode source, the sampling
+    plan, the solver controls, and the law settings."""
 
-    output_format: str = "table"
-    seed: int = 0
-    catalog_name: Optional[str] = None
-    params: dict = field(default_factory=dict)
-    exprs: Optional[list] = None
-    ode: Optional[SecondOrderOde] = None
-    conditions: object = None
-    taus: list = field(default_factory=list)
-    sampling: SampleSpec = field(
-        default_factory=lambda: SampleSpec(count=200, seed=0))
-    domain_override: dict = field(default_factory=dict)
-    mode: str = "closed"
-    connection: str = "flat"
-    rho_range: tuple = (0.0, 1.0)
-    thresholds: dict = field(default_factory=dict)
-    shooting: ShootingConfig = field(
-        default_factory=lambda: DEFAULT_SHOOTING)
-    recon: ReconstructionConfig = field(
-        default_factory=ReconstructionConfig)
-    recon_threshold: float = 1e-4
+    catalog_name: Optional[str]
+    params: dict
+    ode: Optional[SecondOrderOde]
+    sampling: SampleSpec
+    shooting: ShootingConfig
+    mode: str
+    connection: str
+    rho_range: tuple
+    domain_override: dict
+    thresholds: dict
 
 
 # ---------------------------------------------------------------------------
 # output helpers
 
 def _emit_error(code: str, message: str, context: Optional[dict] = None) -> None:
-    doc = {"code": code, "message": message, "context": context or {}}
-    print(json.dumps(doc), file=sys.stderr)
-
-
-def _numeric_exit(exc: FebvpError) -> int:
-    _emit_error(exc.code, str(exc), _plain(getattr(exc, "context", {})))
-    return 2
+    print(json.dumps({"code": code, "message": message, "context": context or {}}),
+          file=sys.stderr)
 
 
 def _plain(obj):
     """Recursively convert numpy values so json.dumps accepts them."""
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, np.ndarray)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [float(c) for c in obj]
     if isinstance(obj, (np.floating, np.integer)):
         return float(obj)
     return obj
 
 
 def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, (list, tuple)):
         return " ".join(_cell(v) for v in value)
-    if value is None:
-        return ""
-    return str(value)
+    return repr(value) if isinstance(value, float) else "" if value is None else str(value)
 
 
-def _print_table(columns: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    widths = [len(c) for c in columns]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    print("  ".join(c.ljust(widths[i]) for i, c in enumerate(columns)).rstrip())
-    for row in rows:
-        print("  ".join(cell.ljust(widths[i])
-                        for i, cell in enumerate(row)).rstrip())
+def _scalarize(vec: np.ndarray):
+    return float(vec[0]) if vec.shape == (1,) else [float(c) for c in vec]
 
 
-def _print_csv(columns: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    writer = csv.writer(sys.stdout)
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow(row)
-
-
-def _print_json(doc) -> None:
-    print(json.dumps(doc, indent=2))
-
-
-def _emit_doc(fmt: str, doc, columns, rows) -> None:
+def _emit_doc(fmt: str, doc, columns: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
+    """doc as JSON, or columns and rows as CSV or as an aligned table."""
     if fmt == "json":
-        _print_json(doc)
+        print(json.dumps(doc, indent=2))
     elif fmt == "csv":
-        _print_csv(columns, rows)
+        csv.writer(sys.stdout).writerows([columns, *rows])
     else:
-        _print_table(columns, rows)
+        widths = [max(map(len, cells)) for cells in zip(columns, *rows)]
+        for row in [columns, *rows]:
+            print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
 
 
 # ---------------------------------------------------------------------------
-# value parsing
+# value parsers: each takes a flag or config-file value and the name to
+# report it under, and returns the checked value or raises _UsageError
 
-def _parse_float(text, what: str) -> float:
+def _real(value, what: str) -> float:
     try:
-        return float(text)
+        return float(value)
     except (TypeError, ValueError):
-        raise _UsageError(f"{what} must be a real number, got {text!r}")
+        raise _UsageError(f"{what} must be a real number, got {value!r}")
 
 
-def _parse_positive(text, what: str) -> float:
-    """A finite number > 0: a NaN Newton tolerance never compares as met,
-    and a NaN or negative singular floor turns off the conjugate-point
-    certificate."""
-    value = _parse_float(text, what)
-    if not (math.isfinite(value) and value > 0):
-        raise _UsageError(f"{what} must be a finite number > 0, got {text!r}")
+def _finite(value, what: str) -> float:
+    number = _real(value, what)
+    if not math.isfinite(number):
+        raise _UsageError(f"{what} must be a finite number, got {value!r}")
+    return number
+
+
+def _integer(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise _UsageError(f"{what} must be an integer, got {value!r}")
+
+
+def _threshold(value, what: str) -> float:
+    limit = _real(value, what)
+    if not limit >= 0:
+        raise _UsageError(f"{what} must be a number >= 0, got {value!r}")
+    return limit
+
+
+def _text(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise _UsageError(f"{what} must be a string, got {value!r}")
     return value
 
 
-def _parse_vec(text, dim: int, what: str) -> np.ndarray:
-    """Scalar or comma-separated component list, validated against dim."""
-    if isinstance(text, (list, tuple)):
-        parts = list(text)
-    else:
-        parts = str(text).split(",")
-    vec = np.array([_parse_float(p, what) for p in parts])
-    if vec.shape != (dim,):
-        raise _UsageError(
-            f"{what} must have {dim} component(s), got {len(vec)}")
-    return vec
+def _one_of(choices: tuple, value, what: str):
+    if value not in choices:
+        raise _UsageError(f"{what} must be one of {', '.join(choices)}, got {value!r}")
+    return value
 
 
-def _parse_params(pairs, config_params) -> dict:
-    params = dict(config_params or {})
-    for item in pairs or ():
-        name, sep, value = str(item).partition("=")
-        if not sep or not name:
-            raise _UsageError(
-                f"--param expects NAME=VALUE, got {item!r}")
-        params[name] = _parse_float(value, f"parameter {name}")
-    return {k: float(v) for k, v in params.items()}
+def _tuple(n: int) -> Callable:
+    def parse(value, what: str) -> list:
+        if not (isinstance(value, (list, tuple)) and len(value) == n):
+            raise _UsageError(f"{what} must be a list of {n} values, got {value!r}")
+        return list(value)
+    return parse
 
 
-def _parse_range(value, what: str) -> tuple:
-    if value is None:
-        return None
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise _UsageError(f"{what} must be two numbers (low high)")
-    lo = _parse_float(value[0], what)
-    hi = _parse_float(value[1], what)
+def _each(item: Callable) -> Callable:
+    def parse(value, what: str) -> list:
+        if not isinstance(value, (list, tuple)):
+            raise _UsageError(f"{what} must be a list, got {value!r}")
+        return [item(v, f"{what}[{i}]") for i, v in enumerate(value)]
+    return parse
+
+
+def _range(value, what: str) -> tuple:
+    lo, hi = (_real(v, what) for v in _tuple(2)(value, what))
     if not lo < hi:
         raise _UsageError(f"{what} must satisfy low < high, got {lo} {hi}")
     return (lo, hi)
 
 
-# ---------------------------------------------------------------------------
-# config resolution
+def _mapping(noun: str, item: Callable, known: Callable = None) -> Callable:
+    """A JSON object of name -> value (--param and --threshold give theirs
+    as NAME=VALUE pairs); known() lists the accepted names, if any."""
+    def parse(value, what: str) -> dict:
+        if not isinstance(value, dict):
+            raise _UsageError(f"config {what} must be an object mapping {noun} names to numbers")
+        for name in value:
+            if known is not None and name not in known():
+                raise _UsageError(f"unknown {noun} name {name!r} "
+                                  f"(available: {', '.join(known())})")
+        return {name: item(v, f"{noun} {name}") for name, v in value.items()}
+    return parse
 
-def _load_config(path: Optional[str]) -> dict:
-    if not path:
-        return {}
+
+def _parse_vec(text, what: str, dim: int = 2) -> np.ndarray:
+    """Scalar or comma-separated component list, validated against dim."""
+    parts = list(text) if isinstance(text, (list, tuple)) else str(text).split(",")
+    vec = np.array([_real(p, what) for p in parts])
+    if vec.shape != (dim,):
+        raise _UsageError(f"{what} must have {dim} component(s), got {len(vec)}")
+    return vec
+
+
+def _exprs(value, what: str) -> list:
+    """One rhs expression, or one per component."""
+    return _each(_text)([value] if isinstance(value, str) else value, what)
+
+
+def _laws(value, what: str) -> list:
+    if isinstance(value, str):
+        value = [w.strip() for w in value.split(",") if w.strip()]
+    laws = _each(_text)(value, what)
+    if not laws:
+        raise _UsageError("no laws requested")
+    for law in laws:
+        if law not in _LAWS:
+            raise _UsageError(f"unknown law {law!r} (available: {', '.join(KNOWN_LAWS)})")
+    return laws
+
+
+def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -245,24 +239,6 @@ def _load_config(path: Optional[str]) -> dict:
     return doc
 
 
-def _pick(flag_value, config: Mapping, key: str, default):
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    return default
-
-
-def _resolve_seed(flag_value, config: Mapping) -> int:
-    value = _pick(flag_value, config, "seed", None)
-    if value is None:
-        value = os.environ.get("FEBVP_SEED", 0)
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise _UsageError(f"seed must be an integer, got {value!r}")
-
-
 def _build_expression_ode(exprs: Sequence[str], params: Mapping) -> SecondOrderOde:
     dim = len(exprs)
     names = tuple(sorted(params))
@@ -272,185 +248,23 @@ def _build_expression_ode(exprs: Sequence[str], params: Mapping) -> SecondOrderO
             parsed.append(parse(text, dim=dim, params=names))
         except ParseError as exc:
             pos = exc.context.get("position")
-            caret = ""
-            if isinstance(pos, int) and 0 <= pos <= len(text):
-                caret = "\n  " + text + "\n  " + " " * pos + "^"
-            raise _UsageError(
-                f"cannot parse ode expression: {exc}{caret}",
-                expression=text, **_plain(exc.context))
+            caret = (f"\n  {text}\n  {' ' * pos}^"
+                     if isinstance(pos, int) and 0 <= pos <= len(text) else "")
+            raise _UsageError(f"cannot parse ode expression: {exc}{caret}",
+                              expression=text, **_plain(exc.context))
     label = "; ".join(exprs)
     if dim == 1:
-        return SecondOrderOde.from_scalar(bind(parsed[0], dict(params)),
-                                          label=label)
+        return SecondOrderOde.from_scalar(bind(parsed[0], dict(params)), label=label)
     rhs_list = bind(parsed, dict(params))
-
-    def rhs(tau, x, v):
-        return np.asarray(rhs_list(tau, x, v), dtype=float)
-
-    return SecondOrderOde(dim=dim, rhs=rhs, label=label, rhs1=rhs_list)
-
-
-def _resolve_ode(args, config) -> tuple:
-    """Returns (catalog_name_or_None, params, exprs_or_None, ode)."""
-    name = _pick(getattr(args, "catalog", None), config, "catalog", None)
-    exprs = _pick(getattr(args, "ode", None), config, "ode", None)
-    if isinstance(exprs, str):
-        exprs = [exprs]
-    params = _parse_params(getattr(args, "param", None),
-                           config.get("params"))
-    if name and exprs:
-        raise _UsageError("--catalog and --ode are mutually exclusive")
-    if name:
-        try:
-            ode, params = _catalog.make_ode(name, params)
-        except ValueError as exc:
-            raise _UsageError(str(exc))
-        return name, params, None, ode
-    if exprs:
-        return None, params, list(exprs), _build_expression_ode(exprs, params)
-    raise _UsageError("an ODE is required: pass --catalog NAME or --ode EXPR")
-
-
-def _resolve_shooting(args, config) -> ShootingConfig:
-    newton_tol = _pick(getattr(args, "newton_tol", None), config,
-                       "newton_tol", None)
-    rel_tol = _pick(getattr(args, "rel_tol", None), config, "rel_tol", None)
-    abs_tol = _pick(getattr(args, "abs_tol", None), config, "abs_tol", None)
-    floor = _pick(getattr(args, "singular_floor", None), config,
-                  "singular_floor", None)
-    cfg = DEFAULT_SHOOTING
-    if rel_tol is not None or abs_tol is not None:
-        icfg = cfg.integrator
-        icfg = dataclasses.replace(
-            icfg,
-            rel_tol=(_parse_float(rel_tol, "rel_tol") if rel_tol is not None
-                     else icfg.rel_tol),
-            abs_tol=(_parse_float(abs_tol, "abs_tol") if abs_tol is not None
-                     else icfg.abs_tol))
-        cfg = dataclasses.replace(cfg, integrator=icfg)
-    if newton_tol is not None:
-        cfg = dataclasses.replace(cfg, newton_tol=_parse_positive(
-            newton_tol, "newton_tol"))
-    if floor is not None:
-        cfg = dataclasses.replace(cfg, singular_floor=_parse_positive(
-            floor, "singular_floor"))
-    return cfg
-
-
-def _resolve_sampling(args, config, seed: int) -> SampleSpec:
-    defaults = SampleSpec(count=1, seed=0)
-    count = _pick(getattr(args, "samples", None), config, "samples", 200)
-    try:
-        count = int(count)
-    except (TypeError, ValueError):
-        raise _UsageError(f"samples must be an integer, got {count!r}")
-    tau_range = _parse_range(
-        _pick(getattr(args, "tau_range", None), config, "tau_range", None),
-        "tau range") or defaults.tau_range
-    ab_pair_range = _parse_range(
-        _pick(getattr(args, "alpha_beta_range", None), config,
-              "alpha_beta_range", None),
-        "alpha/beta range") or defaults.alpha_beta_range
-    value_range = _parse_range(
-        _pick(getattr(args, "ab_range", None), config, "ab_range", None),
-        "data range") or defaults.ab_range
-    min_sep = _pick(getattr(args, "min_separation", None), config,
-                    "min_separation", None)
-    min_sep = (_parse_float(min_sep, "min_separation") if min_sep is not None
-               else defaults.min_separation)
-    try:
-        return SampleSpec(count=count, seed=seed, tau_range=tau_range,
-                          alpha_beta_range=ab_pair_range,
-                          ab_range=value_range, min_separation=min_sep)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-
-
-def _parse_threshold(value, what: str) -> float:
-    limit = _parse_float(value, what)
-    if not limit >= 0:
-        raise _UsageError(f"{what} must be a number >= 0, got {value!r}")
-    return limit
-
-
-def _resolve_thresholds(args, config) -> dict:
-    keys = _threshold_keys()
-    thresholds = config.get("thresholds") or {}
-    if not isinstance(thresholds, dict):
-        raise _UsageError("config thresholds must be an object "
-                          "mapping threshold names to numbers")
-    thresholds = dict(thresholds)
-    for item in getattr(args, "threshold", None) or ():
-        name, sep, value = str(item).partition("=")
-        if not sep or name not in keys:
-            raise _UsageError(
-                f"--threshold expects LAW=VALUE with LAW one of "
-                f"{', '.join(keys)}; got {item!r}")
-        thresholds[name] = _parse_threshold(value, f"threshold {name}")
-    for name in thresholds:
-        if name not in keys:
-            raise _UsageError(f"unknown threshold name {name!r}")
-    return {k: _parse_threshold(v, f"threshold {k}")
-            for k, v in thresholds.items()}
-
-
-def _apply_domain_override(domain: EvalDomain, override: Mapping) -> EvalDomain:
-    if not override:
-        return domain
-    return dataclasses.replace(domain, **override)
+    return SecondOrderOde(dim=dim, label=label, rhs1=rhs_list,
+                          rhs=lambda tau, x, v: np.asarray(rhs_list(tau, x, v), dtype=float))
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# the laws of verify
 
-def _scalarize(vec: np.ndarray):
-    if vec.shape == (1,):
-        return float(vec[0])
-    return [float(c) for c in vec]
-
-
-def _state_columns(dim: int) -> list:
-    if dim == 1:
-        return ["tau", "x", "v"]
-    cols = ["tau"]
-    cols += [f"x{i + 1}" for i in range(dim)]
-    cols += [f"v{i + 1}" for i in range(dim)]
-    return cols
-
-
-def _state_cells(tau: float, x: np.ndarray, v: np.ndarray) -> list:
-    return ([_cell(tau)] + [_cell(float(c)) for c in x]
-            + [_cell(float(c)) for c in v])
-
-
-def cmd_solve(cfg: RunConfig) -> int:
-    if not cfg.taus:
-        raise _UsageError("at least one --tau is required")
-    ode = cfg.ode
-    try:
-        if isinstance(cfg.conditions, NeumannConditions):
-            result = solve_neumann(ode, cfg.conditions, cfg.shooting)
-        else:
-            result = solve_integral(ode, cfg.conditions, cfg.shooting)
-        rows = []
-        for tau in sorted(float(t) for t in cfg.taus):
-            st = eval_state(ode, result.trajectory, tau,
-                            cfg.shooting.integrator)
-            rows.append((tau, st.x, st.v))
-    except FebvpError as exc:
-        return _numeric_exit(exc)
-    doc = {
-        "command": "solve",
-        "ode": ode.label,
-        "iterations": result.iterations,
-        "final_residual": float(result.final_residual),
-        "rows": [{"tau": tau, "x": _scalarize(x), "v": _scalarize(v)}
-                 for tau, x, v in rows],
-    }
-    columns = _state_columns(ode.dim)
-    cells = [_state_cells(tau, x, v) for tau, x, v in rows]
-    _emit_doc(cfg.output_format, doc, columns, cells)
-    return 0
+def _apply_domain_override(domain: EvalDomain, override: Mapping) -> EvalDomain:
+    return dataclasses.replace(domain, **override) if override else domain
 
 
 def _make_evaluator(cfg: RunConfig) -> DependenceEvaluator:
@@ -458,58 +272,44 @@ def _make_evaluator(cfg: RunConfig) -> DependenceEvaluator:
         entry = _catalog.get_entry(cfg.catalog_name)
         if cfg.mode == "closed":
             if entry.closed_f is None:
-                raise _UsageError(
-                    f"family '{entry.name}' has no closed form; "
-                    "use --mode numeric")
+                raise _UsageError(f"family '{entry.name}' has no closed form; "
+                                  "use --mode numeric")
             ev = _catalog.closed_evaluator(cfg.catalog_name, cfg.params)
         else:
-            ev = _catalog.numeric_evaluator(cfg.catalog_name, cfg.params,
-                                            cfg.shooting)
+            ev = _catalog.numeric_evaluator(cfg.catalog_name, cfg.params, cfg.shooting)
         return dataclasses.replace(
             ev, domain=_apply_domain_override(ev.domain, cfg.domain_override))
     if cfg.mode == "closed":
-        raise _UsageError("expression odes have no closed form; "
-                          "use --mode numeric")
+        raise _UsageError("expression odes have no closed form; use --mode numeric")
     domain = _apply_domain_override(EvalDomain(), cfg.domain_override)
-    return evaluator_from_ode(cfg.ode, cfg.shooting, domain=domain,
-                              label=cfg.ode.label)
+    return evaluator_from_ode(cfg.ode, cfg.shooting, domain=domain, label=cfg.ode.label)
 
 
-def _geodesic_map(cfg: RunConfig) -> GeodesicMap:
-    if cfg.connection == "flat":
-        conn = flat_connection()
-    elif cfg.connection == "half_plane":
-        conn = half_plane_connection()
-    else:
-        raise _UsageError(
-            f"unknown connection {cfg.connection!r} "
-            "(available: flat, half_plane)")
-    return GeodesicMap(conn, cfg.shooting)
+def _geodesic_map(connection: str, shooting: ShootingConfig) -> GeodesicMap:
+    conn = half_plane_connection() if connection == "half_plane" else flat_connection()
+    return GeodesicMap(conn, shooting)
 
 
 def _run_extension(cfg: RunConfig) -> list:
     ev = _make_evaluator(cfg)
     if ev.eval_s is None:
-        raise _UsageError(
-            "the extension law needs a smooth extension; this source "
-            "does not provide one")
+        raise _UsageError("the extension law needs a smooth extension; this source "
+                          "does not provide one")
     return check_extension(ev, cfg.sampling)
 
 
 def _run_jensen(cfg: RunConfig) -> list:
     if cfg.connection != "flat":
-        raise _UsageError(
-            "the jensen midpoint law assumes an interpolation map "
-            "affine in its endpoints; use --connection flat")
-    return [jensen_midpoint_check(_geodesic_map(cfg), cfg.sampling,
-                                  cfg.rho_range)]
+        raise _UsageError("the jensen midpoint law assumes an interpolation map "
+                          "affine in its endpoints; use --connection flat")
+    return [jensen_midpoint_check(_geodesic_map(cfg.connection, cfg.shooting),
+                                  cfg.sampling, cfg.rho_range)]
 
 
 def _run_angelesco(cfg: RunConfig) -> list:
     pin = (cfg.catalog_name == "conic"
            or (cfg.catalog_name is None and bool(cfg.params)))
-    return [_catalog.check_angelesco(cfg.sampling,
-                                     cfg.params if pin else None)]
+    return [_catalog.check_angelesco(cfg.sampling, cfg.params if pin else None)]
 
 
 def _diagonals_shrink(reports: list) -> bool:
@@ -517,8 +317,7 @@ def _diagonals_shrink(reports: list) -> bool:
     decreasing with eps.  A residual that is exactly zero cannot decrease
     further; only a nonzero plateau signals a discontinuous extension."""
     diags = reports[1:]
-    return (all(d.failures == 0 and np.isfinite(d.max_residual)
-                for d in diags)
+    return (all(d.failures == 0 and np.isfinite(d.max_residual) for d in diags)
             and all(d.max_residual > e.max_residual
                     or d.max_residual == e.max_residual == 0.0
                     for d, e in zip(diags, diags[1:])))
@@ -544,15 +343,13 @@ _LAWS = {
     "boundary": _Law(
         lambda cfg: [check_boundary(_make_evaluator(cfg), cfg.sampling)],
         True, {"boundary": {"closed": 1e-9, "numeric": 1e-8}}),
-    "extension": _Law(_run_extension, True, {"extension": 1e-8},
-                      _diagonals_shrink),
+    "extension": _Law(_run_extension, True, {"extension": 1e-8}, _diagonals_shrink),
     "lemma1": _Law(
-        lambda cfg: check_lemma1_equivalence(cfg.ode, cfg.sampling,
-                                             cfg.shooting),
+        lambda cfg: check_lemma1_equivalence(cfg.ode, cfg.sampling, cfg.shooting),
         True, {"lemma1_agreement": 1e-9, "lemma1_quadrature": 1e-8}),
     "klapka": _Law(
-        lambda cfg: [check_klapka(_geodesic_map(cfg), cfg.sampling,
-                                  cfg.rho_range)],
+        lambda cfg: [check_klapka(_geodesic_map(cfg.connection, cfg.shooting),
+                                  cfg.sampling, cfg.rho_range)],
         False, {"klapka": {"flat": 1e-12, "half_plane": 1e-6}}),
     "jensen": _Law(_run_jensen, False, {"jensen": 1e-12}),
     "angelesco": _Law(_run_angelesco, False, {"angelesco": 1e-10}),
@@ -576,123 +373,275 @@ def _clean(report: LawReport, limit: float) -> bool:
             and report.max_residual <= limit)
 
 
-def cmd_verify(cfg: RunConfig, laws: Sequence[str]) -> int:
-    for law in laws:
-        if law not in KNOWN_LAWS:
-            raise _UsageError(
-                f"unknown law {law!r} (available: {', '.join(KNOWN_LAWS)})")
+# ---------------------------------------------------------------------------
+# the option table
+
+class _Opt:
+    """One option: its flag, its config-file key (None for --config), the
+    subcommands that take it, the parser that checks its flag or file value
+    (by default, membership in kw's choices), its default (a callable is
+    called), and its argparse keywords.  A merged option's NAME=VALUE flag
+    entries update the file's object instead of replacing it."""
+
+    def __init__(self, flag: str, key: Optional[str], commands: tuple,
+                 parse: Optional[Callable] = None, default=None, merge: bool = False, **kw):
+        self.flag, self.key, self.commands, self.default = flag, key, commands, default
+        self.parse = parse or functools.partial(_one_of, kw.get("choices"))
+        self.merge, self.kw = merge, kw
+        self.dest = flag[2:].replace("-", "_")
+
+
+_ALL = ("solve", "verify", "reconstruct", "geodesic")
+_SOURCE = ("solve", "verify", "reconstruct")
+_RANGE = dict(nargs=2, type=float, metavar=("LO", "HI"))
+
+_OPTIONS = (
+    _Opt("--config", None, _ALL, help="JSON file with option defaults"),
+    _Opt("--format", "format", _ALL, None, "table", choices=_FORMATS,
+         help="output format (default table)"),
+    _Opt("--seed", "seed", _ALL, _integer, lambda: os.environ.get("FEBVP_SEED", 0),
+         type=int, help="PRNG seed (default: FEBVP_SEED or 0)"),
+    _Opt("--catalog", "catalog", _SOURCE, _text, help="catalog family name"),
+    _Opt("--param", "params", _SOURCE, _mapping("parameter", _real), merge=True,
+         action="append", metavar="NAME=VALUE",
+         help="family or expression parameter (repeatable)"),
+    _Opt("--ode", "ode", _SOURCE, _exprs, action="append", metavar="EXPR",
+         help="rhs expression; repeat for vector components; "
+         "write one that starts with '-' as --ode=-x"),
+    _Opt("--newton-tol", "newton_tol", _ALL, _real, type=float),
+    _Opt("--rel-tol", "rel_tol", _ALL, _real, type=float),
+    _Opt("--abs-tol", "abs_tol", _ALL, _real, type=float),
+    _Opt("--singular-floor", "singular_floor", _ALL, _real, type=float,
+         help="conjugate-interval sensitivity: the shooting Jacobian is declared "
+         "singular below this fraction of its natural scale"),
+    _Opt("--neumann", "neumann", ("solve",), _tuple(4), nargs=4,
+         metavar=("ALPHA", "BETA", "A", "B"), help="endpoint data x(alpha)=A, x(beta)=B"),
+    _Opt("--integral", "integral", ("solve",), _tuple(4), nargs=4,
+         metavar=("ALPHA", "BETA", "A", "V"), help="left value A and average slope V"),
+    _Opt("--cauchy", "cauchy", ("solve",), _tuple(3), nargs=3,
+         metavar=("ALPHA", "A", "V"), help="initial value A and initial velocity V"),
+    _Opt("--tau", "taus", ("solve",), _each(_finite), [], action="append", type=float,
+         help="evaluation time (repeatable)"),
+    _Opt("--samples", "samples", ("verify",), _integer, 200, type=int,
+         help="sample count (default 200)"),
+    _Opt("--tau-range", "tau_range", ("verify",), _range, **_RANGE),
+    _Opt("--alpha-beta-range", "alpha_beta_range", ("verify",), _range, **_RANGE),
+    _Opt("--ab-range", "ab_range", ("verify",), _range, **_RANGE),
+    _Opt("--min-separation", "min_separation", ("verify",), _real, type=float),
+    _Opt("--max-interval", "max_interval", ("verify",), _real, type=float,
+         help="override the family's endpoint span cap"),
+    _Opt("--laws", "laws", ("verify",), _laws, "composition,boundary",
+         help="comma-separated subset of: " + ", ".join(KNOWN_LAWS)),
+    _Opt("--mode", "mode", ("verify",), choices=("closed", "numeric"),
+         help="evaluate closed forms or the shooting solver"),
+    _Opt("--connection", "connection", ("verify",), None, "flat", choices=_CONNECTIONS,
+         help="connection for klapka/jensen (default flat)"),
+    _Opt("--rho-range", "rho_range", ("verify",), _range, (0.0, 1.0), **_RANGE),
+    _Opt("--threshold", "thresholds", ("verify",),
+         _mapping("threshold", _threshold, _threshold_keys), merge=True,
+         action="append", metavar="LAW=VALUE",
+         help="override a pass threshold (repeatable; LAW one of: "
+         + ", ".join(_threshold_keys()) + ")"),
+    _Opt("--point", "points", ("reconstruct",), _each(_tuple(3)), [], action="append",
+         nargs=3, metavar=("TAU", "X", "V"),
+         help="state to reconstruct at (repeatable; X and V are comma-separated "
+         "for vector odes)"),
+    _Opt("--fd-step", "fd_step", ("reconstruct",), _real, type=float),
+    _Opt("--threshold", "threshold", ("reconstruct",), _threshold, 1e-4, type=float,
+         help="abs error gate when the true rhs is known (default 1e-4)"),
+    _Opt("--connection", "connection", ("geodesic",), None, "flat", choices=_CONNECTIONS,
+         help="default flat"),
+    _Opt("--a", "a", ("geodesic",), _parse_vec, nargs=2, type=float,
+         metavar=("A1", "A2"), help="start point"),
+    _Opt("--b", "b", ("geodesic",), _parse_vec, nargs=2, type=float,
+         metavar=("B1", "B2"), help="end point"),
+    _Opt("--rho", "rho", ("geodesic",), _each(_finite), [0.5], action="append",
+         type=float, help="interpolation parameter (repeatable)"),
+)
+
+
+def _pair(item: str, opt: _Opt) -> tuple:
+    name, sep, value = item.partition("=")
+    if not sep or not name:
+        raise _UsageError(f"{opt.flag} expects {opt.kw['metavar']}, got {item!r}")
+    return name, value
+
+
+def _resolve(opt: _Opt, args: argparse.Namespace, config: dict):
+    """The flag's value, else the config file's, else the default, checked
+    by opt.parse."""
+    flag, value = getattr(args, opt.dest), config.get(opt.key)
+    if opt.merge:
+        pairs = dict(_pair(item, opt) for item in flag or ())
+        return {**opt.parse({} if value is None else value, opt.key),
+                **opt.parse(pairs, opt.key)}
+    if flag is not None:
+        value = flag
+    if value is None:
+        value = opt.default() if callable(opt.default) else opt.default
+    return None if value is None else opt.parse(value, opt.key)
+
+
+# ---------------------------------------------------------------------------
+# subcommands: each takes the resolved options, keyed by config key
+
+def _given(o: dict, *keys: str) -> dict:
+    return {key: o[key] for key in keys if o[key] is not None}
+
+
+def _shooting(o: dict) -> ShootingConfig:
+    integrator = dataclasses.replace(DEFAULT_SHOOTING.integrator,
+                                     **_given(o, "rel_tol", "abs_tol"))
+    return dataclasses.replace(DEFAULT_SHOOTING, integrator=integrator,
+                               **_given(o, "newton_tol", "singular_floor"))
+
+
+def _ode_source(o: dict) -> tuple:
+    """(catalog name or None, params, ode) from --catalog or --ode."""
+    name, exprs = o["catalog"], o["ode"]
+    if name and exprs:
+        raise _UsageError("--catalog and --ode are mutually exclusive")
+    if name:
+        ode, params = _catalog.make_ode(name, o["params"])
+        return name, params, ode
+    if exprs:
+        return None, o["params"], _build_expression_ode(exprs, o["params"])
+    raise _UsageError("an ODE is required: pass --catalog NAME or --ode EXPR")
+
+
+# condition kind -> (class, names of its two data values)
+_CONDITIONS = {
+    "neumann": (NeumannConditions, "endpoint value A", "endpoint value B"),
+    "integral": (IntegralConditions, "left value A", "average slope V"),
+    "cauchy": (IntegralConditions, "initial value A", "initial velocity V"),
+}
+
+
+def _solve(o: dict) -> int:
+    shooting = _shooting(o)
+    ode = _ode_source(o)[2]
+    given = [kind for kind in _CONDITIONS if o[kind] is not None]
+    if len(given) != 1:
+        raise _UsageError("exactly one of --neumann, --integral, --cauchy is required")
+    make, what_a, what_b = _CONDITIONS[given[0]]
+    data = o[given[0]]
+    if given[0] == "cauchy":  # initial data: beta = alpha
+        data = data[:1] + data
+    conditions = make(_real(data[0], "alpha"), _real(data[1], "beta"),
+                      _parse_vec(data[2], what_a, ode.dim), _parse_vec(data[3], what_b, ode.dim))
+    if not o["taus"]:
+        raise _UsageError("at least one --tau is required")
+    solve = solve_neumann if make is NeumannConditions else solve_integral
+    result = solve(ode, conditions, shooting)
+    taus = sorted(o["taus"])
+    states = [eval_state(ode, result.trajectory, tau, shooting.integrator) for tau in taus]
+    doc = {"command": "solve", "ode": ode.label, "iterations": result.iterations,
+           "final_residual": float(result.final_residual),
+           "rows": [{"tau": tau, "x": _scalarize(st.x), "v": _scalarize(st.v)}
+                    for tau, st in zip(taus, states)]}
+    n = ode.dim
+    columns = ["tau"] + ([f"{s}{i + 1}" for s in "xv" for i in range(n)] if n > 1 else ["x", "v"])
+    _emit_doc(o["format"], doc, columns,
+              [[_cell(tau)] + [_cell(float(c)) for c in (*st.x, *st.v)]
+               for tau, st in zip(taus, states)])
+    return 0
+
+
+def _verify(o: dict) -> int:
+    laws = o["laws"]
+    if o["catalog"] or o["ode"] or any(_LAWS[law].needs_ode for law in laws):
+        name, params, ode = _ode_source(o)
+    else:
+        name, params, ode = None, o["params"], None
+    sampling = SampleSpec(count=o["samples"], seed=o["seed"], **_given(
+        o, "tau_range", "alpha_beta_range", "ab_range", "min_separation"))
+    closed = name is not None and _catalog.get_entry(name).closed_f is not None
+    cfg = RunConfig(catalog_name=name, params=params, ode=ode, sampling=sampling,
+                    shooting=_shooting(o), mode=o["mode"] or ("closed" if closed else "numeric"),
+                    connection=o["connection"], rho_range=o["rho_range"],
+                    domain_override=_given(o, "max_interval"), thresholds=o["thresholds"])
     reports: list[LawReport] = []
     all_ok = True
-    for name in laws:
-        law = _LAWS[name]
-        try:
-            law_reports = law.run(cfg)
-        except ValueError as exc:
-            raise _UsageError(str(exc))
-        except FebvpError as exc:
-            return _numeric_exit(exc)
+    for law in map(_LAWS.get, laws):
+        law_reports = law.run(cfg)
         reports.extend(law_reports)
-        limits = [_limit(key, default, cfg)
-                  for key, default in law.thresholds.items()]
+        limits = [_limit(key, default, cfg) for key, default in law.thresholds.items()]
         all_ok = (all_ok and law.passes(law_reports)
                   and all(map(_clean, law_reports, limits)))
-    doc = [r.to_json() for r in reports]
-    columns = ["law", "samples", "max_residual", "mean_residual",
-               "failures", "worst_case"]
+    columns = ["law", "samples", "max_residual", "mean_residual", "failures", "worst_case"]
     cells = [[r.law_name, str(r.samples), _cell(float(r.max_residual)),
-              _cell(float(r.mean_residual)), str(r.failures),
-              json.dumps(_plain(r.worst_case))]
+              _cell(float(r.mean_residual)), str(r.failures), json.dumps(_plain(r.worst_case))]
              for r in reports]
-    _emit_doc(cfg.output_format, doc, columns, cells)
+    _emit_doc(o["format"], [r.to_json() for r in reports], columns, cells)
     return 0 if all_ok else 2
 
 
-def cmd_reconstruct(cfg: RunConfig, points: Sequence) -> int:
+def _reconstruct(o: dict) -> int:
+    shooting = _shooting(o)
+    name, params, ode = _ode_source(o)
+    recon = ReconstructionConfig(**_given(o, "fd_step"))
+    points = [(_real(tau, "point tau"), _parse_vec(x, "point x", ode.dim),
+               _parse_vec(v, "point v", ode.dim)) for tau, x, v in o["points"]]
     if not points:
         raise _UsageError("at least one --point TAU X V is required")
-    ode = cfg.ode
-    truth = (_catalog.rhs_true(cfg.catalog_name, cfg.params)
-             if cfg.catalog_name else None)
-    S, eff = solver_extension(ode, cfg.recon, cfg.shooting)
+    truth = _catalog.rhs_true(name, params) if name else None
+    S, eff = solver_extension(ode, recon, shooting)
     rows = []
-    worst = 0.0
-    try:
-        for tau, x, v in points:
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            v = np.atleast_1d(np.asarray(v, dtype=float))
-            rebuilt = reconstruct_f(S, float(tau), x, v, eff)
-            if truth is not None:
-                if ode.dim == 1:
-                    expected = np.array([truth(float(tau), float(x[0]),
-                                               float(v[0]))])
-                else:
-                    expected = np.atleast_1d(np.asarray(
-                        truth(float(tau), x, v), dtype=float))
-                err = float(np.max(np.abs(rebuilt - expected)))
-                worst = max(worst, err)
-            else:
-                expected, err = None, None
-            rows.append((float(tau), x, v, rebuilt, expected, err))
-    except FebvpError as exc:
-        return _numeric_exit(exc)
-    doc = {
-        "command": "reconstruct",
-        "ode": ode.label,
-        "fd_step": eff.fd_step,
-        "rows": [{
-            "tau": tau,
-            "x": _scalarize(x),
-            "v": _scalarize(v),
-            "f_reconstructed": _scalarize(rebuilt),
-            "f_true": None if expected is None else _scalarize(expected),
-            "abs_err": err,
-        } for tau, x, v, rebuilt, expected, err in rows],
-    }
-    columns = ["tau", "x", "v", "f_reconstructed", "f_true", "abs_err"]
-    cells = [[_cell(tau), _cell(_scalarize(x)), _cell(_scalarize(v)),
-              _cell(_scalarize(rebuilt)),
-              "" if expected is None else _cell(_scalarize(expected)),
-              "" if err is None else _cell(err)]
-             for tau, x, v, rebuilt, expected, err in rows]
-    _emit_doc(cfg.output_format, doc, columns, cells)
-    if truth is not None and worst > cfg.recon_threshold:
+    for tau, x, v in points:
+        rebuilt = reconstruct_f(S, tau, x, v, eff)
+        expected = err = None
+        if truth is not None:
+            expected = np.atleast_1d(np.asarray(
+                truth(tau, float(x[0]), float(v[0])) if ode.dim == 1 else truth(tau, x, v),
+                dtype=float))
+            err = float(np.max(np.abs(rebuilt - expected)))
+        rows.append({"tau": tau, "x": _scalarize(x), "v": _scalarize(v),
+                     "f_reconstructed": _scalarize(rebuilt),
+                     "f_true": None if expected is None else _scalarize(expected),
+                     "abs_err": err})
+    doc = {"command": "reconstruct", "ode": ode.label, "fd_step": eff.fd_step, "rows": rows}
+    _emit_doc(o["format"], doc, list(rows[0]),
+              [[_cell(value) for value in row.values()] for row in rows])
+    # the largest error from 0.0 on, in row order, as a NaN error never wins
+    worst = max([0.0] + [row["abs_err"] for row in rows if truth is not None])
+    if worst > o["threshold"]:
         _emit_error("reconstruction_mismatch",
                     f"max |f_reconstructed - f_true| = {worst!r} exceeds "
-                    f"threshold {cfg.recon_threshold!r}",
-                    {"max_abs_err": worst,
-                     "threshold": cfg.recon_threshold})
+                    f"threshold {o['threshold']!r}",
+                    {"max_abs_err": worst, "threshold": o["threshold"]})
         return 2
     return 0
 
 
-def cmd_geodesic(cfg: RunConfig, a, b, rhos: Sequence[float]) -> int:
-    gmap = _geodesic_map(cfg)
-    dim = gmap.connection.dim
-    a = _parse_vec(a, dim, "--a")
-    b = _parse_vec(b, dim, "--b")
-    if cfg.connection == "half_plane" and (a[1] <= 0 or b[1] <= 0):
-        raise _UsageError("half-plane points need a positive second "
-                          "component")
-    rows = []
-    try:
-        for rho in sorted(float(r) for r in rhos):
-            point = gmap.eval(a, b, rho)
-            rows.append((rho, point))
-    except FebvpError as exc:
-        return _numeric_exit(exc)
-    doc = {
-        "command": "geodesic",
-        "connection": cfg.connection,
-        "a": [float(c) for c in a],
-        "b": [float(c) for c in b],
-        "rows": [{"rho": rho, "point": [float(c) for c in point]}
-                 for rho, point in rows],
-    }
-    columns = ["rho"] + [f"point{i + 1}" for i in range(dim)]
-    cells = [[_cell(rho)] + [_cell(float(c)) for c in point]
-             for rho, point in rows]
-    _emit_doc(cfg.output_format, doc, columns, cells)
+def _geodesic(o: dict) -> int:
+    gmap = _geodesic_map(o["connection"], _shooting(o))
+    a, b = o["a"], o["b"]
+    if a is None or b is None:
+        raise _UsageError("--a and --b are required")
+    if o["connection"] == "half_plane" and (a[1] <= 0 or b[1] <= 0):
+        raise _UsageError("half-plane points need a positive second component")
+    rows = [{"rho": rho, "point": [float(c) for c in gmap.eval(a, b, rho)]}
+            for rho in sorted(o["rho"])]
+    doc = {"command": "geodesic", "connection": o["connection"],
+           "a": [float(c) for c in a], "b": [float(c) for c in b], "rows": rows}
+    columns = ["rho"] + [f"point{i + 1}" for i in range(gmap.connection.dim)]
+    _emit_doc(o["format"], doc, columns,
+              [[_cell(row["rho"])] + [_cell(c) for c in row["point"]] for row in rows])
     return 0
+
+
+class _Command(NamedTuple):
+    help: str
+    run: Callable[[dict], int]
+
+
+_COMMANDS = {
+    "solve": _Command("solve one problem and print (tau, x, v) rows", _solve),
+    "verify": _Command("sample law residuals and report them", _verify),
+    "reconstruct": _Command("rebuild the rhs from the solution operator at given states",
+                            _reconstruct),
+    "geodesic": _Command("evaluate a connection's interpolation map", _geodesic),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -714,244 +663,37 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON file with option defaults")
-    sub.add_argument("--format", choices=_FORMATS, dest="format",
-                     help="output format (default table)")
-    sub.add_argument("--seed", type=int,
-                     help="PRNG seed (default: FEBVP_SEED or 0)")
-
-
-def _add_ode_source(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--catalog", help="catalog family name")
-    sub.add_argument("--param", action="append", metavar="NAME=VALUE",
-                     help="family or expression parameter (repeatable)")
-    sub.add_argument("--ode", action="append", metavar="EXPR",
-                     help="rhs expression; repeat for vector components; "
-                     "write one that starts with '-' as --ode=-x")
-
-
-def _add_tolerances(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--newton-tol", type=float, dest="newton_tol")
-    sub.add_argument("--rel-tol", type=float, dest="rel_tol")
-    sub.add_argument("--abs-tol", type=float, dest="abs_tol")
-    sub.add_argument("--singular-floor", type=float, dest="singular_floor",
-                     help="conjugate-interval sensitivity: the shooting "
-                     "Jacobian is declared singular below this fraction "
-                     "of its natural scale")
-
-
-def _add_sampling(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--samples", type=int, help="sample count (default 200)")
-    sub.add_argument("--tau-range", nargs=2, type=float, dest="tau_range",
-                     metavar=("LO", "HI"))
-    sub.add_argument("--alpha-beta-range", nargs=2, type=float,
-                     dest="alpha_beta_range", metavar=("LO", "HI"))
-    sub.add_argument("--ab-range", nargs=2, type=float, dest="ab_range",
-                     metavar=("LO", "HI"))
-    sub.add_argument("--min-separation", type=float, dest="min_separation")
-    sub.add_argument("--max-interval", type=float, dest="max_interval",
-                     help="override the family's endpoint span cap")
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built from _OPTIONS on first use and
+    kept for the process."""
     parser = _Parser(prog="febvp", description=__doc__.split("\n\n")[0])
     subs = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    solve = subs.add_parser("solve", help="solve one problem and print "
-                            "(tau, x, v) rows")
-    _add_common(solve)
-    _add_ode_source(solve)
-    _add_tolerances(solve)
-    solve.add_argument("--neumann", nargs=4, metavar=("ALPHA", "BETA", "A", "B"),
-                       help="endpoint data x(alpha)=A, x(beta)=B")
-    solve.add_argument("--integral", nargs=4, metavar=("ALPHA", "BETA", "A", "V"),
-                       help="left value A and average slope V")
-    solve.add_argument("--cauchy", nargs=3, metavar=("ALPHA", "A", "V"),
-                       help="initial value A and initial velocity V")
-    solve.add_argument("--tau", action="append", type=float,
-                       help="evaluation time (repeatable)")
-
-    verify = subs.add_parser("verify", help="sample law residuals and "
-                             "report them")
-    _add_common(verify)
-    _add_ode_source(verify)
-    _add_tolerances(verify)
-    _add_sampling(verify)
-    verify.add_argument("--laws", help="comma-separated subset of: "
-                        + ", ".join(KNOWN_LAWS))
-    verify.add_argument("--mode", choices=("closed", "numeric"),
-                        help="evaluate closed forms or the shooting solver")
-    verify.add_argument("--connection", choices=("flat", "half_plane"),
-                        help="connection for klapka/jensen (default flat)")
-    verify.add_argument("--rho-range", nargs=2, type=float, dest="rho_range",
-                        metavar=("LO", "HI"))
-    verify.add_argument("--threshold", action="append", metavar="LAW=VALUE",
-                        help="override a pass threshold (repeatable; LAW "
-                        "one of: " + ", ".join(_threshold_keys()) + ")")
-
-    recon = subs.add_parser("reconstruct", help="rebuild the rhs from the "
-                            "solution operator at given states")
-    _add_common(recon)
-    _add_ode_source(recon)
-    _add_tolerances(recon)
-    recon.add_argument("--point", action="append", nargs=3,
-                       metavar=("TAU", "X", "V"),
-                       help="state to reconstruct at (repeatable; X and V "
-                       "are comma-separated for vector odes)")
-    recon.add_argument("--fd-step", type=float, dest="fd_step")
-    recon.add_argument("--threshold", type=float,
-                       help="abs error gate when the true rhs is known "
-                       "(default 1e-4)")
-
-    geo = subs.add_parser("geodesic", help="evaluate a connection's "
-                          "interpolation map")
-    _add_common(geo)
-    _add_tolerances(geo)
-    geo.add_argument("--connection", choices=("flat", "half_plane"),
-                     help="default flat")
-    geo.add_argument("--a", nargs=2, type=float, metavar=("A1", "A2"),
-                     help="start point")
-    geo.add_argument("--b", nargs=2, type=float, metavar=("B1", "B2"),
-                     help="end point")
-    geo.add_argument("--rho", action="append", type=float,
-                     help="interpolation parameter (repeatable)")
-
+    for name, command in _COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        for opt in _OPTIONS:
+            if name in opt.commands:
+                sub.add_argument(opt.flag, **opt.kw)
     return parser
 
 
-def _base_config(args, config) -> RunConfig:
-    fmt = _pick(getattr(args, "format", None), config, "format", "table")
-    if fmt not in _FORMATS:
-        raise _UsageError(f"format must be one of {', '.join(_FORMATS)}")
-    seed = _resolve_seed(getattr(args, "seed", None), config)
-    shooting = _resolve_shooting(args, config)
-    return RunConfig(output_format=fmt, seed=seed, shooting=shooting)
-
-
-def _dispatch(args) -> int:
-    config = _load_config(getattr(args, "config", None))
-    cfg = _base_config(args, config)
-
-    if args.command == "solve":
-        cfg.catalog_name, cfg.params, cfg.exprs, cfg.ode = _resolve_ode(
-            args, config)
-        neumann = _pick(args.neumann, config, "neumann", None)
-        integral = _pick(args.integral, config, "integral", None)
-        cauchy = _pick(args.cauchy, config, "cauchy", None)
-        given = [c for c in (neumann, integral, cauchy) if c is not None]
-        if len(given) != 1:
-            raise _UsageError(
-                "exactly one of --neumann, --integral, --cauchy is required")
-        dim = cfg.ode.dim
-        try:
-            if neumann is not None:
-                cfg.conditions = NeumannConditions(
-                    _parse_float(neumann[0], "alpha"),
-                    _parse_float(neumann[1], "beta"),
-                    _parse_vec(neumann[2], dim, "endpoint value A"),
-                    _parse_vec(neumann[3], dim, "endpoint value B"))
-            elif integral is not None:
-                cfg.conditions = IntegralConditions(
-                    _parse_float(integral[0], "alpha"),
-                    _parse_float(integral[1], "beta"),
-                    _parse_vec(integral[2], dim, "left value A"),
-                    _parse_vec(integral[3], dim, "average slope V"))
-            else:
-                alpha = _parse_float(cauchy[0], "alpha")
-                cfg.conditions = IntegralConditions(
-                    alpha, alpha,
-                    _parse_vec(cauchy[1], dim, "initial value A"),
-                    _parse_vec(cauchy[2], dim, "initial velocity V"))
-        except ValueError as exc:
-            raise _UsageError(str(exc))
-        cfg.taus = list(_pick(args.tau, config, "taus", []) or [])
-        return cmd_solve(cfg)
-
-    if args.command == "verify":
-        laws_value = _pick(args.laws, config, "laws",
-                           "composition,boundary")
-        if isinstance(laws_value, str):
-            laws = [w.strip() for w in laws_value.split(",") if w.strip()]
-        else:
-            laws = [str(w) for w in laws_value]
-        if not laws:
-            raise _UsageError("no laws requested")
-        needs_ode = any(_LAWS[law].needs_ode for law in laws
-                        if law in _LAWS)
-        source_given = (_pick(args.catalog, config, "catalog", None)
-                        or _pick(args.ode, config, "ode", None))
-        if needs_ode or source_given:
-            cfg.catalog_name, cfg.params, cfg.exprs, cfg.ode = _resolve_ode(
-                args, config)
-        else:
-            cfg.params = _parse_params(getattr(args, "param", None),
-                                       config.get("params"))
-        cfg.sampling = _resolve_sampling(args, config, cfg.seed)
-        default_mode = "closed"
-        if cfg.catalog_name:
-            if _catalog.get_entry(cfg.catalog_name).closed_f is None:
-                default_mode = "numeric"
-        else:
-            default_mode = "numeric"
-        cfg.mode = _pick(args.mode, config, "mode", default_mode)
-        if cfg.mode not in ("closed", "numeric"):
-            raise _UsageError("mode must be closed or numeric")
-        cfg.connection = _pick(args.connection, config, "connection", "flat")
-        rho_range = _parse_range(
-            _pick(args.rho_range, config, "rho_range", None), "rho range")
-        if rho_range is not None:
-            cfg.rho_range = rho_range
-        max_interval = _pick(args.max_interval, config, "max_interval", None)
-        if max_interval is not None:
-            cfg.domain_override["max_interval"] = _parse_float(
-                max_interval, "max_interval")
-        cfg.thresholds = _resolve_thresholds(args, config)
-        return cmd_verify(cfg, laws)
-
-    if args.command == "reconstruct":
-        cfg.catalog_name, cfg.params, cfg.exprs, cfg.ode = _resolve_ode(
-            args, config)
-        fd_step = _pick(args.fd_step, config, "fd_step", None)
-        if fd_step is not None:
-            cfg.recon = ReconstructionConfig(
-                fd_step=_parse_float(fd_step, "fd_step"))
-        threshold = _pick(args.threshold, config, "threshold", None)
-        if threshold is not None:
-            cfg.recon_threshold = _parse_threshold(threshold, "threshold")
-        raw_points = _pick(args.point, config, "points", None) or []
-        dim = cfg.ode.dim
-        points = []
-        for item in raw_points:
-            if len(item) != 3:
-                raise _UsageError("each point needs TAU X V")
-            points.append((
-                _parse_float(item[0], "point tau"),
-                _parse_vec(item[1], dim, "point x"),
-                _parse_vec(item[2], dim, "point v")))
-        return cmd_reconstruct(cfg, points)
-
-    if args.command == "geodesic":
-        cfg.connection = _pick(args.connection, config, "connection", "flat")
-        a = _pick(args.a, config, "a", None)
-        b = _pick(args.b, config, "b", None)
-        if a is None or b is None:
-            raise _UsageError("--a and --b are required")
-        rhos = list(_pick(args.rho, config, "rho", None) or [0.5])
-        return cmd_geodesic(cfg, a, b, rhos)
-
-    raise _UsageError("a subcommand is required: solve, verify, "
-                      "reconstruct, or geodesic")
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _dispatch(args)
-    except _UsageError as exc:
-        _emit_error("config_error", str(exc), _plain(exc.context))
+        args = build_parser().parse_args(argv)
+        if args.command is None:
+            raise _UsageError("a subcommand is required: solve, verify, "
+                              "reconstruct, or geodesic")
+        config = _load_config(args.config) if args.config else {}
+        return _COMMANDS[args.command].run({
+            opt.key: _resolve(opt, args, config) for opt in _OPTIONS
+            if opt.key and args.command in opt.commands})
+    except ValueError as exc:
+        # a _UsageError, or a config dataclass rejecting a value
+        _emit_error("config_error", str(exc), _plain(getattr(exc, "context", {})))
         return 1
+    except FebvpError as exc:
+        _emit_error(exc.code, str(exc), _plain(exc.context))
+        return 2
 
 
 if __name__ == "__main__":

@@ -149,6 +149,19 @@ class IntegratorConfig:
     h_min: float = 1e-12
     max_steps: int = 1_000_000
 
+    def __post_init__(self):
+        # A NaN or negative tolerance turns off error control, and a NaN
+        # step floor never compares as undercut.  A zero tolerance is
+        # legal: a zero error scale rejects the step.
+        for name in ("rel_tol", "abs_tol", "h_min"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+        if not (math.isfinite(self.h_init) and self.h_init > 0):
+            raise ValueError(f"h_init must be a finite number > 0, got {self.h_init!r}")
+        if not self.max_steps >= 1:
+            raise ValueError(f"max_steps must be >= 1, got {self.max_steps!r}")
+
 
 # Dormand-Prince 5(4) tableau (Butcher coefficients), the embedded error
 # weights E = b5 - b4hat, and the quartic dense-output matrix P.
@@ -357,7 +370,10 @@ def integrate_ivp(ode: SecondOrderOde, start: StatePoint, tau_end: float,
         knots, states, steps = _integrate_scalar(
             ode.rhs1, t0, float(start.x[0]), float(start.v[0]), tau_end, config)
         return Trajectory(n, knots, states, steps, _dense_scalar, label=ode.label)
-    knots, states, steps = _integrate_vector(ode, t0, start, tau_end, config)
+    # A zero error scale makes the kernel's NumPy divide give inf or nan,
+    # which rejects the step; its warning would reach stderr.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        knots, states, steps = _integrate_vector(ode, t0, start, tau_end, config)
     return Trajectory(n, knots, states, steps, _dense_vector, label=ode.label)
 
 

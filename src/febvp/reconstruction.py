@@ -10,6 +10,7 @@ numeric shooting extension of an ODE and compares with the true rhs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -65,8 +66,8 @@ class ReconstructionConfig:
     richardson: bool = True
 
     def __post_init__(self):
-        if not self.fd_step > 0:
-            raise ValueError("fd_step must be > 0")
+        if not (math.isfinite(self.fd_step) and self.fd_step > 0):
+            raise ValueError(f"fd_step must be a finite number > 0, got {self.fd_step!r}")
 
 
 def noise_aware_step(cfg: ReconstructionConfig, solver_tol: float) -> float:

@@ -760,3 +760,19 @@ def test_eval_many_rejects_out_of_span():
     for taus in ([0.5, 1.5], [math.nan], [-0.1, 0.2]):
         with pytest.raises(OutOfSpan):
             traj.eval_many(taus)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rel_tol", math.nan), ("rel_tol", -1e-8), ("rel_tol", math.inf),
+    ("abs_tol", math.nan), ("abs_tol", -1.0), ("h_init", 0.0),
+    ("h_init", -1e-3), ("h_init", math.nan), ("h_min", -1.0),
+    ("h_min", math.nan), ("max_steps", 0)])
+def test_integrator_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        IntegratorConfig(**{field: value})
+
+
+def test_integrator_config_accepts_zero_tolerances_and_floor():
+    # a zero error scale is legal: it rejects steps until step_underflow
+    cfg = IntegratorConfig(rel_tol=0.0, abs_tol=0.0, h_min=0.0, max_steps=1)
+    assert (cfg.rel_tol, cfg.abs_tol, cfg.h_min) == (0.0, 0.0, 0.0)
