@@ -98,9 +98,13 @@ def _plain(obj):
 
 
 def _cell(value) -> str:
+    if isinstance(value, float):
+        return repr(value)
     if isinstance(value, (list, tuple)):
         return " ".join(_cell(v) for v in value)
-    return repr(value) if isinstance(value, float) else "" if value is None else str(value)
+    if value is None:
+        return ""
+    return str(value)
 
 
 def _scalarize(vec: np.ndarray):
@@ -123,32 +127,30 @@ def _emit_doc(fmt: str, doc, columns: Sequence[str], rows: Sequence[Sequence[str
 # value parsers: each takes a flag or config-file value and the name to
 # report it under, and returns the checked value or raises _UsageError
 
-def _real(value, what: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise _UsageError(f"{what} must be a real number, got {value!r}")
+def _convert(kind: type, noun: str) -> Callable:
+    def parse(value, what: str):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            raise _UsageError(f"{what} must be {noun}, got {value!r}")
+    return parse
 
 
-def _finite(value, what: str) -> float:
-    number = _real(value, what)
-    if not math.isfinite(number):
-        raise _UsageError(f"{what} must be a finite number, got {value!r}")
-    return number
+_real = _convert(float, "a real number")
+_integer = _convert(int, "an integer")
 
 
-def _integer(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise _UsageError(f"{what} must be an integer, got {value!r}")
+def _bounded(test: Callable, noun: str) -> Callable:
+    def parse(value, what: str) -> float:
+        number = _real(value, what)
+        if not test(number):
+            raise _UsageError(f"{what} must be {noun}, got {value!r}")
+        return number
+    return parse
 
 
-def _threshold(value, what: str) -> float:
-    limit = _real(value, what)
-    if not limit >= 0:
-        raise _UsageError(f"{what} must be a number >= 0, got {value!r}")
-    return limit
+_finite = _bounded(math.isfinite, "a finite number")
+_threshold = _bounded(lambda number: number >= 0, "a number >= 0")
 
 
 def _text(value, what: str) -> str:
@@ -263,10 +265,6 @@ def _build_expression_ode(exprs: Sequence[str], params: Mapping) -> SecondOrderO
 # ---------------------------------------------------------------------------
 # the laws of verify
 
-def _apply_domain_override(domain: EvalDomain, override: Mapping) -> EvalDomain:
-    return dataclasses.replace(domain, **override) if override else domain
-
-
 def _make_evaluator(cfg: RunConfig) -> DependenceEvaluator:
     if cfg.catalog_name is not None:
         entry = _catalog.get_entry(cfg.catalog_name)
@@ -278,11 +276,11 @@ def _make_evaluator(cfg: RunConfig) -> DependenceEvaluator:
         else:
             ev = _catalog.numeric_evaluator(cfg.catalog_name, cfg.params, cfg.shooting)
         return dataclasses.replace(
-            ev, domain=_apply_domain_override(ev.domain, cfg.domain_override))
+            ev, domain=dataclasses.replace(ev.domain, **cfg.domain_override))
     if cfg.mode == "closed":
         raise _UsageError("expression odes have no closed form; use --mode numeric")
-    domain = _apply_domain_override(EvalDomain(), cfg.domain_override)
-    return evaluator_from_ode(cfg.ode, cfg.shooting, domain=domain, label=cfg.ode.label)
+    return evaluator_from_ode(cfg.ode, cfg.shooting, domain=EvalDomain(**cfg.domain_override),
+                              label=cfg.ode.label)
 
 
 def _geodesic_map(connection: str, shooting: ShootingConfig) -> GeodesicMap:
@@ -602,7 +600,7 @@ def _reconstruct(o: dict) -> int:
     doc = {"command": "reconstruct", "ode": ode.label, "fd_step": eff.fd_step, "rows": rows}
     _emit_doc(o["format"], doc, list(rows[0]),
               [[_cell(value) for value in row.values()] for row in rows])
-    # the largest error from 0.0 on, in row order, as a NaN error never wins
+    # from 0.0 on, so that a NaN error never becomes the maximum
     worst = max([0.0] + [row["abs_err"] for row in rows if truth is not None])
     if worst > o["threshold"]:
         _emit_error("reconstruction_mismatch",
@@ -666,7 +664,7 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built from _OPTIONS on first use and
-    kept for the process."""
+    shared for the rest of the process, so callers must not change it."""
     parser = _Parser(prog="febvp", description=__doc__.split("\n\n")[0])
     subs = parser.add_subparsers(dest="command", parser_class=_Parser)
     for name, command in _COMMANDS.items():
