@@ -70,7 +70,6 @@ from .geodesics import (
     check_klapka,
     connection_asymmetry,
     flat_connection,
-    geodesic_G,
     geodesic_ode,
     half_plane_connection,
     half_plane_geodesic_point,

@@ -647,9 +647,11 @@ _COMMANDS = {
 
 # argparse reads an argument that starts with "-" as an option unless its
 # negative-number pattern matches, and its own pattern takes only "-1" and
-# "-1.5".  This one also takes exponents and comma lists ("-1e-3",
-# "-0.3,0.4"), so that values like these need no "--flag=value" form.
-_NEGATIVE_VALUE = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?(,.*)?$")
+# "-1.5".  This one also takes exponents, comma lists and the names float()
+# reads ("-1e-3", "-0.3,0.4", "-inf", "-nan"), so that values like these
+# need no "--flag=value" form and reach the value checks.
+_NEGATIVE_VALUE = re.compile(
+    r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|(?i:inf|infinity|nan))(,.*)?$")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -116,6 +116,11 @@ class EvalDomain:
     min_separation: float = 0.0
     max_interval: Optional[float] = None
 
+    def __post_init__(self):
+        # draw_pair compares the span with <=, which NaN never fails.
+        if self.max_interval is not None and not self.max_interval >= 0:
+            raise ValueError(f"max_interval must be a number >= 0, got {self.max_interval!r}")
+
 
 @dataclass(eq=False)
 class DependenceEvaluator:
@@ -147,6 +152,9 @@ class SampleSpec:
             raise ValueError("count must be >= 1")
         if not self.min_separation > 0:
             raise ValueError("min_separation must be > 0")
+        for name in ("tau_range", "alpha_beta_range", "ab_range"):
+            if any(math.isnan(end) for end in getattr(self, name)):
+                raise ValueError(f"{name} must not have a NaN end, got {getattr(self, name)!r}")
 
 
 @dataclass(eq=False)

@@ -48,7 +48,6 @@ __all__ = [
     "flat_connection",
     "half_plane_connection",
     "geodesic_ode",
-    "geodesic_G",
     "connection_asymmetry",
     "check_klapka",
     "jensen_midpoint_check",
@@ -154,11 +153,6 @@ class GeodesicMap:
         b = np.atleast_1d(np.asarray(b, dtype=float))
         cond = NeumannConditions(0.0, 1.0, a, b)
         return eval_F(self.ode, float(rho), cond, self.shooting_cfg)
-
-
-def geodesic_G(gmap: GeodesicMap, a, b, rho: float) -> np.ndarray:
-    """Functional form of GeodesicMap.eval."""
-    return gmap.eval(a, b, rho)
 
 
 def _interpolation_law(name: str, gmap: GeodesicMap,

@@ -6,20 +6,35 @@ step-ratio clamp [0.2, 5.0]).  Integration works forward or backward in tau
 and produces a Trajectory that can be evaluated anywhere inside the covered
 span; evaluation exactly at a stored knot returns the stored state bitwise.
 
-There are two step kernels, and both compute on plain Python floats and
-call a float-level rhs, ``SecondOrderOde.rhs1``: a dim-1 one for an ode
-whose ``rhs1`` takes and returns floats, and a dim-n one for every other
-ode.  The dim-n kernel calls ``rhs1`` with lists of n floats when it is set
-(geodesics of connections with a float-level acceleration, compiled
-``--ode`` expressions), and otherwise a wrapper around the array ``rhs``,
-built once per run, that hands it fresh (n,) arrays and reads its result
-back as floats.  It keeps the state and the seven stages as lists of 2n
-floats and builds each stage state with one list comprehension, in the
-operation order of the whole-array NumPy expressions it replaced (NumPy's
-elementwise ops round as Python floats do, so the bits are those of the
-array version).  Its error norm stays a NumPy dot product of the 2n
-ratios: OpenBLAS ``ddot`` rounds like a sequence of fused multiply-adds,
-which a Python sum does not reproduce.
+There is one step loop, written once as a template (_TEMPLATE) and
+unrolled for each dimension n into straight-line code over named floats:
+one statement per component and stage (x0_2, v0_2, k0_2, x1_2, ...), with
+no lists, comprehensions or per-stage helper calls.  _kernel generates
+the source, compiles it once per (n, variant), caches it and registers it
+with linecache, so that tracebacks show its lines.  Both variants call a
+float-level rhs, ``SecondOrderOde.rhs1``, and differ in three snippets:
+
+- the rhs call: the dim-1 variant's ``rhs1`` takes and returns floats,
+  and the seven values of a step are checked together once they are in;
+  the dim-n variant calls ``rhs1`` with lists of n floats (the
+  half-plane geodesic's accel, compiled ``--ode`` expressions), or a
+  wrapper around the array ``rhs`` that hands it fresh (n,) arrays, and
+  checks the length and each value's finiteness as they come;
+- the error scale: builtin max in dim 1, np.maximum's rule (a NaN wins)
+  in dim n;
+- the error norm: a plain sum in dim 1; in dim n the ratios are divided
+  in Python floats and summed by NumPy's dot, because OpenBLAS ``ddot``
+  rounds like a sequence of fused multiply-adds, which a Python sum does
+  not reproduce.  In both, a zero scale makes the division raise
+  ZeroDivisionError, which rejects the step; the dim-n norm also skips
+  the dot where its squares would overflow (and NumPy warn), since the
+  step is rejected then too.
+
+Each statement is the scalar form of a whole-array NumPy expression, in
+its operation order (NumPy's elementwise ops round as Python floats do),
+so the dim-n bits are those of the array version; the tests keep both an
+array reference kernel and a plain dim-1 one, and pin every result to
+theirs bit for bit.
 
 The step loop only records each accepted step: its start time, width,
 start state and the seven stage derivatives go into one flat
@@ -39,8 +54,12 @@ and a Trajectory returns the same bits for a tau whatever it was asked before.
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
+import linecache
 import math
 import operator
+import re
 from array import array
 from dataclasses import dataclass
 from typing import Callable
@@ -370,147 +389,23 @@ def integrate_ivp(ode: SecondOrderOde, start: StatePoint, tau_end: float,
         knots, states, steps = _integrate_scalar(
             ode.rhs1, t0, float(start.x[0]), float(start.v[0]), tau_end, config)
         return Trajectory(n, knots, states, steps, _dense_scalar, label=ode.label)
-    # A zero error scale makes the kernel's NumPy divide give inf or nan,
-    # which rejects the step; its warning would reach stderr.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        knots, states, steps = _integrate_vector(ode, t0, start, tau_end, config)
+    knots, states, steps = _integrate_vector(ode, t0, start, tau_end, config)
     return Trajectory(n, knots, states, steps, _dense_vector, label=ode.label)
 
 
 def _integrate_scalar(f, t0: float, x0: float, v0: float, t_end: float,
                       cfg: IntegratorConfig):
-    """Unrolled dim-1 kernel; same scheme as the vector path, plain floats.
+    """The dim-1 kernel on a float rhs f(tau, x, v) -> float."""
+    return _kernel(1, "scalar")(f, t0, (x0, v0), t_end, cfg)
 
-    The loop does the floating-point operations of _pi_factor and of the
-    builtin max/min inline, in the same order: max(a, b) is written
-    ``b if b > a else a`` and min(a, b) ``b if b < a else a``.
-    """
-    # Locals are cheaper to read than module globals on every step.
-    isfinite, sqrt, inf = math.isfinite, math.sqrt, math.inf
-    c2, c3, c4, c5 = _C2, _C3, _C4, _C5
-    a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
-    a51, a52, a53, a54 = _A51, _A52, _A53, _A54
-    a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
-    b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
-    e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
-    safety, neg_ki, kp = _SAFETY, -_KI, _KP
-    min_factor, max_factor, err_prev_init = _MIN_FACTOR, _MAX_FACTOR, _ERR_PREV_INIT
-    rel, at = cfg.rel_tol, cfg.abs_tol
-    h_min, max_steps = cfg.h_min, cfg.max_steps
 
-    direction = 1.0 if t_end > t0 else -1.0
-    t, x, v = t0, x0, v0
-    kv1 = f(t, x, v)
-    if not isfinite(kv1):
-        raise NonFiniteRhs(f"rhs returned a non-finite value at tau={t!r}", tau=t)
-    kx1 = v
-    h = direction * min(cfg.h_init, abs(t_end - t0))
-    err_prev = err_prev_init
-    attempts = 0
-
-    knots = array("d", (t0,))
-    states = array("d", (x0, v0))
-    steps = array("d")
-    # Accepted steps collect in lists, moved into the arrays in batches.
-    pending_knots = []
-    pending_states = []
-    pending_steps = []
-
-    remaining = t_end - t
-    while remaining * direction > 0.0:
-        if abs(h) >= abs(remaining):
-            hs, last = remaining, True
-        else:
-            hs, last = h, False
-            if abs(hs) < h_min:
-                raise StepSizeUnderflow(
-                    f"step size {abs(hs)!r} fell below h_min={h_min!r} at tau={t!r}",
-                    tau=t, h=abs(hs))
-        attempts += 1
-        if attempts > max_steps:
-            raise MaxStepsExceeded(
-                f"exceeded max_steps={max_steps} before reaching tau={t_end!r}",
-                tau=t, max_steps=max_steps)
-
-        # Stages 2..6: x-derivative is the stage velocity, v-derivative is f.
-        x2 = x + hs * (a21 * kx1)
-        v2 = v + hs * (a21 * kv1)
-        kv2 = f(t + c2 * hs, x2, v2)
-        x3 = x + hs * (a31 * kx1 + a32 * v2)
-        v3 = v + hs * (a31 * kv1 + a32 * kv2)
-        kv3 = f(t + c3 * hs, x3, v3)
-        x4 = x + hs * (a41 * kx1 + a42 * v2 + a43 * v3)
-        v4 = v + hs * (a41 * kv1 + a42 * kv2 + a43 * kv3)
-        kv4 = f(t + c4 * hs, x4, v4)
-        x5 = x + hs * (a51 * kx1 + a52 * v2 + a53 * v3 + a54 * v4)
-        v5 = v + hs * (a51 * kv1 + a52 * kv2 + a53 * kv3 + a54 * kv4)
-        kv5 = f(t + c5 * hs, x5, v5)
-        x6 = x + hs * (a61 * kx1 + a62 * v2 + a63 * v3 + a64 * v4 + a65 * v5)
-        v6 = v + hs * (a61 * kv1 + a62 * kv2 + a63 * kv3 + a64 * kv4 + a65 * kv5)
-        kv6 = f(t + hs, x6, v6)
-        x_new = x + hs * (b1 * kx1 + b3 * v3 + b4 * v4 + b5 * v5 + b6 * v6)
-        v_new = v + hs * (b1 * kv1 + b3 * kv3 + b4 * kv4 + b5 * kv5 + b6 * kv6)
-        t_new = t_end if last else t + hs
-        kv7 = f(t_new, x_new, v_new)
-        if not (isfinite(kv2) and isfinite(kv3) and isfinite(kv4)
-                and isfinite(kv5) and isfinite(kv6) and isfinite(kv7)):
-            raise NonFiniteRhs(f"rhs returned a non-finite value near tau={t!r}", tau=t)
-
-        err_x = hs * (e1 * kx1 + e3 * v3 + e4 * v4 + e5 * v5 + e6 * v6 + e7 * v_new)
-        err_v = hs * (e1 * kv1 + e3 * kv3 + e4 * kv4 + e5 * kv5 + e6 * kv6 + e7 * kv7)
-        s0, s1 = abs(x), abs(x_new)
-        sx = at + rel * (s1 if s1 > s0 else s0)
-        s0, s1 = abs(v), abs(v_new)
-        sv = at + rel * (s1 if s1 > s0 else s0)
-        try:
-            ex = err_x / sx
-            ev = err_v / sv
-        except ZeroDivisionError:
-            # A zero scale: reject as the dim-n kernel does on its inf/nan.
-            en = inf
-        else:
-            en = sqrt(0.5 * (ex * ex + ev * ev))
-
-        if isfinite(en) and en <= 1.0:
-            pending_steps += (t, hs, x, v, kx1, kv1, v2, kv2, v3, kv3, v4, kv4,
-                              v5, kv5, v6, kv6, v_new, kv7)
-            pending_knots.append(t_new)
-            pending_states += (x_new, v_new)
-            if len(pending_steps) >= _FLUSH_DOUBLES:
-                steps.fromlist(pending_steps)
-                knots.fromlist(pending_knots)
-                states.fromlist(pending_states)
-                pending_steps.clear()
-                pending_knots.clear()
-                pending_states.clear()
-            # _pi_factor(en, err_prev), then max(en, _ERR_PREV_INIT).
-            if en == 0.0:
-                fac = max_factor
-            else:
-                fac = safety * en ** neg_ki * err_prev ** kp
-                fac = fac if fac > min_factor else min_factor
-                fac = fac if fac < max_factor else max_factor
-            h = hs * fac
-            err_prev = err_prev_init if err_prev_init > en else en
-            t, x, v = t_new, x_new, v_new
-            kx1, kv1 = v_new, kv7
-            remaining = t_end - t
-        else:
-            if isfinite(en):
-                fac = safety * en ** -0.2
-                fac = fac if fac > min_factor else min_factor
-            else:
-                fac = min_factor
-            h = hs * fac
-            if abs(h) < h_min:
-                raise StepSizeUnderflow(
-                    f"step size {abs(h)!r} fell below h_min={h_min!r} at tau={t!r}",
-                    tau=t, h=abs(h))
-    # Concatenation allocates each buffer at its exact size (fromlist would
-    # over-allocate by about 1/16, and cached trajectories keep that).
-    return (knots + array("d", pending_knots),
-            states + array("d", pending_states),
-            steps + array("d", pending_steps))
+def _integrate_vector(ode: SecondOrderOde, t0: float, start: StatePoint,
+                      t_end: float, cfg: IntegratorConfig):
+    """The dim-n kernel on ``ode.rhs1``, or on ``ode.rhs`` behind _float_rhs.
+    Both are looked up on every call."""
+    f = ode.rhs1 if ode.rhs1 is not None else _float_rhs(ode.rhs, ode.dim)
+    y0 = np.concatenate([start.x, start.v]).astype(float).tolist()
+    return _kernel(ode.dim, "vector")(f, t0, y0, t_end, cfg)
 
 
 def _float_rhs(rhs: Callable, n: int) -> Callable:
@@ -534,18 +429,23 @@ def _float_rhs(rhs: Callable, n: int) -> Callable:
     return f
 
 
-def _integrate_vector(ode: SecondOrderOde, t0: float, start: StatePoint,
-                      t_end: float, cfg: IntegratorConfig):
-    """Dim-n kernel on lists of plain floats, with the bits of whole-array
-    NumPy expressions.
-
-    y and the stages K1..K7 are lists of 2n floats; each stage state is one
-    comprehension ``y[i] + hs * (a1 * K1[i] + a2 * K2[i] + ...)``, in the
-    order NumPy evaluates the same expression on arrays.  The rhs is the
-    float-level ``ode.rhs1``, or the array ``ode.rhs`` behind _float_rhs.
-    Accepted steps collect in lists as in the scalar kernel.
-    """
-    isfinite, sqrt = math.isfinite, math.sqrt
+# The step loop, written once; _kernel unrolls it for a dimension n and a
+# variant of _VARIANTS:
+#
+# - ``name{*}suffix`` becomes ``name0suffix, name1suffix, ...``;
+# - each run of lines holding ``{i}`` is repeated once per component i;
+# - ``@call S TIME`` becomes the variant's rhs call for stage S at TIME,
+#   ``@check`` and ``@norm`` its other statements and ``{scale}`` its max.
+#
+# Component i of stage s = 1..7 is x{i}_{s}, v{i}_{s} and k{i}_{s}, the rhs
+# value there; stage 1 is the step's start, stage 7 its end, and the stage
+# derivative is (v{i}_{s}, k{i}_{s}).  max/min and _pi_factor are inline:
+# max(a, b) is written ``b if b > a else a`` and min(a, b)
+# ``b if b < a else a``.
+_TEMPLATE = '''\
+def kernel(f, t0, y0, t_end, cfg):
+    # Locals are cheaper to read than module globals on every step.
+    isfinite, sqrt, inf, new_array, dot = math.isfinite, math.sqrt, math.inf, np.array, np.dot
     c2, c3, c4, c5 = _C2, _C3, _C4, _C5
     a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
     a51, a52, a53, a54 = _A51, _A52, _A53, _A54
@@ -557,36 +457,19 @@ def _integrate_vector(ode: SecondOrderOde, t0: float, start: StatePoint,
     rel, at = cfg.rel_tol, cfg.abs_tol
     h_min, max_steps = cfg.h_min, cfg.max_steps
 
-    n = ode.dim
-    n2 = 2 * n
-    rhs = ode.rhs1 if ode.rhs1 is not None else _float_rhs(ode.rhs, n)
-    divide = np.divide
-
-    def deriv(t: float, ys: list) -> list:
-        """The stage (v, f(t, x, v)) at ys = (x, v), as a list of 2n floats."""
-        vs = ys[n:]
-        fs = rhs(t, ys[:n], vs)
-        try:
-            wrong = len(fs) != n
-        except TypeError:
-            wrong = True
-        if wrong:
-            raise ValueError(f"rhs1 must return {n} values, got {fs!r}")
-        for f in fs:
-            if not isfinite(f):
-                raise NonFiniteRhs(f"rhs returned a non-finite value at tau={t!r}", tau=t)
-        return [*vs, *fs]
-
     direction = 1.0 if t_end > t0 else -1.0
     t = t0
-    y = np.concatenate([start.x, start.v]).astype(float).tolist()
-    K1 = deriv(t, y)
+    x{*}_1, v{*}_1 = y0
+    @call 1 t
+    # (the dim-n call has checked these already; the dim-1 one has not)
+    if not all(map(isfinite, (k{*}_1,))):
+        raise NonFiniteRhs(f"rhs returned a non-finite value at tau={t!r}", tau=t)
     h = direction * min(cfg.h_init, abs(t_end - t0))
     err_prev = err_prev_init
     attempts = 0
 
     knots = array("d", (t0,))
-    states = array("d", y)
+    states = array("d", y0)
     steps = array("d")
     # Accepted steps collect in lists, moved into the arrays in batches.
     pending_knots = []
@@ -609,34 +492,47 @@ def _integrate_vector(ode: SecondOrderOde, t0: float, start: StatePoint,
                 f"exceeded max_steps={max_steps} before reaching tau={t_end!r}",
                 tau=t, max_steps=max_steps)
 
-        K2 = deriv(t + c2 * hs, [yi + hs * (a21 * k1) for yi, k1 in zip(y, K1)])
-        K3 = deriv(t + c3 * hs, [yi + hs * (a31 * k1 + a32 * k2)
-                                 for yi, k1, k2 in zip(y, K1, K2)])
-        K4 = deriv(t + c4 * hs, [yi + hs * (a41 * k1 + a42 * k2 + a43 * k3)
-                                 for yi, k1, k2, k3 in zip(y, K1, K2, K3)])
-        K5 = deriv(t + c5 * hs, [yi + hs * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4)
-                                 for yi, k1, k2, k3, k4 in zip(y, K1, K2, K3, K4)])
-        K6 = deriv(t + hs, [yi + hs * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5)
-                            for yi, k1, k2, k3, k4, k5 in zip(y, K1, K2, K3, K4, K5)])
-        y_new = [yi + hs * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
-                 for yi, k1, k3, k4, k5, k6 in zip(y, K1, K3, K4, K5, K6)]
+        x{i}_2 = x{i}_1 + hs * (a21 * v{i}_1)
+        v{i}_2 = v{i}_1 + hs * (a21 * k{i}_1)
+        @call 2 t + c2 * hs
+        x{i}_3 = x{i}_1 + hs * (a31 * v{i}_1 + a32 * v{i}_2)
+        v{i}_3 = v{i}_1 + hs * (a31 * k{i}_1 + a32 * k{i}_2)
+        @call 3 t + c3 * hs
+        x{i}_4 = x{i}_1 + hs * (a41 * v{i}_1 + a42 * v{i}_2 + a43 * v{i}_3)
+        v{i}_4 = v{i}_1 + hs * (a41 * k{i}_1 + a42 * k{i}_2 + a43 * k{i}_3)
+        @call 4 t + c4 * hs
+        x{i}_5 = x{i}_1 + hs * (a51 * v{i}_1 + a52 * v{i}_2 + a53 * v{i}_3 + a54 * v{i}_4)
+        v{i}_5 = v{i}_1 + hs * (a51 * k{i}_1 + a52 * k{i}_2 + a53 * k{i}_3 + a54 * k{i}_4)
+        @call 5 t + c5 * hs
+        x{i}_6 = x{i}_1 + hs * (a61 * v{i}_1 + a62 * v{i}_2 + a63 * v{i}_3 + a64 * v{i}_4 + a65 * v{i}_5)
+        v{i}_6 = v{i}_1 + hs * (a61 * k{i}_1 + a62 * k{i}_2 + a63 * k{i}_3 + a64 * k{i}_4 + a65 * k{i}_5)
+        @call 6 t + hs
+        x{i}_7 = x{i}_1 + hs * (b1 * v{i}_1 + b3 * v{i}_3 + b4 * v{i}_4 + b5 * v{i}_5 + b6 * v{i}_6)
+        v{i}_7 = v{i}_1 + hs * (b1 * k{i}_1 + b3 * k{i}_3 + b4 * k{i}_4 + b5 * k{i}_5 + b6 * k{i}_6)
         t_new = t_end if last else t + hs
-        K7 = deriv(t_new, y_new)
+        @call 7 t_new
+        @check
 
-        err = [hs * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
-               for k1, k3, k4, k5, k6, k7 in zip(K1, K3, K4, K5, K6, K7)]
-        # np.maximum(|y|, |y_new|): a NaN s1 wins, where builtin max keeps s0.
-        scale = [at + rel * (s1 if s1 > s0 or s1 != s1 else s0)
-                 for s0, s1 in zip(map(abs, y), map(abs, y_new))]
-        # NumPy divides (a zero scale gives inf or nan, not an exception)
-        # and sums the squares (BLAS ddot, which a Python sum does not match).
-        ratio = divide(err, scale)
-        en = sqrt(float(ratio @ ratio) / n2)
+        ex{i} = hs * (e1 * v{i}_1 + e3 * v{i}_3 + e4 * v{i}_4 + e5 * v{i}_5 + e6 * v{i}_6 + e7 * v{i}_7)
+        ev{i} = hs * (e1 * k{i}_1 + e3 * k{i}_3 + e4 * k{i}_4 + e5 * k{i}_5 + e6 * k{i}_6 + e7 * k{i}_7)
+        s0, s1 = abs(x{i}_1), abs(x{i}_7)
+        sx{i} = at + rel * ({scale})
+        s0, s1 = abs(v{i}_1), abs(v{i}_7)
+        sv{i} = at + rel * ({scale})
+        try:
+            ex{i} = ex{i} / sx{i}
+            ev{i} = ev{i} / sv{i}
+        except ZeroDivisionError:
+            # A zero scale rejects the step, as a nan or inf norm does.
+            en = inf
+        else:
+            @norm
 
         if isfinite(en) and en <= 1.0:
-            pending_steps += [t, hs, *y, *K1, *K2, *K3, *K4, *K5, *K6, *K7]
+            pending_steps += (t, hs, x{*}_1, v{*}_1, v{*}_1, k{*}_1, v{*}_2, k{*}_2, v{*}_3, k{*}_3,
+                              v{*}_4, k{*}_4, v{*}_5, k{*}_5, v{*}_6, k{*}_6, v{*}_7, k{*}_7)
             pending_knots.append(t_new)
-            pending_states += y_new
+            pending_states += (x{*}_7, v{*}_7)
             if len(pending_steps) >= _FLUSH_DOUBLES:
                 steps.fromlist(pending_steps)
                 knots.fromlist(pending_knots)
@@ -653,7 +549,8 @@ def _integrate_vector(ode: SecondOrderOde, t0: float, start: StatePoint,
                 fac = fac if fac < max_factor else max_factor
             h = hs * fac
             err_prev = err_prev_init if err_prev_init > en else en
-            t, y, K1 = t_new, y_new, K7
+            t = t_new
+            x{i}_1, v{i}_1, k{i}_1 = x{i}_7, v{i}_7, k{i}_7
             remaining = t_end - t
         else:
             if isfinite(en):
@@ -666,6 +563,77 @@ def _integrate_vector(ode: SecondOrderOde, t0: float, start: StatePoint,
                 raise StepSizeUnderflow(
                     f"step size {abs(h)!r} fell below h_min={h_min!r} at tau={t!r}",
                     tau=t, h=abs(h))
+    # Concatenation allocates each buffer at its exact size (fromlist would
+    # over-allocate by about 1/16, and cached trajectories keep that).
     return (knots + array("d", pending_knots),
             states + array("d", pending_states),
             steps + array("d", pending_steps))
+'''
+
+# What the two variants do differently: the rhs call of a stage (with its
+# checks, and the checks made once a step's seven calls are in), the error
+# scale's max and the error norm.
+_VARIANTS = {
+    # dim 1, f(tau, x, v) -> float; the rhs values are checked once all
+    # seven are in, and the norm is a plain sum.
+    "scalar": {
+        "call": "k{*}_{s} = f({t}, x{*}_{s}, v{*}_{s})",
+        "check": ("if not (isfinite(k0_2) and isfinite(k0_3) and isfinite(k0_4)"
+                  " and isfinite(k0_5) and isfinite(k0_6) and isfinite(k0_7)):\n"
+                  "    raise NonFiniteRhs(f\"rhs returned a non-finite value near tau={t!r}\", tau=t)"),
+        "scale": "s1 if s1 > s0 else s0",
+        "norm": "en = sqrt(0.5 * (ex0 * ex0 + ev0 * ev0))",
+    },
+    # dim n, f(tau, xs, vs) -> n values, each checked as it comes.
+    "vector": {
+        "call": """\
+ts = {t}
+fs = f(ts, [x{*}_{s}], [v{*}_{s}])
+try:
+    wrong = len(fs) != {n}
+except TypeError:
+    wrong = True
+if wrong:
+    raise ValueError(f"rhs1 must return {n} values, got {fs!r}")
+k{*}_{s}, = fs
+if not isfinite(k{i}_{s}): raise NonFiniteRhs(f"rhs returned a non-finite value at tau={ts!r}", tau=ts)""",
+        "check": "",
+        # np.maximum(|y|, |y_new|): a NaN s1 wins, where builtin max keeps s0.
+        "scale": "s1 if s1 > s0 or s1 != s1 else s0",
+        # NumPy's dot of the ratios: BLAS ddot rounds like fused
+        # multiply-adds, which a Python sum does not match.  The plain sum
+        # ss only guards it: where the squares overflow (and ddot would
+        # warn) or a ratio is nan, the step is rejected whatever en is.
+        "norm": """\
+ss = 0.0
+ss += ex{i} * ex{i} + ev{i} * ev{i}
+en = sqrt(float(dot(r := new_array((ex{*}, ev{*})), r)) / {n2}) if ss < 1e300 else inf""",
+    },
+}
+
+
+@functools.cache
+def _kernel(n: int, variant: str) -> Callable:
+    """_TEMPLATE unrolled for dimension n with the snippets of
+    _VARIANTS[variant], compiled on first use and registered with
+    linecache so that tracebacks show its lines."""
+    snippets = _VARIANTS[variant]
+
+    def directive(m: re.Match) -> str:
+        text = snippets[m[2]].replace("{s}", m[3]).replace("{t}", m[4])
+        return "\n".join(m[1] + line for line in text.splitlines())
+
+    source = re.sub(r"^( *)@(\w+) ?(\d?) ?(.*)$", directive, _TEMPLATE, flags=re.M)
+    source = (source.replace("{scale}", snippets["scale"])
+              .replace("{n}", str(n)).replace("{n2}", str(2 * n)))
+    source = re.sub(r"(\w*)\{\*\}(\w*)",
+                    lambda m: ", ".join(f"{m[1]}{i}{m[2]}" for i in range(n)), source)
+    lines = []
+    for unrolled, run in itertools.groupby(source.splitlines(True), lambda line: "{i}" in line):
+        run = list(run)
+        lines += [line.replace("{i}", str(i)) for i in range(n) for line in run] if unrolled else run
+    filename = f"<febvp.ode_core kernel, dim {n}, {variant}>"
+    linecache.cache[filename] = (sum(map(len, lines)), None, lines, filename)
+    scope: dict = {}
+    exec(compile("".join(lines), filename, "exec"), globals(), scope)
+    return scope["kernel"]

@@ -202,21 +202,26 @@ class _Parser:
 
     def parse_expr(self, min_bp: int) -> Expr:
         left = self.parse_prefix()
-        while True:
-            tok = self.peek()
-            if tok.kind != "op" or tok.text not in _BP:
-                return left
-            bp = _BP[tok.text]
-            if bp < min_bp:
-                return left
-            self.advance()
-            self._enter(tok.pos)
-            try:
+        # Each operator nests the tree one level deeper, on the left in a
+        # chain and on the right in a right operand, and the evaluators
+        # recurse as deep: every level counts until this call returns.
+        entered = 0
+        try:
+            while True:
+                tok = self.peek()
+                if tok.kind != "op" or tok.text not in _BP:
+                    return left
+                bp = _BP[tok.text]
+                if bp < min_bp:
+                    return left
+                self.advance()
+                entered += 1
+                self._enter(tok.pos)
                 # right-assoc ^ reenters at its own level, others one above
                 rhs = self.parse_expr(bp if tok.text == "^" else bp + 1)
-            finally:
-                self.depth -= 1
-            left = BinOp(tok.text, left, rhs, pos=tok.pos)
+                left = BinOp(tok.text, left, rhs, pos=tok.pos)
+        finally:
+            self.depth -= entered
 
     def parse_prefix(self) -> Expr:
         tok = self.advance()

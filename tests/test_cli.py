@@ -146,6 +146,54 @@ def test_verify_threshold_override_can_fail(capsys):
     assert code == 2
 
 
+VERIFY_COMPOSITION = ["verify", "--catalog", "free_fall", "--laws",
+                      "composition", "--samples", "3"]
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_verify_rejects_bad_max_interval(value, tmp_path, capsys):
+    # A NaN cap used to be dropped silently (exit 0).
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"max_interval": float(value)}))
+    for extra in ([f"--max-interval={value}"], ["--config", str(cfg)]):
+        code, out, err = run(VERIFY_COMPOSITION + extra, capsys)
+        assert (code, out) == (1, "")
+        doc = stderr_doc(err)
+        assert doc["code"] == "config_error"
+        assert doc["message"] == (f"max_interval must be a number >= 0, "
+                                  f"got {float(value)!r}")
+
+
+@pytest.mark.parametrize("value", ["-inf", "-nan", "-infinity", "-Inf"])
+def test_negative_float_names_are_values_not_options(value, capsys):
+    # --tau -inf reaches the finite-number check, as --tau inf does, and
+    # a range flag takes its two values.
+    code, out, err = run(["solve", "--catalog", "free_fall", "--neumann",
+                          "0", "1", "0", "0", "--tau", value], capsys)
+    assert (code, out) == (1, "")
+    doc = stderr_doc(err)
+    assert doc["code"] == "config_error"
+    assert doc["message"] == f"taus[0] must be a finite number, got {float(value)!r}"
+    args = cli.build_parser().parse_args(
+        VERIFY_COMPOSITION + ["--tau-range", value, "inf"])
+    assert repr(args.tau_range) == repr([float(value), math.inf])
+
+
+def test_long_ode_chain_is_a_parse_error_not_a_recursion_error(capsys):
+    # The evaluators recurse once per operator of a chain like x+x+...+x.
+    short = "+".join(["0.001*x"] * 150)
+    code, doc, _ = run_json(["solve", "--ode", short, "--cauchy", "0", "1",
+                             "0", "--tau", "0.5", "--format", "json"], capsys)
+    assert code == 0
+    assert doc["rows"][0]["x"] == pytest.approx(math.cosh(0.5 * math.sqrt(0.15)))
+    code, out, err = run(["solve", "--ode", "+".join(["x"] * 1000), "--cauchy",
+                          "0", "1", "0", "--tau", "0.5"], capsys)
+    assert (code, out) == (1, "")
+    doc = stderr_doc(err)
+    assert doc["code"] == "config_error"
+    assert "expression too deeply nested" in doc["message"]
+
+
 @pytest.mark.parametrize("value", ["nan", "-1"])
 def test_verify_rejects_bad_threshold_flag(value, capsys):
     code, out, err = run(["verify", "--catalog", "free_fall", "--laws",

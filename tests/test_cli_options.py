@@ -115,18 +115,23 @@ def test_flag_and_file_params_merge(tmp_path, capsys):
 
 
 def test_zero_error_scale_prints_no_warning(capsys):
+    # A zero error scale (0/0), and a scale of 1e-300 whose squared error
+    # ratios overflow: both reject every step, with no NumPy warning.
     state = np.geterr()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, out, err = run(["solve", "--ode", "x2", "--ode=-x1",
-                              "--cauchy", "0", "0,0", "0,0", "--tau", "1",
-                              "--abs-tol", "0"], capsys)
-    assert [str(w.message) for w in caught] == []
-    assert (code, out) == (2, "")
-    lines = err.strip().splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["code"] == "step_underflow"
-    assert np.geterr() == state
+    for tolerances in (["--abs-tol", "0"],
+                       ["--abs-tol", "0", "--rel-tol", "1e-300"]):
+        start = ["0,0", "0,0"] if len(tolerances) == 2 else ["1,1", "1,1"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(["solve", "--ode", "x2", "--ode=-x1",
+                                  "--cauchy", "0", *start, "--tau", "1",
+                                  *tolerances], capsys)
+        assert [str(w.message) for w in caught] == []
+        assert (code, out) == (2, "")
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["code"] == "step_underflow"
+        assert np.geterr() == state
 
 
 def test_parser_is_built_once():

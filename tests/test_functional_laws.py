@@ -5,6 +5,7 @@ published algorithm (Steele/Lea/Flood), frozen here as the PRNG oracle.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -65,6 +66,18 @@ def test_sample_spec_validation():
         SampleSpec(count=0, seed=1)
     with pytest.raises(ValueError):
         SampleSpec(count=10, seed=1, min_separation=0.0)
+    for name in ("tau_range", "alpha_beta_range", "ab_range"):
+        for bad in ((math.nan, 1.0), (0.0, math.nan)):
+            with pytest.raises(ValueError, match=f"{name} must not have a NaN end"):
+                SampleSpec(count=10, seed=1, **{name: bad})
+
+
+def test_eval_domain_rejects_nan_or_negative_max_interval():
+    for bad in (math.nan, -1.0, -math.inf):
+        with pytest.raises(ValueError, match="max_interval must be a number >= 0"):
+            EvalDomain(max_interval=bad)
+    for good in (None, 0.0, 0.8, math.inf):
+        assert EvalDomain(max_interval=good).max_interval == good
 
 
 def test_law_report_shape():

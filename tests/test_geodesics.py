@@ -15,7 +15,6 @@ from febvp.geodesics import (
     check_klapka,
     connection_asymmetry,
     flat_connection,
-    geodesic_G,
     geodesic_ode,
     half_plane_connection,
     half_plane_geodesic_point,
@@ -124,12 +123,6 @@ def test_oracle_vertical_case():
 def test_oracle_rejects_lower_half():
     with pytest.raises(ValueError):
         half_plane_geodesic_point([0.0, -1.0], [1.0, 1.0], 0.5)
-
-
-def test_geodesic_G_helper():
-    gmap = GeodesicMap(flat_connection())
-    got = geodesic_G(gmap, [0.0, 0.0], [2.0, 4.0], 0.25)
-    assert np.max(np.abs(got - np.array([0.5, 1.0]))) < 1e-10
 
 
 def test_klapka_flat():

@@ -1,6 +1,7 @@
 """Integrator tests against closed-form solutions."""
 
 import math
+import traceback
 from array import array
 
 import numpy as np
@@ -735,6 +736,152 @@ def test_vector_kernel_matches_reference_on_random_linear_systems(
     args = (ode, start.tau, start, t0 + span, DEFAULT)
     assert (kernel_outcome(_integrate_vector, *args)
             == kernel_outcome(reference_integrate_vector, *args))
+
+
+# ------------------------------------------------------- generated kernels
+#
+# Both kernels are one template unrolled per dimension (ode_core._kernel).
+# The cases above run it at n = 1 and n = 2; these run n = 3, and check
+# what the generated code owes its callers: tracebacks that show its lines,
+# and an rhs looked up afresh on every run.
+
+def _coupled3(t, x, v):
+    return [-x[0] + 0.3 * x[1] + 0.1 * v[2], -x[1] + 0.3 * x[0] - 0.05 * v[0] * v[1],
+            -2.0 * x[2] + 0.1 * t * v[0]]
+
+
+COUPLED3 = SecondOrderOde(3, lambda t, x, v: np.array(_coupled3(t, x, v)),
+                          label="coupled3")
+COUPLED3_RHS1 = SecondOrderOde(3, COUPLED3.rhs, label="coupled3[rhs1]",
+                               rhs1=_coupled3)
+START3 = ([0.5, 1.0, -0.2], [-0.3, 0.2, 0.4])
+
+DIM3_CASES = [
+    vector_case(ode, t0, *START3, t1, cfg, id=f"{name}-{case}")
+    for name, ode in (("array", COUPLED3), ("rhs1", COUPLED3_RHS1))
+    for case, t0, t1, cfg in (
+        ("forward", 0.0, 2.0, DEFAULT),
+        ("backward", 2.0, -1.0, DEFAULT),
+        ("loose-rejecting", 0.0, 3.0,
+         IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, h_init=0.5)),
+        ("long", 0.0, 20.0, DEFAULT),
+        ("max-steps", 0.0, 20.0, IntegratorConfig(max_steps=20)),
+    )
+] + [
+    vector_case(SecondOrderOde(
+        3, lambda t, x, v: np.array([0.0, 0.0, math.inf if t > 0.5 else 0.0])),
+                0.0, *START3, 1.0, id="nonfinite-in-step"),
+    vector_case(SecondOrderOde(3, lambda t, x, v: np.zeros(2)),
+                0.0, *START3, 1.0, id="wrong-shape"),
+]
+
+
+@pytest.mark.parametrize("ode, t0, start, t1, cfg", DIM3_CASES)
+def test_dim3_kernel_matches_reference_bits(ode, t0, start, t1, cfg):
+    got = kernel_outcome(_integrate_vector, ode, t0, start, t1, cfg)
+    reference = COUPLED3 if ode is COUPLED3_RHS1 else ode
+    assert got == kernel_outcome(reference_integrate_vector,
+                                 reference, t0, start, t1, cfg)
+
+
+def test_dim3_cases_cover_errors_rejections_and_the_flush():
+    errors = set()
+    longest = rejecting = 0
+    for case in DIM3_CASES:
+        ode, t0, start, t1, cfg = case.values
+        calls = []
+        counting = SecondOrderOde(3, _counted(ode.rhs, calls))
+        got = kernel_outcome(_integrate_vector, counting, t0, start, t1, cfg)
+        if isinstance(got[0], type):
+            errors.add(got[0])
+        else:
+            longest = max(longest, len(got[2]) // 8)
+            rejecting += len(calls) > 1 + 6 * (len(got[0]) // 8 - 1)
+    assert errors == {NonFiniteRhs, MaxStepsExceeded, ValueError}
+    assert longest > 4 * _FLUSH_DOUBLES
+    assert rejecting
+
+
+@settings(max_examples=30, deadline=None)
+@given(A=hst.lists(_entries, min_size=9, max_size=9),
+       B=hst.lists(_entries, min_size=9, max_size=9),
+       c=hst.lists(_entries, min_size=3, max_size=3),
+       x0=hst.lists(_entries, min_size=3, max_size=3),
+       v0=hst.lists(_entries, min_size=3, max_size=3),
+       t0=hst.floats(-2.0, 2.0), span=hst.floats(-3.0, 3.0))
+def test_dim3_kernel_matches_reference_on_random_linear_systems(
+        A, B, c, x0, v0, t0, span):
+    A, B, c = np.reshape(A, (3, 3)), np.reshape(B, (3, 3)), np.array(c)
+    ode = SecondOrderOde(3, lambda t, x, v: A @ x + B @ v + c)
+    start = StatePoint.of(t0, x0, v0)
+    args = (ode, start.tau, start, t0 + span, DEFAULT)
+    assert (kernel_outcome(_integrate_vector, *args)
+            == kernel_outcome(reference_integrate_vector, *args))
+
+
+def kernel_frames(tb):
+    return [frame for frame in traceback.extract_tb(tb)
+            if frame.filename.startswith("<febvp.ode_core kernel")]
+
+
+def test_generated_kernel_tracebacks_show_its_lines():
+    # raised by the kernel itself
+    wrong = SecondOrderOde(3, COUPLED3.rhs, rhs1=lambda t, x, v: [0.0, 1.0])
+    with pytest.raises(ValueError, match="rhs1 must return 3 values") as info:
+        integrate_ivp(wrong, StatePoint.of(0.0, *START3), 1.0)
+    frame, = kernel_frames(info.tb)
+    assert frame.filename == "<febvp.ode_core kernel, dim 3, vector>"
+    assert frame.line.startswith("raise ValueError(")
+    with pytest.raises(StepSizeUnderflow) as info:
+        _integrate_scalar(OSC.rhs1, 0.0, 1.0, 0.0, 10.0, IntegratorConfig(h_min=1e-2))
+    frame, = kernel_frames(info.tb)
+    assert frame.filename == "<febvp.ode_core kernel, dim 1, scalar>"
+    assert frame.line.startswith("raise StepSizeUnderflow(")
+
+    # raised by the rhs, through the kernel's call of it
+    def rhs1(t, x, v):
+        if t > 0.0:
+            raise ZeroDivisionError("in the rhs")
+        return -x
+    with pytest.raises(ZeroDivisionError, match="in the rhs") as info:
+        _integrate_scalar(rhs1, 0.0, 1.0, 0.0, 1.0, DEFAULT)
+    frame, = kernel_frames(info.tb)
+    assert " = f(t + c2 * hs, " in frame.line
+    assert frame.line in "".join(traceback.format_tb(info.tb))
+
+
+def _counted(fn, calls):
+    def wrapper(*args):
+        calls.append(args[0])
+        return fn(*args)
+    return wrapper
+
+
+@pytest.mark.parametrize("make, start", [
+    (lambda: SecondOrderOde.from_scalar(lambda t, x, v: -x + 0.3 * v),
+     StatePoint.of(0.0, [0.5], [-0.3])),
+    (lambda: geodesics.geodesic_ode(geodesics.half_plane_connection()),
+     StatePoint.of(0.0, [0.2, 1.0], [0.7, 0.4])),
+    (lambda: SecondOrderOde(3, COUPLED3.rhs), StatePoint.of(0.0, *START3)),
+], ids=["dim1-rhs1", "dim2-rhs1", "dim3-array-rhs"])
+def test_rhs_wrapped_after_a_run_sees_every_call_of_the_next(make, start):
+    # Tracing wraps ode.rhs and ode.rhs1 of an ode that may already have
+    # run; a kernel must not keep the rhs it was first given.
+    fresh, calls_fresh = make(), []
+    fresh.rhs = _counted(fresh.rhs, calls_fresh)
+    if fresh.rhs1 is not None:
+        fresh.rhs1 = _counted(fresh.rhs1, calls_fresh)
+    expected = integrate_ivp(fresh, start, 2.0)
+
+    reused, calls = make(), []
+    integrate_ivp(reused, start, 2.0)
+    reused.rhs = _counted(reused.rhs, calls)
+    if reused.rhs1 is not None:
+        reused.rhs1 = _counted(reused.rhs1, calls)
+    got = integrate_ivp(reused, start, 2.0)
+    assert got.knots == expected.knots
+    assert calls == calls_fresh
+    assert len(calls) >= 1 + 6 * got.n_segments
 
 
 # ----------------------------------------------------------- batched eval

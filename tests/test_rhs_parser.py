@@ -112,6 +112,16 @@ def test_depth_cap_is_parse_error():
         parse(deep)
 
 
+def test_depth_cap_counts_left_associative_chains():
+    # 200 operators in a chain parse; 201 nest the tree too deep, as 201
+    # right operands do.
+    for op in "+-*/^":
+        parse(op.join(["x"] * 201))
+        with pytest.raises(ParseError, match="too deeply nested"):
+            parse(op.join(["x"] * 202))
+    parse("+".join(["(" + "*".join(["x"] * 100) + ")"] * 100))
+
+
 def test_eval_error_kinds():
     with pytest.raises(EvaluationError) as e1:
         ev("1/x", x=0.0)
