@@ -17,8 +17,6 @@ a converged residual alone cannot tell).
 from __future__ import annotations
 
 import math
-import threading
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,26 +117,29 @@ class IntegralConditions:
         return self.a.shape[0]
 
 
+# The forward-difference Jacobian perturbs component j by
+# _FD_STEP * max(1, |u_j|); a Newton step that does not lower the residual
+# is halved up to _MAX_HALVINGS times; a Jacobian whose condition number
+# exceeds _COND_LIMIT is singular.
+_FD_STEP = 1e-6
+_MAX_HALVINGS = 20
+_COND_LIMIT = 1e12
+
+
 @dataclass(frozen=True)
 class ShootingConfig:
     """Newton-shooting controls.
 
-    newton_tol is an infinity-norm bound on the endpoint residual.  The
-    forward-difference Jacobian perturbs component j by
-    jacobian_fd_step * max(1, |u_j|).  With damping enabled a failed full
-    step is halved up to max_halvings times.  singular_floor and cond_limit
-    drive the ConjugatePoint test: the Jacobian is declared singular when
-    sigma_min < singular_floor * ref or ref / sigma_min > cond_limit, with
-    ref = max(sigma_max, |beta - alpha|) the natural Jacobian scale.
+    newton_tol is an infinity-norm bound on the endpoint residual.
+    singular_floor drives the ConjugatePoint test: the Jacobian is declared
+    singular when sigma_min < singular_floor * ref or ref / sigma_min >
+    _COND_LIMIT, with ref = max(sigma_max, |beta - alpha|) the natural
+    Jacobian scale.
     """
 
     newton_tol: float = 1e-10
     max_newton_iters: int = 50
-    jacobian_fd_step: float = 1e-6
-    damping: bool = True
-    max_halvings: int = 20
     singular_floor: float = 1e-4
-    cond_limit: float = 1e12
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
 
     def __post_init__(self):
@@ -149,14 +150,6 @@ class ShootingConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
-
-    def _key(self) -> tuple:
-        ic = self.integrator
-        return (
-            self.newton_tol, self.max_newton_iters, self.jacobian_fd_step,
-            self.damping, self.max_halvings, self.singular_floor, self.cond_limit,
-            ic.rel_tol, ic.abs_tol, ic.h_init, ic.h_min, ic.max_steps,
-        )
 
 
 DEFAULT_SHOOTING = ShootingConfig()
@@ -185,7 +178,7 @@ def _check_singular(J: np.ndarray, interval: float, cfg: ShootingConfig, where: 
     smax = float(sigma[0])
     smin = float(sigma[-1])
     ref = max(smax, abs(interval))
-    if smin <= 0.0 or ref / smin > cfg.cond_limit or smin < cfg.singular_floor * ref:
+    if smin <= 0.0 or ref / smin > _COND_LIMIT or smin < cfg.singular_floor * ref:
         raise ConjugatePoint(
             "shooting Jacobian numerically singular "
             f"(sigma_min={smin!r}, scale={ref!r}) near {where}: endpoint data "
@@ -194,11 +187,9 @@ def _check_singular(J: np.ndarray, interval: float, cfg: ShootingConfig, where: 
 
 
 def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
-                  cfg: ShootingConfig = DEFAULT_SHOOTING,
-                  guess: np.ndarray | None = None) -> ShootingResult:
-    """Solve the endpoint-value problem by Newton shooting on xd(alpha).
-
-    The initial guess defaults to the secant slope (b - a)/(beta - alpha).
+                  cfg: ShootingConfig = DEFAULT_SHOOTING) -> ShootingResult:
+    """Solve the endpoint-value problem by Newton shooting on xd(alpha),
+    starting from the secant slope (b - a)/(beta - alpha).
 
     Raises:
         ConjugatePoint: Jacobian numerically singular (no locally unique
@@ -222,14 +213,14 @@ def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
     def jacobian(u: np.ndarray, r_base: np.ndarray) -> np.ndarray:
         J = np.empty((n, n))
         for j in range(n):
-            dj = cfg.jacobian_fd_step * max(1.0, abs(float(u[j])))
+            dj = _FD_STEP * max(1.0, abs(float(u[j])))
             up = u.copy()
             up[j] += dj
             rj, _ = residual(up)
             J[:, j] = (rj - r_base) / dj
         return J
 
-    u = (b - a) / interval if guess is None else _as_vec(guess, n)
+    u = (b - a) / interval
     r, traj = residual(u)
     rn = float(np.max(np.abs(r)))
     iterations = 0
@@ -250,8 +241,7 @@ def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
             raise ConjugatePoint("shooting Newton step is non-finite", interval=interval)
 
         lam = 1.0
-        max_tries = cfg.max_halvings + 1 if cfg.damping else 1
-        for _ in range(max_tries):
+        for _ in range(_MAX_HALVINGS + 1):
             u_try = u + lam * s
             r_try, traj_try = residual(u_try)
             rn_try = float(np.max(np.abs(r_try)))
@@ -260,7 +250,7 @@ def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
             lam *= 0.5
         else:
             raise NoConvergence(
-                f"damped line search stalled after {cfg.max_halvings} halvings "
+                f"damped line search stalled after {_MAX_HALVINGS} halvings "
                 f"(residual {rn!r})", residual=rn, iterations=iterations)
         u, r, rn, traj = u_try, r_try, rn_try, traj_try
         iterations += 1
@@ -275,8 +265,7 @@ def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
 
 
 def solve_integral(ode: SecondOrderOde, cond: IntegralConditions,
-                   cfg: ShootingConfig = DEFAULT_SHOOTING,
-                   guess: np.ndarray | None = None) -> ShootingResult:
+                   cfg: ShootingConfig = DEFAULT_SHOOTING) -> ShootingResult:
     """Solve under average-slope data by reduction to endpoint data.
 
     For alpha != beta this is solve_neumann with b = a + v * (beta - alpha);
@@ -293,36 +282,32 @@ def solve_integral(ode: SecondOrderOde, cond: IntegralConditions,
                               final_residual=0.0)
     b = cond.a + cond.v * (cond.beta - cond.alpha)
     ncond = NeumannConditions(cond.alpha, cond.beta, cond.a, b)
-    return solve_neumann(ode, ncond, cfg, guess=guess)
+    return solve_neumann(ode, ncond, cfg)
 
 
-# One ShootingResult per exact bit pattern of (conditions, config), held per
-# ode.  Reads are plain dict lookups; writes take a lock (safe for concurrent
-# readers with a single writer per key; a lost race just recomputes the same
-# deterministic value).
-_CACHE: "weakref.WeakKeyDictionary[SecondOrderOde, dict]" = weakref.WeakKeyDictionary()
-_CACHE_LOCK = threading.Lock()
+# The last eval_F solve as (ode, key, result), keyed by the exact bits of
+# the conditions and the config's value.  The laws read one solve at several
+# taus in a row, so this one slot serves every repeat they make.
+_last: tuple = (None, None, None)
 
 
 def clear_cache() -> None:
-    """Drop all cached solves (mainly for tests and memory control)."""
-    with _CACHE_LOCK:
-        _CACHE.clear()
+    """Drop the kept solve."""
+    global _last
+    _last = (None, None, None)
 
 
 def _cached_solve(ode: SecondOrderOde, cond: NeumannConditions,
                   cfg: ShootingConfig) -> ShootingResult:
-    key = (cond.alpha.hex(), cond.beta.hex(), cond.a.tobytes(), cond.b.tobytes(),
-           cfg._key())
-    per_ode = _CACHE.get(ode)
-    if per_ode is not None:
-        hit = per_ode.get(key)
-        if hit is not None:
-            return hit
+    global _last
+    key = (cond.alpha.hex(), cond.beta.hex(), cond.a.tobytes(), cond.b.tobytes(), cfg)
+    last_ode, last_key, result = _last
+    if last_ode is ode and last_key == key:
+        return result
+    # the module global, so that a wrapper installed on solve_neumann
+    # (tracing, tests) sees every solve
     result = solve_neumann(ode, cond, cfg)
-    with _CACHE_LOCK:
-        per_ode = _CACHE.setdefault(ode, {})
-        per_ode[key] = result
+    _last = (ode, key, result)
     return result
 
 
@@ -346,14 +331,14 @@ def eval_state(ode: SecondOrderOde, traj: Trajectory, tau: float,
 
 
 def eval_F(ode: SecondOrderOde, tau: float, cond: NeumannConditions,
-           cfg: ShootingConfig = DEFAULT_SHOOTING, cache: bool = True) -> np.ndarray:
+           cfg: ShootingConfig = DEFAULT_SHOOTING) -> np.ndarray:
     """Value x(tau) of the endpoint-data solution, as a map of (tau, cond).
 
-    The underlying solve is cached per exact bit pattern of the conditions
-    and config, so sweeping tau costs one solve.  tau may lie outside
-    [alpha, beta]; the solution is continued by direct integration.
+    The last solve is kept, so sweeping tau over one (cond, cfg) costs one
+    solve.  tau may lie outside [alpha, beta]; the solution is continued by
+    direct integration.
     """
-    result = _cached_solve(ode, cond, cfg) if cache else solve_neumann(ode, cond, cfg)
+    result = _cached_solve(ode, cond, cfg)
     return eval_state(ode, result.trajectory, float(tau), cfg.integrator).x
 
 
@@ -363,7 +348,7 @@ def diag_switch(alpha: float) -> float:
 
 
 def eval_S(ode: SecondOrderOde, tau: float, cond: IntegralConditions,
-           cfg: ShootingConfig = DEFAULT_SHOOTING, cache: bool = True) -> np.ndarray:
+           cfg: ShootingConfig = DEFAULT_SHOOTING) -> np.ndarray:
     """Smooth extension of eval_F across the diagonal beta == alpha.
 
     For |beta - alpha| above diag_switch(alpha) this is
@@ -375,7 +360,7 @@ def eval_S(ode: SecondOrderOde, tau: float, cond: IntegralConditions,
     if abs(beta - alpha) > diag_switch(alpha):
         b = cond.a + cond.v * (beta - alpha)
         ncond = NeumannConditions(alpha, beta, cond.a, b)
-        return eval_F(ode, tau, ncond, cfg, cache=cache)
+        return eval_F(ode, tau, ncond, cfg)
     if tau == alpha:
         return cond.a.copy()
     traj = integrate_ivp(ode, StatePoint(alpha, cond.a, cond.v), tau, cfg.integrator)

@@ -277,16 +277,14 @@ def check_angelesco(spec: SampleSpec,
         p = ConicParams(s["k"], s["g"])
         alpha, beta, a, b = s["alpha"], s["beta"], s["a"], s["b"]
         tau0, delta = s["tau0"], s["delta"]
+        values = []
 
         def member(t: float) -> float:
-            return conic_F(p, t, alpha, beta, a, b)
+            values.append(conic_F(p, t, alpha, beta, a, b))
+            return values[-1]
 
         residual = angelesco_residual(member, tau0, delta)
-        x0 = member(tau0)
-        x1 = member(tau0 + delta)
-        x2 = member(tau0 + 2 * delta)
-        x3 = member(tau0 + 3 * delta)
-        x4 = member(tau0 + 4 * delta)
+        x0, x1, x2, x3, x4 = values
         scale = max(abs((x4 - x1) * (x2 - x1)), abs((x3 - x0) * (x3 - x2)),
                     1e-30)
         return [(abs(residual) / scale, s)]

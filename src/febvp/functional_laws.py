@@ -195,12 +195,16 @@ SAMPLE_ERRORS = (FebvpError, ValueError, ZeroDivisionError,
 def _intersect(spec_range: tuple[float, float],
                dom_range: Optional[tuple[float, float]],
                what: str) -> tuple[float, float]:
-    if dom_range is None:
-        return spec_range
-    lo = max(spec_range[0], dom_range[0])
-    hi = min(spec_range[1], dom_range[1])
-    if not lo < hi:
-        raise ValueError(f"empty {what} range after domain intersection")
+    lo, hi = spec_range
+    if dom_range is not None:
+        lo = max(lo, dom_range[0])
+        hi = min(hi, dom_range[1])
+        if not lo < hi:
+            raise ValueError(f"empty {what} range after domain intersection")
+    # a draw lo + (hi - lo) * u on an infinite end is inf or NaN
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{what} range must have finite ends after domain "
+                         f"intersection, got {(lo, hi)!r}")
     return (lo, hi)
 
 

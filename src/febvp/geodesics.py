@@ -162,6 +162,8 @@ def _interpolation_law(name: str, gmap: GeodesicMap,
     points from the connection's sampling_box (falling back to the spec's
     ab_range per coordinate), zeta, eta and rho from rho_range.
     residual(a, b, zeta, eta, rho) is the sample's residual."""
+    if not all(map(math.isfinite, rho_range)):
+        raise ValueError(f"rho_range must have finite ends, got {tuple(rho_range)!r}")
     conn = gmap.connection
 
     def draw(rng: Splitmix64, box) -> dict:

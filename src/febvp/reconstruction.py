@@ -3,9 +3,9 @@
 On the diagonal, the extension S(., tau, tau, x, v) is the solution through
 state (tau, x, v), so its second derivative in the first slot at tau is
 f(tau, x, v).  reconstruct_f computes that derivative by a central second
-difference with the second and third slots pinned at tau, optionally
-sharpened by one Richardson step; roundtrip_check runs it against the
-numeric shooting extension of an ODE and compares with the true rhs.
+difference with the second and third slots pinned at tau, sharpened by one
+Richardson step; roundtrip_check runs it against the numeric shooting
+extension of an ODE and compares with the true rhs.
 """
 
 from __future__ import annotations
@@ -58,12 +58,10 @@ _MIDPOINT_TOL = 1e-6
 
 @dataclass(frozen=True)
 class ReconstructionConfig:
-    """fd_step is the central-difference step h; richardson combines the
-    h and h/2 differences as (4 D(h/2) - D(h)) / 3 for fourth-order
-    truncation."""
+    """fd_step is the central-difference step h; the h and h/2 differences
+    are combined as (4 D(h/2) - D(h)) / 3 for fourth-order truncation."""
 
     fd_step: float = 1e-3
-    richardson: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.fd_step) and self.fd_step > 0):
@@ -118,8 +116,6 @@ def reconstruct_f(S: Callable, tau: float, x, v,
             drift=drift, tau=tau)
     h = cfg.fd_step
     coarse = _second_difference(S, tau, x, v, h, center)
-    if not cfg.richardson:
-        return coarse
     fine = _second_difference(S, tau, x, v, 0.5 * h, center)
     return (4.0 * fine - coarse) / 3.0
 
@@ -138,7 +134,7 @@ def solver_extension(ode: SecondOrderOde, cfg: ReconstructionConfig,
         return bvp_shooting.eval_S(ode, query_tau, cond, shooting_cfg)
 
     step = noise_aware_step(cfg, shooting_cfg.newton_tol)
-    return S, ReconstructionConfig(fd_step=step, richardson=cfg.richardson)
+    return S, ReconstructionConfig(fd_step=step)
 
 
 def roundtrip_check(ode: SecondOrderOde,

@@ -1,5 +1,5 @@
 """Shooting solver tests: closed-form targets, conjugate detection, the
-solve cache, and the smooth extension."""
+kept last solve, and the smooth extension."""
 
 import math
 from dataclasses import replace
@@ -7,6 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from febvp import bvp_shooting
+from febvp.catalog import numeric_evaluator
+from febvp.functional_laws import SampleSpec, check_composition
 from febvp.bvp_shooting import (
     ConjugatePoint,
     DEFAULT_SHOOTING,
@@ -126,9 +129,52 @@ def test_eval_F_cache_bitwise_repeatable():
     first = eval_F(OSC, 0.77, cond)
     second = eval_F(OSC, 0.77, cond)
     assert first[0] == second[0]
-    # uncached route agrees to solver tolerance with the cached one
-    third = eval_F(OSC, 0.77, cond, cache=False)
-    assert abs(float(third[0]) - float(first[0])) < 1e-12
+    # a direct solve, past the kept one, gives the same bits
+    direct = solve_neumann(OSC, cond)
+    third = eval_state(OSC, direct.trajectory, 0.77, DEFAULT_SHOOTING.integrator).x
+    assert third.tobytes() == first.tobytes()
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The conditions of every solve_neumann call eval_F makes."""
+    calls = []
+    real = bvp_shooting.solve_neumann
+
+    def counted(ode, cond, cfg=DEFAULT_SHOOTING):
+        calls.append(cond)
+        return real(ode, cond, cfg)
+
+    monkeypatch.setattr(bvp_shooting, "solve_neumann", counted)
+    clear_cache()
+    yield calls
+    clear_cache()
+
+
+def test_composition_solves_twice_per_sample(solves):
+    # F(tau), F(gamma) and F(delta) on [alpha, beta] share one solve; the
+    # rebased F(tau) on [gamma, delta] is the second.
+    report = check_composition(numeric_evaluator("free_fall"), SampleSpec(count=5, seed=3))
+    assert report.failures == 0
+    assert len(solves) == 10
+
+
+def test_cache_keeps_only_the_last_solve(solves):
+    cond1 = NeumannConditions(0.0, 1.0, 0.3, 0.4)
+    cond2 = NeumannConditions(0.0, 1.0, 0.3, 0.5)
+    first = eval_F(OSC, 0.6, cond1)
+    eval_F(OSC, 0.6, cond2)
+    again = eval_F(OSC, 0.6, cond1)
+    assert len(solves) == 3
+    assert again.tobytes() == first.tobytes()
+    # equal conditions and an equal config are a hit; another ode is not
+    eval_F(OSC, 0.2, NeumannConditions(0.0, 1.0, 0.3, 0.4), ShootingConfig())
+    assert len(solves) == 3
+    eval_F(FREE_FALL, 0.2, cond1)
+    assert len(solves) == 4
+    clear_cache()
+    assert eval_F(FREE_FALL, 0.2, cond1).tobytes() == eval_F(FREE_FALL, 0.2, cond1).tobytes()
+    assert len(solves) == 5
 
 
 def test_cache_distinguishes_configs():

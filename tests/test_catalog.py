@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from febvp import catalog
 from febvp.catalog import (
     CATALOG,
     catalog_names,
@@ -170,6 +171,21 @@ def test_angelesco_free_family():
 def test_angelesco_deterministic():
     spec = SampleSpec(count=12, seed=4)
     assert check_angelesco(spec).to_json() == check_angelesco(spec).to_json()
+
+
+def test_angelesco_evaluates_five_members_per_sample(monkeypatch):
+    # the scale reuses the five values the residual read
+    calls = []
+    real = catalog.conic_F
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(catalog, "conic_F", counted)
+    report = check_angelesco(SampleSpec(count=4, seed=9))
+    assert report.failures == 0
+    assert len(calls) == 20
 
 
 def test_angelesco_pair_draws_follow_the_documented_stream():

@@ -179,6 +179,34 @@ def test_negative_float_names_are_values_not_options(value, capsys):
     assert repr(args.tau_range) == repr([float(value), math.inf])
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--laws", "composition", "--tau-range", "-inf", "inf"],
+     "tau range must have finite ends after domain intersection, got (-inf, inf)"),
+    (["--laws", "composition", "--ab-range", "0", "inf"],
+     "a/b range must have finite ends after domain intersection, got (0.0, inf)"),
+    (["--laws", "klapka", "--rho-range", "0", "inf"],
+     "rho_range must have finite ends, got (0.0, inf)"),
+])
+def test_verify_infinite_range_end_is_a_config_error(extra, message, capsys):
+    # A draw on an infinite end is inf or NaN: every sample used to fail
+    # (exit 2, worst_case null).
+    code, out, err = run(["verify", "--catalog", "free_fall", "--samples", "3"]
+                         + extra, capsys)
+    assert (code, out) == (1, "")
+    doc = stderr_doc(err)
+    assert doc["code"] == "config_error"
+    assert doc["message"] == message
+
+
+def test_verify_infinite_range_end_bounded_by_the_domain(capsys):
+    # conic's domain bounds tau, so an unbounded tau range is that domain.
+    base = ["verify", "--catalog", "conic", "--laws", "composition",
+            "--samples", "3", "--format", "json"]
+    plain = run(base, capsys)
+    assert plain[0] == 0
+    assert run(base + ["--tau-range", "-inf", "inf"], capsys) == plain
+
+
 def test_long_ode_chain_is_a_parse_error_not_a_recursion_error(capsys):
     # The evaluators recurse once per operator of a chain like x+x+...+x.
     short = "+".join(["0.001*x"] * 150)
