@@ -10,8 +10,8 @@ There is one step loop, written once as a template (_TEMPLATE) and
 unrolled for each dimension n into straight-line code over named floats:
 one statement per component and stage (x0_2, v0_2, k0_2, x1_2, ...), with
 no lists, comprehensions or per-stage helper calls.  _kernel generates
-the source, compiles it once per (n, variant), caches it and registers it
-with linecache, so that tracebacks show its lines.  Both variants call a
+the source and compiles it once per (n, variant) into a bounded cache that
+shows its lines in tracebacks.  Both variants call a
 float-level rhs, ``SecondOrderOde.rhs1``, and differ in three snippets:
 
 - the rhs call: the dim-1 variant's ``rhs1`` takes and returns floats,
@@ -54,14 +54,15 @@ and a Trajectory returns the same bits for a tau whatever it was asked before.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import linecache
 import math
 import operator
 import re
 from array import array
+from collections import OrderedDict
 from dataclasses import dataclass
+from types import FunctionType
 from typing import Callable
 
 import numpy as np
@@ -612,28 +613,58 @@ en = sqrt(float(dot(r := new_array((ex{*}, ev{*})), r)) / {n2}) if ss < 1e300 el
 }
 
 
-@functools.cache
+class CodeCache:
+    """The code of the last ``size`` generated functions used, by key: the
+    kernels here and rhs_parser.bind's.  The kept sources are registered
+    with linecache, so that tracebacks show their lines."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self._entries: OrderedDict = OrderedDict()  # key -> (filename, function)
+
+    def function(self, key, build: Callable[[], tuple[str, str]],
+                 namespace: dict) -> FunctionType:
+        """key's function over the globals namespace (the kept one when it
+        has those).  On a miss, build() gives the filename and the source
+        that defines it."""
+        if key in self._entries:
+            self._entries.move_to_end(key)
+        else:
+            filename, source = build()
+            scope: dict = {}
+            exec(compile(source, filename, "exec"), namespace, scope)
+            linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+            self._entries[key] = (filename, *scope.values())
+            if len(self._entries) > self.size:
+                linecache.cache.pop(self._entries.popitem(last=False)[1][0], None)
+        fn = self._entries[key][1]
+        return fn if fn.__globals__ is namespace else FunctionType(fn.__code__, namespace)
+
+
+# The kernels of the last few (n, variant) pairs: one costs 3 ms and 218
+# lines to compile at n = 2, 154 ms and 5960 lines at n = 200.
+_KERNELS = CodeCache(8)
+
+
 def _kernel(n: int, variant: str) -> Callable:
     """_TEMPLATE unrolled for dimension n with the snippets of
-    _VARIANTS[variant], compiled on first use and registered with
-    linecache so that tracebacks show its lines."""
-    snippets = _VARIANTS[variant]
+    _VARIANTS[variant], compiled on first use into _KERNELS."""
+    def unroll() -> tuple[str, str]:
+        snippets = _VARIANTS[variant]
 
-    def directive(m: re.Match) -> str:
-        text = snippets[m[2]].replace("{s}", m[3]).replace("{t}", m[4])
-        return "\n".join(m[1] + line for line in text.splitlines())
+        def directive(m: re.Match) -> str:
+            text = snippets[m[2]].replace("{s}", m[3]).replace("{t}", m[4])
+            return "\n".join(m[1] + line for line in text.splitlines())
 
-    source = re.sub(r"^( *)@(\w+) ?(\d?) ?(.*)$", directive, _TEMPLATE, flags=re.M)
-    source = (source.replace("{scale}", snippets["scale"])
-              .replace("{n}", str(n)).replace("{n2}", str(2 * n)))
-    source = re.sub(r"(\w*)\{\*\}(\w*)",
-                    lambda m: ", ".join(f"{m[1]}{i}{m[2]}" for i in range(n)), source)
-    lines = []
-    for unrolled, run in itertools.groupby(source.splitlines(True), lambda line: "{i}" in line):
-        run = list(run)
-        lines += [line.replace("{i}", str(i)) for i in range(n) for line in run] if unrolled else run
-    filename = f"<febvp.ode_core kernel, dim {n}, {variant}>"
-    linecache.cache[filename] = (sum(map(len, lines)), None, lines, filename)
-    scope: dict = {}
-    exec(compile("".join(lines), filename, "exec"), globals(), scope)
-    return scope["kernel"]
+        source = re.sub(r"^( *)@(\w+) ?(\d?) ?(.*)$", directive, _TEMPLATE, flags=re.M)
+        source = (source.replace("{scale}", snippets["scale"])
+                  .replace("{n}", str(n)).replace("{n2}", str(2 * n)))
+        source = re.sub(r"(\w*)\{\*\}(\w*)",
+                        lambda m: ", ".join(f"{m[1]}{i}{m[2]}" for i in range(n)), source)
+        lines = []
+        for unrolled, run in itertools.groupby(source.splitlines(True), lambda line: "{i}" in line):
+            run = list(run)
+            lines += [line.replace("{i}", str(i)) for i in range(n) for line in run] if unrolled else run
+        return f"<febvp.ode_core kernel, dim {n}, {variant}>", "".join(lines)
+
+    return _KERNELS.function((n, variant), unroll, globals())

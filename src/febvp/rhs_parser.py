@@ -18,18 +18,20 @@ double precision; division by zero, domain faults (log, sqrt, fractional
 powers of negatives), and range overflow raise EvaluationError rather than
 returning non-finite values silently.
 
-eval_expr walks the tree and is the reference; bind compiles each
-expression once into nested closures with the same results and errors.
+eval_expr walks the tree and is the reference; bind emits the expressions
+as one generated function with the same results and errors.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import FebvpError
+from .ode_core import CodeCache
 
 __all__ = [
     "ParseError",
@@ -314,16 +316,46 @@ def parse(text: str, dim: int = 1,
 
 
 def _component(values, index: int, name: str, pos: int) -> float:
-    if values is None:
-        raise UnboundReference(name, pos)
-    if isinstance(values, (int, float)):
-        if index != 1:
-            raise UnboundReference(name, pos)
+    if isinstance(values, (int, float)) and index == 1:
         return float(values)
     try:
         return float(values[index - 1])
     except (IndexError, TypeError):
         raise UnboundReference(name, pos)
+
+
+def _div(a: float, b: float, pos: int) -> float:
+    if b == 0.0:
+        raise EvaluationError("division_by_zero", pos)
+    return a / b
+
+
+def _pow(a: float, b: float, pos: int) -> float:
+    try:
+        result = a ** b
+    except ZeroDivisionError:
+        raise EvaluationError("division_by_zero", pos)
+    except OverflowError:
+        raise EvaluationError("overflow", pos)
+    except ValueError:
+        raise EvaluationError("pow_domain", pos)
+    if isinstance(result, complex):
+        raise EvaluationError("pow_domain", pos)
+    return result
+
+
+def _apply(fn: Callable[[float], float], a: float, pos: int) -> float:
+    try:
+        return float(fn(a))
+    except OverflowError:
+        raise EvaluationError("overflow", pos)
+    except ValueError:
+        kind = {math.log: "log_domain", math.sqrt: "sqrt_domain"}.get(fn, "pow_domain")
+        raise EvaluationError(kind, pos)
+
+
+def _unbound(name: str, pos: int):
+    raise UnboundReference(name, pos)
 
 
 def eval_expr(e: Expr, tau: float,
@@ -356,31 +388,10 @@ def eval_expr(e: Expr, tau: float,
         if op == "*":
             return lv * rv
         if op == "/":
-            if rv == 0.0:
-                raise EvaluationError("division_by_zero", e.pos)
-            return lv / rv
-        # op == "^"
-        try:
-            result = lv ** rv
-        except ZeroDivisionError:
-            raise EvaluationError("division_by_zero", e.pos)
-        except OverflowError:
-            raise EvaluationError("overflow", e.pos)
-        except ValueError:
-            raise EvaluationError("pow_domain", e.pos)
-        if isinstance(result, complex):
-            raise EvaluationError("pow_domain", e.pos)
-        return result
+            return _div(lv, rv, e.pos)
+        return _pow(lv, rv, e.pos)
     if isinstance(e, Call):
-        av = eval_expr(e.arg, tau, x, v, params)
-        try:
-            return float(FUNCTIONS[e.func](av))
-        except OverflowError:
-            raise EvaluationError("overflow", e.pos)
-        except ValueError:
-            kind = {"log": "log_domain", "sqrt": "sqrt_domain"}.get(
-                e.func, "pow_domain")
-            raise EvaluationError(kind, e.pos)
+        return _apply(FUNCTIONS[e.func], eval_expr(e.arg, tau, x, v, params), e.pos)
     raise TypeError(f"not an Expr node: {e!r}")
 
 
@@ -428,130 +439,88 @@ def pretty(e: Expr) -> str:
     raise TypeError(f"not an Expr node: {e!r}")
 
 
-def _constant(value) -> Callable:
-    """A closure returning value; its ``value`` attribute marks it constant
-    for _fold."""
-    def f(tau, x, v):
-        return value
-    f.value = value
-    return f
+# The globals every generated rhs reads, besides its constants and _walk.
+_NAMESPACE = {"_div": _div, "_pow": _pow, "_apply": _apply,
+              "_unbound": _unbound, **FUNCTIONS}
+_CODES = CodeCache(128)
 
 
-def _fold(f: Callable, *operands: Callable) -> Callable:
-    """f, or f's value as a constant when its operands are constants and
-    it evaluates without error: the same operation, done once."""
-    if all(hasattr(g, "value") for g in operands):
-        try:
-            return _constant(f(None, None, None))
-        except EvaluationError:
-            pass  # raised again each time f is called
-    return f
-
-
-def _compile(e: Expr, params: Mapping[str, float] | None) -> Callable:
-    """e as nested closures f(tau, x, v) with the results and errors of
-    eval_expr(e, tau, x, v, params): the same operations in the same order,
-    without the per-node type dispatch (closure compilation, Feeley and
-    Lapalme 1987).  Parameter values are read and converted to float here,
-    and subexpressions without variables are evaluated here once; an
-    unbound name, or a fault in a constant subexpression, raises when f is
-    called."""
+def _emit(e: Expr, params: Mapping[str, float] | None, body: list[str],
+          consts: dict):
+    """e's value when it needs no variable (folded by eval_expr), else the
+    temporary that the statements appended to body assign: eval_expr(e)'s
+    operations in its order, / ^ and functions through its helpers, each
+    read as float(...) unless a float.  A constant subexpression that
+    faults, and an unbound parameter, raise when called."""
     if isinstance(e, Num):
-        return _constant(e.value)
-    if isinstance(e, Var):
-        if e.kind == "tau":
-            return lambda tau, x, v: float(tau)
-        i, index, name, pos = e.index - 1, e.index, f"{e.kind}{e.index}", e.pos
-        # float(values[i]) for a sequence; _component for the rest (a
-        # scalar, None, too short) and for its errors.
-        if e.kind == "x":
-            def x_component(tau, x, v):
-                try:
-                    return float(x[i])
-                except (IndexError, TypeError):
-                    return _component(x, index, name, pos)
-            return x_component
-
-        def v_component(tau, x, v):
-            try:
-                return float(v[i])
-            except (IndexError, TypeError):
-                return _component(v, index, name, pos)
-        return v_component
+        return e.value
+    if isinstance(e, Param) and params is not None and e.name in params:
+        return float(params[e.name])
+    fields = ()
     if isinstance(e, Param):
-        name, pos = e.name, e.pos
-        if params is None or name not in params:
-            def unbound(tau, x, v):
-                raise UnboundReference(name, pos)
-            return unbound
-        return _constant(float(params[name]))
-    if isinstance(e, Neg):
-        operand = _compile(e.operand, params)
-        return _fold(lambda tau, x, v: -operand(tau, x, v), operand)
-    if isinstance(e, BinOp):
-        left = _compile(e.left, params)
-        right = _compile(e.right, params)
-        op, pos = e.op, e.pos
-        if op == "+":
-            def f(tau, x, v):
-                return left(tau, x, v) + right(tau, x, v)
-        elif op == "-":
-            def f(tau, x, v):
-                return left(tau, x, v) - right(tau, x, v)
-        elif op == "*":
-            def f(tau, x, v):
-                return left(tau, x, v) * right(tau, x, v)
-        elif op == "/":
-            def f(tau, x, v):
-                lv = left(tau, x, v)
-                rv = right(tau, x, v)
-                if rv == 0.0:
-                    raise EvaluationError("division_by_zero", pos)
-                return lv / rv
-        else:
-            def f(tau, x, v):
-                lv = left(tau, x, v)
-                rv = right(tau, x, v)
-                try:
-                    result = lv ** rv
-                except ZeroDivisionError:
-                    raise EvaluationError("division_by_zero", pos)
-                except OverflowError:
-                    raise EvaluationError("overflow", pos)
-                except ValueError:
-                    raise EvaluationError("pow_domain", pos)
-                if isinstance(result, complex):
-                    raise EvaluationError("pow_domain", pos)
-                return result
-        return _fold(f, left, right)
-    if isinstance(e, Call):
-        arg = _compile(e.arg, params)
-        fn, pos = FUNCTIONS[e.func], e.pos
-        domain = {"log": "log_domain", "sqrt": "sqrt_domain"}.get(
-            e.func, "pow_domain")
+        form = f"_unbound({e.name!r}, {e.pos})"
+    elif isinstance(e, Var) and e.kind == "tau":
+        form = "tau if type(tau) is float else float(tau)"
+    elif isinstance(e, Var):
+        form = f"r if type(r := {e.kind}[{e.index - 1}]) is float else float(r)"
+        if e.index == 1:  # a float is x1 (or v1) itself
+            form = f"{e.kind} if type({e.kind}) is float else {form}"
+    elif isinstance(e, Neg):
+        form, fields = "-{}", ("operand",)
+    elif isinstance(e, BinOp):
+        helper = {"/": "_div", "^": "_pow"}.get(e.op)
+        form = f"{helper}({{}}, {{}}, {e.pos})" if helper else f"{{}} {e.op} {{}}"
+        fields = ("left", "right")
+    elif isinstance(e, Call):
+        form, fields = f"_apply({e.func}, {{}}, {e.pos})", ("arg",)
+    else:
+        raise TypeError(f"not an Expr node: {e!r}")
+    values = [_emit(getattr(e, f), params, body, consts) for f in fields]
+    if fields and not any(isinstance(a, str) for a in values):
+        try:
+            return eval_expr(replace(e, **{f: Num(a) for f, a in zip(fields, values)}), None)
+        except EvaluationError:
+            pass  # raised again each time the function is called
+    body.append(f"t{len(body)} = " + form.format(*(_name(a, consts) for a in values)))
+    return f"t{len(body) - 1}"
 
-        def call(tau, x, v):
-            av = arg(tau, x, v)
-            try:
-                return float(fn(av))
-            except OverflowError:
-                raise EvaluationError("overflow", pos)
-            except ValueError:
-                raise EvaluationError(domain, pos)
-        return _fold(call, arg)
-    raise TypeError(f"not an Expr node: {e!r}")
+
+def _name(value, consts: dict) -> str:
+    """A temporary's name, or a new global's for a constant value."""
+    if isinstance(value, str):
+        return value
+    consts[f"_c{len(consts)}"] = value
+    return f"_c{len(consts) - 1}"
 
 
 def bind(exprs: Sequence[Expr] | Expr, params: Mapping[str, float]):
     """Close one expression (scalar) or a per-component list (vector) over
     fixed parameter values, yielding rhs(tau, x, v): a float, or a list of
-    floats.  Each expression is compiled once into closures that give the
-    bits and errors of eval_expr."""
-    if isinstance(exprs, (Num, Var, Param, Neg, BinOp, Call)):
-        return _compile(exprs, params)
-    parts = [_compile(p, params) for p in exprs]
+    floats, with the bits and errors of eval_expr.
 
-    def rhs_vector(tau, x, v):
-        return [f(tau, x, v) for f in parts]
+    The expressions become one generated function (_emit), with their
+    constants as its globals, compiled once per source into a bounded
+    cache.  eval_expr evaluates again a call whose reads raise TypeError
+    or IndexError (None, an int, a NumPy scalar, a short list) and one with
+    a NaN result, whose sign bit a specialised float multiply may flip."""
+    scalar = isinstance(exprs, (Num, Var, Param, Neg, BinOp, Call))
+    parts = [exprs] if scalar else list(exprs)
+    params = None if params is None else dict(params)
+    body: list[str] = []
+    consts: dict = {}
+    results = [_name(_emit(e, params, body, consts), consts) for e in parts]
+    nan = " or ".join(f"{r} != {r}" for r in results) or "False"
+    source = "".join([
+        "def rhs(tau, x, v):\n    try:\n",
+        *(f"        {line}\n" for line in body or ["pass"]),
+        "    except (TypeError, IndexError):\n        return _walk(tau, x, v)\n",
+        f"    if {nan}:\n        return _walk(tau, x, v)\n",
+        f"    return {results[0] if scalar else '[' + ', '.join(results) + ']'}\n"])
 
-    return rhs_vector
+    def walk(tau, x, v):
+        values = [eval_expr(e, tau, x, v, params) for e in parts]
+        return values[0] if scalar else values
+
+    digest = hashlib.blake2b(source.encode(), digest_size=6).hexdigest()
+    return _CODES.function(source, lambda: (f"<febvp.rhs_parser rhs {digest}>", source),
+                           {**_NAMESPACE, **consts, "_walk": walk})

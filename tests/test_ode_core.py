@@ -1,5 +1,6 @@
 """Integrator tests against closed-form solutions."""
 
+import linecache
 import math
 import traceback
 from array import array
@@ -15,7 +16,7 @@ from febvp.ode_core import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
     _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
     _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7,
-    _ERR_PREV_INIT, _FLUSH_DOUBLES, _MIN_FACTOR, _SAFETY,
+    _ERR_PREV_INIT, _FLUSH_DOUBLES, _KERNELS, _MIN_FACTOR, _SAFETY,
     IntegrationError,
     IntegratorConfig,
     MaxStepsExceeded,
@@ -848,6 +849,21 @@ def test_generated_kernel_tracebacks_show_its_lines():
     frame, = kernel_frames(info.tb)
     assert " = f(t + c2 * hs, " in frame.line
     assert frame.line in "".join(traceback.format_tb(info.tb))
+
+
+def test_kernel_cache_is_bounded_with_its_linecache_lines():
+    # More dimensions than the cache keeps: the oldest kernels, and their
+    # linecache lines, are dropped; the newest still shows its lines.
+    size = _KERNELS.size
+    for n in range(1, size + 3):
+        ode = SecondOrderOde(n, lambda t, x, v: -x)
+        integrate_ivp(ode, StatePoint.of(0.0, [1.0] * n, [0.0] * n), 0.5)
+    kept = [name for name in linecache.cache
+            if name.startswith("<febvp.ode_core kernel")]
+    assert len(kept) <= size
+    assert "<febvp.ode_core kernel, dim 1, vector>" not in kept
+    newest = f"<febvp.ode_core kernel, dim {size + 2}, vector>"
+    assert linecache.getline(newest, 1) == "def kernel(f, t0, y0, t_end, cfg):\n"
 
 
 def _counted(fn, calls):

@@ -2,12 +2,15 @@
 
 import math
 import struct
+import traceback
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from febvp import rhs_parser
+from febvp.ode_core import CodeCache
 from febvp.rhs_parser import (
     FUNCTIONS,
     BinOp,
@@ -213,7 +216,7 @@ def test_ast_nodes_are_frozen():
 
 # ------------------------------------------- compiled against tree walk
 #
-# bind compiles each expression into closures; eval_expr walks the tree
+# bind compiles the expressions into one function; eval_expr walks the tree
 # and is the reference.  Both must give the same bits, or the same error
 # class, kind or name, and position, for any tree and any point.
 
@@ -273,3 +276,95 @@ def test_compiled_errors_are_raised_when_called():
     with pytest.raises(EvaluationError) as exc:
         g(0.0, 1.0, 0.0)
     assert (exc.value.kind, exc.value.position) == ("division_by_zero", 5)
+
+
+# ----------------------------------------------- the generated functions
+#
+# bind emits one function per expression list and compiles it through a
+# bounded code cache.  These pin what the parity test above leaves to
+# chance: a function's first calls, the inputs that fall back to the tree
+# walk, the cache, and tracebacks through the generated lines.
+
+def test_generated_rhs_gives_the_tree_walks_bits_from_the_first_call(
+        monkeypatch):
+    # A freshly compiled function runs unspecialised bytecode at first,
+    # whose float multiply can give a NaN the other sign bit: (-tau)*tau
+    # at tau = nan.  Every call, the first and the 200th too, must give
+    # eval_expr's bits.
+    monkeypatch.setattr(rhs_parser, "_CODES", CodeCache(8))
+    params = {"k": 1.5, "g": -0.5}
+    exprs = [parse(text, params=("k", "g"))
+             for text in ("(-tau)*tau", "k^2*x + g", "x*v - tau/k", "-x")]
+    bound = [(bind(e, params), lambda *p, e=e: eval_expr(e, *p, params))
+             for e in exprs]
+    bound.append((bind(exprs, params),
+                  lambda *p: [eval_expr(e, *p, params) for e in exprs]))
+    probes = [0.0, -0.0, 1.5, -2.25, 1e308, math.inf, -math.inf, -math.nan]
+    points = ([math.nan] + [probes[i % len(probes)] for i in range(198)]
+              + [math.nan])
+    for point in points:
+        for f, walk in bound:
+            args = (point, point, -point)
+            assert outcome(f, *args) == outcome(walk, *args), (point, f)
+
+
+@pytest.mark.parametrize("text, dim, x", [
+    ("x*v + tau", 1, None),
+    ("x1*v1 + x2", 2, [1.0]),
+    ("x*v + tau", 1, np.float64(0.5)),
+    ("x*v + tau", 1, 2),
+    ("x1*v1 + x2", 2, np.array([0.5, 2.0])),
+], ids=["none", "short-list", "numpy-scalar", "int", "numpy-array"])
+def test_generated_rhs_falls_back_to_the_tree_walk(text, dim, x):
+    e = parse(text, dim=dim)
+    v = 0.25 if dim == 1 else [0.25, 0.75]
+    assert outcome(bind(e, {}), 0.5, x, v) == outcome(eval_expr, e, 0.5, x, v)
+    assert (outcome(bind([e, e], {}), 0.5, x, v)
+            == outcome(lambda: [eval_expr(e, 0.5, x, v)] * 2))
+
+
+def test_binding_the_same_text_again_compiles_once():
+    e = parse("k*x + 1/(k - g)", params=("k", "g"))
+    f = bind(e, {"k": 2.0, "g": 0.5})
+    g = bind(e, {"k": 3.0, "g": 1.0})
+    assert f.__code__ is g.__code__
+    assert (f(0.0, 1.0, 0.0), g(0.0, 1.0, 0.0)) == (2.0 + 1 / 1.5, 3.5)
+
+
+def test_evaluation_error_traceback_shows_the_generated_line():
+    f = bind(parse("x + 1/(k - 2)", params=("k",)), {"k": 2.0})
+    with pytest.raises(EvaluationError) as info:
+        f(0.0, 1.0, 0.0)
+    frame, = [frame for frame in traceback.extract_tb(info.tb)
+              if frame.filename.startswith("<febvp.rhs_parser rhs")]
+    assert frame.line.startswith("t1 = _div(")
+
+
+# Trees that parse can produce: its numbers are finite and non-negative
+# (a minus sign is a Neg), its variables those of dimension 2.
+_parsable = hst.recursive(
+    hst.builds(Num, hst.floats(min_value=0.0, allow_infinity=False))
+    | hst.builds(Var, hst.just("tau"), hst.just(0))
+    | hst.builds(Var, hst.sampled_from(["x", "v"]), hst.integers(1, 2))
+    | hst.builds(Param, hst.sampled_from(["k", "g"])),
+    lambda sub: (hst.builds(Neg, sub)
+                 | hst.builds(BinOp, hst.sampled_from(list("+-*/^")), sub, sub)
+                 | hst.builds(Call, hst.sampled_from(sorted(FUNCTIONS)), sub)),
+    max_leaves=16)
+
+
+def unplaced(result):
+    """An outcome without the error's position, which parse assigns."""
+    return result[:3] if isinstance(result, tuple) else result
+
+
+@settings(max_examples=300, deadline=None)
+@given(e=_parsable, tau=_coords, x=hst.lists(_coords, min_size=2, max_size=2),
+       v=hst.lists(_coords, min_size=2, max_size=2), k=_coords, g=_coords)
+def test_pretty_parse_round_trip_on_parsable_trees(e, tau, x, v, k, g):
+    printed = pretty(e)
+    again = parse(printed, dim=2, params=("k", "g"))
+    assert pretty(again) == printed
+    params = {"k": k, "g": g}
+    assert (unplaced(outcome(eval_expr, again, tau, x, v, params))
+            == unplaced(outcome(eval_expr, e, tau, x, v, params)))
