@@ -12,6 +12,11 @@ The solver certifies local uniqueness: a numerically singular shooting
 Jacobian raises ConjugatePoint even when the residual already vanished (a
 conjugate interval admits many solutions through the same endpoint data, and
 a converged residual alone cannot tell).
+
+One Newton loop serves every dimension, which picks how the residual is
+read, the Jacobian J formed, its singular values taken and the step solved:
+NumPy in dim n, and in dim 1 Python floats with LAPACK's 1x1 bits (-r / J
+as solve gives it, |J| as the SVD does; a NaN J does not decompose).
 """
 
 from __future__ import annotations
@@ -166,18 +171,16 @@ class ShootingResult:
     final_residual: float
 
 
-def _check_singular(J: np.ndarray, interval: float, cfg: ShootingConfig, where: str):
-    try:
-        sigma = np.linalg.svd(J, compute_uv=False)
-    except np.linalg.LinAlgError:
+def _check_singular(sigma: list[float] | None, interval: float, cfg: ShootingConfig, where: str):
+    """sigma: the Jacobian's singular values, largest first; None if it does not decompose."""
+    if sigma is None:
         raise ConjugatePoint(
             f"shooting Jacobian is not decomposable near {where}", interval=interval)
-    if not np.all(np.isfinite(sigma)):
+    if not all(map(math.isfinite, sigma)):
         raise ConjugatePoint(
             f"shooting Jacobian is non-finite near {where}", interval=interval)
-    smax = float(sigma[0])
-    smin = float(sigma[-1])
-    ref = max(smax, abs(interval))
+    smin = sigma[-1]
+    ref = max(sigma[0], abs(interval))
     if smin <= 0.0 or ref / smin > _COND_LIMIT or smin < cfg.singular_floor * ref:
         raise ConjugatePoint(
             "shooting Jacobian numerically singular "
@@ -206,25 +209,63 @@ def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
     interval = beta - alpha
     tol = cfg.newton_tol
 
-    def residual(u: np.ndarray) -> tuple[np.ndarray, Trajectory]:
-        traj = integrate_ivp(ode, StatePoint(alpha, a, u), beta, cfg.integrator)
-        return traj.eval(beta).x - b, traj
+    def residual(u):
+        traj = integrate_ivp(ode, StatePoint(alpha, a, vec(u)), beta, cfg.integrator)
+        return (*read(traj), traj)
 
-    def jacobian(u: np.ndarray, r_base: np.ndarray) -> np.ndarray:
-        J = np.empty((n, n))
-        for j in range(n):
-            dj = _FD_STEP * max(1.0, abs(float(u[j])))
-            up = u.copy()
-            up[j] += dj
-            rj, _ = residual(up)
-            J[:, j] = (rj - r_base) / dj
-        return J
+    # vec(u) is u as the (n,) array an IVP starts from; None is a non-finite step
+    vec = np.atleast_1d
+    if n == 1:
+        b0 = float(b[0])
 
-    u = (b - a) / interval
-    r, traj = residual(u)
-    rn = float(np.max(np.abs(r)))
+        def read(traj):
+            r = float(traj.eval(beta).x[0]) - b0
+            return r, abs(r)
+
+        def jacobian(u, r_base):
+            du = _FD_STEP * max(1.0, abs(u))
+            return (residual(u + du)[0] - r_base) / du
+
+        def singular_values(J):
+            return None if J != J else [abs(J)]
+
+        def newton_step(J, r):
+            s = -r / J
+            return s if math.isfinite(s) else None
+
+        u = (b0 - float(a[0])) / interval
+    else:
+        def read(traj):
+            r = traj.eval(beta).x - b
+            return r, float(np.max(np.abs(r)))
+
+        def jacobian(u, r_base):
+            J = np.empty((n, n))
+            for j in range(n):
+                dj = _FD_STEP * max(1.0, abs(float(u[j])))
+                up = u.copy()
+                up[j] += dj
+                J[:, j] = (residual(up)[0] - r_base) / dj
+            return J
+
+        def singular_values(J):
+            try:
+                return np.linalg.svd(J, compute_uv=False).tolist()
+            except np.linalg.LinAlgError:
+                return None
+
+        def newton_step(J, r):
+            try:
+                s = np.linalg.solve(J, -r)
+            except np.linalg.LinAlgError:
+                raise ConjugatePoint("shooting Jacobian solve failed", interval=interval)
+            return s if np.all(np.isfinite(s)) else None
+
+        u = (b - a) / interval
+
+    r, rn, traj = residual(u)
     iterations = 0
-    J: np.ndarray | None = None
+    J = None
 
     while rn > tol:
         if iterations >= cfg.max_newton_iters:
@@ -232,19 +273,15 @@ def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
                 f"Newton did not reach tol={tol!r} in {cfg.max_newton_iters} "
                 f"iterations (residual {rn!r})", residual=rn, iterations=iterations)
         J = jacobian(u, r)
-        _check_singular(J, interval, cfg, f"u={u.tolist()!r}")
-        try:
-            s = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError:
-            raise ConjugatePoint("shooting Jacobian solve failed", interval=interval)
-        if not np.all(np.isfinite(s)):
+        _check_singular(singular_values(J), interval, cfg, f"u={vec(u).tolist()!r}")
+        s = newton_step(J, r)
+        if s is None:
             raise ConjugatePoint("shooting Newton step is non-finite", interval=interval)
 
         lam = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             u_try = u + lam * s
-            r_try, traj_try = residual(u_try)
-            rn_try = float(np.max(np.abs(r_try)))
+            r_try, rn_try, traj_try = residual(u_try)
             if rn_try < rn or rn_try <= tol:
                 break
             lam *= 0.5
@@ -260,8 +297,8 @@ def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
     # with matching endpoint data lands here), so form one now.
     if J is None:
         J = jacobian(u, r)
-    _check_singular(J, interval, cfg, "the converged solution")
-    return ShootingResult(u=u, trajectory=traj, iterations=iterations, final_residual=rn)
+    _check_singular(singular_values(J), interval, cfg, "the converged solution")
+    return ShootingResult(u=vec(u), trajectory=traj, iterations=iterations, final_residual=rn)
 
 
 def solve_integral(ode: SecondOrderOde, cond: IntegralConditions,

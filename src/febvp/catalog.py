@@ -71,10 +71,10 @@ def _free_fall_ode(p):
 
 
 def _conic_ode(p):
-    k, g = p["k"], p["g"]
+    k2, g = p["k"] ** 2, p["g"]
 
     def rhs1(tau: float, x: float, v: float) -> float:
-        return k ** 2 * x + g
+        return k2 * x + g
 
     return SecondOrderOde.from_scalar(rhs1, label="conic")
 

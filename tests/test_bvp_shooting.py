@@ -6,10 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from febvp import bvp_shooting
-from febvp.catalog import numeric_evaluator
-from febvp.functional_laws import SampleSpec, check_composition
+from febvp import bvp_shooting, functional_laws
+from febvp.catalog import make_ode, numeric_evaluator
+from febvp.errors import FebvpError
+from febvp.functional_laws import SampleSpec, check_composition, check_lemma1_equivalence
 from febvp.bvp_shooting import (
     ConjugatePoint,
     DEFAULT_SHOOTING,
@@ -17,6 +20,7 @@ from febvp.bvp_shooting import (
     NeumannConditions,
     NoConvergence,
     ShootingConfig,
+    ShootingResult,
     clear_cache,
     diag_switch,
     eval_F,
@@ -25,7 +29,7 @@ from febvp.bvp_shooting import (
     solve_integral,
     solve_neumann,
 )
-from febvp.ode_core import IntegratorConfig, SecondOrderOde
+from febvp.ode_core import IntegratorConfig, SecondOrderOde, StatePoint
 
 FREE_FALL = SecondOrderOde.from_scalar(lambda t, x, v: -9.8, label="ff")
 OSC = SecondOrderOde.from_scalar(lambda t, x, v: -x, label="osc")
@@ -238,3 +242,252 @@ def test_shooting_config_rejects_bad_tolerances(field, value):
         replace(DEFAULT_SHOOTING, **{field: value})
     with pytest.raises(ValueError, match=f"{field} must be a finite number > 0"):
         ShootingConfig(**{field: value})
+
+
+# ------------------------------------------ dim-1 floats against arrays
+#
+# _array_newton is solve_neumann as it was when every dimension ran through
+# NumPy: a (1,) residual, a 1x1 Jacobian, np.linalg.svd for the certificate
+# and np.linalg.solve for the step.  The dim-1 float path must give its
+# bits, counts and errors.  Its IVPs go through the module's integrate_ivp,
+# as solve_neumann's do.
+
+def _array_check_singular(J, interval, cfg, where):
+    try:
+        sigma = np.linalg.svd(J, compute_uv=False)
+    except np.linalg.LinAlgError:
+        raise ConjugatePoint(
+            f"shooting Jacobian is not decomposable near {where}", interval=interval)
+    if not np.all(np.isfinite(sigma)):
+        raise ConjugatePoint(
+            f"shooting Jacobian is non-finite near {where}", interval=interval)
+    smax = float(sigma[0])
+    smin = float(sigma[-1])
+    ref = max(smax, abs(interval))
+    if smin <= 0.0 or ref / smin > bvp_shooting._COND_LIMIT or smin < cfg.singular_floor * ref:
+        raise ConjugatePoint(
+            "shooting Jacobian numerically singular "
+            f"(sigma_min={smin!r}, scale={ref!r}) near {where}: endpoint data "
+            "does not determine a locally unique solution",
+            sigma_min=smin, scale=ref, interval=interval)
+
+
+def _array_newton(ode, cond, cfg=DEFAULT_SHOOTING):
+    n = ode.dim
+    alpha, beta = cond.alpha, cond.beta
+    a, b = cond.a, cond.b
+    interval = beta - alpha
+    tol = cfg.newton_tol
+
+    def residual(u):
+        traj = bvp_shooting.integrate_ivp(ode, StatePoint(alpha, a, u), beta, cfg.integrator)
+        return traj.eval(beta).x - b, traj
+
+    def jacobian(u, r_base):
+        J = np.empty((n, n))
+        for j in range(n):
+            dj = bvp_shooting._FD_STEP * max(1.0, abs(float(u[j])))
+            up = u.copy()
+            up[j] += dj
+            rj, _ = residual(up)
+            J[:, j] = (rj - r_base) / dj
+        return J
+
+    u = (b - a) / interval
+    r, traj = residual(u)
+    rn = float(np.max(np.abs(r)))
+    iterations = 0
+    J = None
+    while rn > tol:
+        if iterations >= cfg.max_newton_iters:
+            raise NoConvergence(
+                f"Newton did not reach tol={tol!r} in {cfg.max_newton_iters} "
+                f"iterations (residual {rn!r})", residual=rn, iterations=iterations)
+        J = jacobian(u, r)
+        _array_check_singular(J, interval, cfg, f"u={u.tolist()!r}")
+        try:
+            s = np.linalg.solve(J, -r)
+        except np.linalg.LinAlgError:
+            raise ConjugatePoint("shooting Jacobian solve failed", interval=interval)
+        if not np.all(np.isfinite(s)):
+            raise ConjugatePoint("shooting Newton step is non-finite", interval=interval)
+        lam = 1.0
+        for _ in range(bvp_shooting._MAX_HALVINGS + 1):
+            u_try = u + lam * s
+            r_try, traj_try = residual(u_try)
+            rn_try = float(np.max(np.abs(r_try)))
+            if rn_try < rn or rn_try <= tol:
+                break
+            lam *= 0.5
+        else:
+            raise NoConvergence(
+                f"damped line search stalled after {bvp_shooting._MAX_HALVINGS} halvings "
+                f"(residual {rn!r})", residual=rn, iterations=iterations)
+        u, r, rn, traj = u_try, r_try, rn_try, traj_try
+        iterations += 1
+    if J is None:
+        J = jacobian(u, r)
+    _array_check_singular(J, interval, cfg, "the converged solution")
+    return ShootingResult(u=u, trajectory=traj, iterations=iterations, final_residual=rn)
+
+
+def _family(name, params=None):
+    return make_ode(name, params)[0]
+
+
+def _solve_outcome(solve, ode, cond, cfg=DEFAULT_SHOOTING):
+    """Everything a solve shows: result bits, or error class, message and
+    context."""
+    try:
+        res = solve(ode, cond, cfg)
+    except FebvpError as exc:
+        return type(exc), str(exc), exc.context
+    assert isinstance(res.final_residual, float)
+    return (res.u.shape, res.u.dtype, res.u.tobytes(), res.iterations,
+            res.final_residual.hex(), np.array(res.trajectory.knots).tobytes())
+
+
+def _ivp_count(monkeypatch, solve, ode, cond):
+    calls = []
+    real = bvp_shooting.integrate_ivp
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(bvp_shooting, "integrate_ivp", counted)
+        _solve_outcome(solve, ode, cond)
+    return len(calls)
+
+
+_FAMILIES = {
+    "free_fall": lambda d: {"g": d(hst.floats(-20.0, 20.0))},
+    "conic": lambda d: {"k": d(hst.floats(0.0, 6.0)), "g": d(hst.floats(-2.0, 2.0))},
+    "oscillator": lambda d: {"omega": d(hst.floats(0.25, 3.0))},
+    "linear_basis": lambda d: {},
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=hst.data(), family=hst.sampled_from(sorted(_FAMILIES)),
+       alpha=hst.floats(-2.0, 2.0), length=hst.floats(-4.5, 4.5).filter(lambda w: abs(w) > 0.05),
+       a=hst.floats(-3.0, 3.0), b=hst.floats(-3.0, 3.0),
+       tol=hst.sampled_from([1e-10, 1e-13, 1e-15]), iters=hst.sampled_from([1, 50]))
+def test_dim1_float_newton_matches_the_array_newton(data, family, alpha, length, a, b, tol, iters):
+    ode = _family(family, _FAMILIES[family](data.draw))
+    cond = NeumannConditions(alpha, alpha + length, a, b)
+    cfg = ShootingConfig(newton_tol=tol, max_newton_iters=iters)
+    assert (_solve_outcome(solve_neumann, ode, cond, cfg)
+            == _solve_outcome(_array_newton, ode, cond, cfg))
+
+
+@pytest.mark.parametrize("ode, cond, error", [
+    # the secant guess is exact, then the certificate finds the conjugate point
+    (_family("linear_basis"), NeumannConditions(0.0, math.pi, 0.0, 0.0), ConjugatePoint),
+    (_family("oscillator"), NeumannConditions(0.0, math.pi, 0.5, -0.5), ConjugatePoint),
+    # exp(20) growth: the line search stalls after 20 halvings
+    (_family("conic", {"k": 5.0}), NeumannConditions(0.0, 4.0, 0.0, 1.0), NoConvergence),
+    # a nonlinear problem whose line search halves once, then converges
+    (PENDULUM, NeumannConditions(0.0, 2.82, 2.14, 2.95), None),
+    (OSC, NeumannConditions(0.0, math.pi - 0.1, 0.3, 0.7), None),
+    (SecondOrderOde(dim=2, rhs=lambda t, x, v: -x, label="rot"),
+     NeumannConditions(0.0, 1.0, [1.0, 0.0], [math.cos(1.0), math.sin(1.0)]), None),
+], ids=["linear-basis-pi", "oscillator-pi", "conic-k5", "pendulum-halving",
+        "inside-pi", "dim2"])
+def test_newton_edge_cases_match_the_array_newton(ode, cond, error):
+    got = _solve_outcome(solve_neumann, ode, cond)
+    assert got == _solve_outcome(_array_newton, ode, cond)
+    # an error's class, or a result's u shape
+    assert got[0] == (error or cond.a.shape)
+
+
+def test_pendulum_case_halves_its_step(monkeypatch):
+    # One IVP for the first residual, then per Newton iteration one for the
+    # Jacobian and one per line-search trial: any IVP past 2 * iterations + 1
+    # is a halving.
+    cond = NeumannConditions(0.0, 2.82, 2.14, 2.95)
+    iterations = solve_neumann(PENDULUM, cond).iterations
+    for solve in (solve_neumann, _array_newton):
+        assert _ivp_count(monkeypatch, solve, PENDULUM, cond) > 2 * iterations + 1
+
+
+class _EndValue:
+    """A stand-in trajectory whose value at every tau is x."""
+
+    def __init__(self, x):
+        self.x = x
+
+    def eval(self, tau):
+        return StatePoint.of(tau, [self.x], [0.0])
+
+
+@pytest.mark.parametrize("J, kind", [
+    (math.nan, "not decomposable"), (math.inf, "non-finite"),
+    (-math.inf, "non-finite"), (0.0, "numerically singular"),
+    (-0.0, "numerically singular"), (5e-324, "numerically singular"),
+])
+def test_dim1_certificate_matches_lapack(monkeypatch, J, kind):
+    # np.linalg's own verdicts on the 1x1 Jacobian [[J]]: NaN does not
+    # decompose, an infinity has singular value NaN, and the rest |J|.
+    if J != J:
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.svd([[J]], compute_uv=False)
+    else:
+        sigma = np.linalg.svd([[J]], compute_uv=False)[0]
+        assert (sigma != sigma) if math.isinf(J) else (sigma == abs(J))
+    # x(beta) = x0 at the secant slope u0 = 2e6 and x1 at u0 + du, with
+    # du = 2.0 exactly, so the forward difference (x1 - x0) / du is J.  A
+    # finite J meets a guess that already converged (x0 = 0), so the final
+    # certificate sees it; a non-finite one meets a residual of 1, so a
+    # Newton iteration's certificate does.
+    u0, du = 2e6, 2.0
+    assert bvp_shooting._FD_STEP * u0 == du
+    x0 = 0.0 if math.isfinite(J) else 1.0
+    x1 = J * du if x0 == 0.0 else x0 + J * du
+
+    def fake_ivp(ode, start, tau_end, *rest):
+        return _EndValue(x0 if float(start.v[0]) == u0 else x1)
+
+    monkeypatch.setattr(bvp_shooting, "integrate_ivp", fake_ivp)
+    cond = NeumannConditions(0.0, 1.0, -u0, 0.0)
+    got = _solve_outcome(solve_neumann, FREE_FALL, cond)
+    assert got == _solve_outcome(_array_newton, FREE_FALL, cond)
+    assert got[0] is ConjugatePoint and kind in got[1]
+
+
+# ------------------------------------------------- lemma1 solves once
+
+def test_lemma1_solves_once_per_sample(solves):
+    reports = check_lemma1_equivalence(_family("conic"), SampleSpec(count=12, seed=3))
+    assert [r.failures for r in reports] == [0, 0]
+    assert reports[0].max_residual == 0.0
+    assert len(solves) == 12
+
+
+@pytest.mark.parametrize("family", ["conic", "oscillator", "free_fall"])
+def test_integral_and_endpoint_solves_agree_on_lemma1_samples(monkeypatch, family):
+    # lemma1 reports its agreement as 0.0 without a second solve, because
+    # solve_integral is solve_neumann on b = a + v (beta - alpha).  Check
+    # that bit for bit on the conditions the law draws.
+    ode = _family(family)
+    drawn = []
+    real = functional_laws.solve_integral
+
+    def recorded(ode, cond, cfg=DEFAULT_SHOOTING):
+        result = real(ode, cond, cfg)
+        drawn.append((cond, result))
+        return result
+
+    monkeypatch.setattr(functional_laws, "solve_integral", recorded)
+    check_lemma1_equivalence(ode, SampleSpec(count=15, seed=11))
+    assert len(drawn) == 15
+    for cond, by_integral in drawn:
+        b = cond.a + cond.v * (cond.beta - cond.alpha)
+        by_endpoint = solve_neumann(ode, NeumannConditions(cond.alpha, cond.beta, cond.a, b))
+        assert (_solve_outcome(lambda *_: by_integral, ode, cond)
+                == _solve_outcome(lambda *_: by_endpoint, ode, cond))
+        taus = list(np.linspace(cond.alpha, cond.beta, 20))
+        for p, q in zip(by_integral.trajectory.eval_many(taus),
+                        by_endpoint.trajectory.eval_many(taus)):
+            assert (p.x.tobytes(), p.v.tobytes()) == (q.x.tobytes(), q.v.tobytes())
