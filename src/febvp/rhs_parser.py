@@ -27,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -444,9 +443,6 @@ def pretty(e: Expr) -> str:
 _NAMESPACE = {"_div": _div, "_pow": _pow, "_apply": _apply,
               "_unbound": _unbound, **FUNCTIONS}
 _CODES = CodeCache(128)
-# The last binds' (trees, source, constants), by the trees' ids and the
-# repr of the parameters.  A kept tree stays alive, so its id stays its own.
-_EMITTED: OrderedDict = OrderedDict()
 
 
 def _emit(e: Expr, params: Mapping[str, float] | None, body: list[str],
@@ -502,32 +498,24 @@ def bind(exprs: Sequence[Expr] | Expr, params: Mapping[str, float]):
     fixed parameter values, yielding rhs(tau, x, v): a float, or a list of
     floats, with the bits and errors of eval_expr.
 
-    The expressions become one generated function (_emit), emitted once per
-    trees and parameters and compiled once per source into bounded caches.
-    eval_expr evaluates again a call whose reads raise TypeError or
-    IndexError (None, an int, a NumPy scalar, a short list) and one with a
-    NaN result, whose sign bit a specialised float multiply may flip."""
+    The expressions become one generated function (_emit), with their
+    constants as its globals, compiled once per source into a bounded
+    cache.  eval_expr evaluates again a call whose reads raise TypeError
+    or IndexError (None, an int, a NumPy scalar, a short list) and one with
+    a NaN result, whose sign bit a specialised float multiply may flip."""
     scalar = isinstance(exprs, (Num, Var, Param, Neg, BinOp, Call))
     parts = [exprs] if scalar else list(exprs)
     params = None if params is None else dict(params)
-    key = (scalar, *map(id, parts), repr(params))
-    kept = _EMITTED.pop(key, None)
-    if kept is None:
-        body: list[str] = []
-        consts: dict = {}
-        results = [_name(_emit(e, params, body, consts), consts) for e in parts]
-        nan = " or ".join(f"{r} != {r}" for r in results) or "False"
-        kept = parts, "".join([
-            "def rhs(tau, x, v):\n    try:\n",
-            *(f"        {line}\n" for line in body or ["pass"]),
-            "    except (TypeError, IndexError):\n        return _walk(tau, x, v)\n",
-            f"    if {nan}:\n        return _walk(tau, x, v)\n",
-            f"    return {results[0] if scalar else '[' + ', '.join(results) + ']'}\n"]), consts
-    if "nan" not in key[-1]:  # repr tells every float apart but NaNs
-        _EMITTED[key] = kept
-        if len(_EMITTED) > _CODES.size:
-            _EMITTED.popitem(last=False)
-    _, source, consts = kept
+    body: list[str] = []
+    consts: dict = {}
+    results = [_name(_emit(e, params, body, consts), consts) for e in parts]
+    nan = " or ".join(f"{r} != {r}" for r in results) or "False"
+    source = "".join([
+        "def rhs(tau, x, v):\n    try:\n",
+        *(f"        {line}\n" for line in body or ["pass"]),
+        "    except (TypeError, IndexError):\n        return _walk(tau, x, v)\n",
+        f"    if {nan}:\n        return _walk(tau, x, v)\n",
+        f"    return {results[0] if scalar else '[' + ', '.join(results) + ']'}\n"])
 
     def walk(tau, x, v):
         values = [eval_expr(e, tau, x, v, params) for e in parts]

@@ -331,38 +331,6 @@ def test_binding_the_same_text_again_compiles_once():
     assert (f(0.0, 1.0, 0.0), g(0.0, 1.0, 0.0)) == (2.0 + 1 / 1.5, 3.5)
 
 
-def test_binding_one_tree_again_emits_nothing(monkeypatch):
-    # A repeated bind of one parsed tree with equal parameters reuses the
-    # emitted source: _emit runs only on the first bind.
-    calls = []
-    real_emit = rhs_parser._emit
-
-    def counted(*args):
-        calls.append(args[0])
-        return real_emit(*args)
-
-    monkeypatch.setattr(rhs_parser, "_emit", counted)
-    monkeypatch.setattr(rhs_parser, "_EMITTED", type(rhs_parser._EMITTED)())
-    e = parse("k^2*x + g", params=("k", "g"))
-    exprs = [e, parse("-x*v", dim=1)]
-    points = [(0.5, 1.25, -0.75), (0.0, -0.0, 2.0), (1.0, math.inf, 0.0)]
-    for bound in (e, exprs):
-        first = bind(bound, {"k": 1.5, "g": -0.5})
-        emitted = len(calls)
-        assert emitted > 0
-        again = bind(bound, {"k": 1.5, "g": -0.5})
-        assert len(calls) == emitted
-        assert [outcome(again, *p) for p in points] == [outcome(first, *p) for p in points]
-    # other parameter bits (-0.0 is not 0.0), or another tree, emit again
-    bind(e, {"k": 1.5, "g": 0.0})
-    emitted = len(calls)
-    assert outcome(bind(e, {"k": 1.5, "g": -0.0}), 0.0, -0.0, 0.0) == struct.pack("<d", -0.0)
-    assert len(calls) > emitted
-    emitted = len(calls)
-    bind(parse("k^2*x + g", params=("k", "g")), {"k": 1.5, "g": -0.5})
-    assert len(calls) > emitted
-
-
 def test_evaluation_error_traceback_shows_the_generated_line():
     f = bind(parse("x + 1/(k - 2)", params=("k",)), {"k": 2.0})
     with pytest.raises(EvaluationError) as info:
