@@ -86,7 +86,7 @@ class NeumannConditions:
         self.beta = float(self.beta)
         self.a = _as_vec(self.a)
         self.b = _as_vec(self.b, self.a.shape[0])
-        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise ValueError("alpha and beta must be finite")
         if self.alpha == self.beta:
             raise ValueError("endpoint data requires alpha != beta")
@@ -114,7 +114,7 @@ class IntegralConditions:
         self.beta = float(self.beta)
         self.a = _as_vec(self.a)
         self.v = _as_vec(self.v, self.a.shape[0])
-        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise ValueError("alpha and beta must be finite")
 
     @property
@@ -219,7 +219,7 @@ def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
         b0 = float(b[0])
 
         def read(traj):
-            r = float(traj.eval(beta).x[0]) - b0
+            r = traj.read((beta,))[0][0] - b0
             return r, abs(r)
 
         def jacobian(u, r_base):

@@ -47,6 +47,15 @@ interpolant is built from its record when a tau inside it is evaluated,
 and never kept, so most steps (those of Jacobian and line-search runs that
 are never evaluated inside) cost no dense-output work at all.
 
+Every evaluation is one batched read, Trajectory.read, which returns plain
+floats: a knot tau reads its stored state, and each step touched by an
+interior tau builds its q once (in dim 1 from straight-line float code
+generated once, in dim n as K.T @ P), after which all interior taus take
+one stacked matrix product, (m, 2n, 4) @ (m, 4, 1), and y0 + h * qp.
+These are the per-tau operations of the quartic interpolant, batched, so
+every tau has the same bits alone or in a batch.  Only the public eval
+and eval_many build StatePoints from the rows.
+
 Results are deterministic: identical inputs and config yield identical bits,
 and a Trajectory returns the same bits for a tau whatever it was asked before.
 """
@@ -229,37 +238,29 @@ _ERR_PREV_INIT = 1e-4
 _FLUSH_DOUBLES = 4096
 
 
-def _interpolate(t: float, h: float, y0: np.ndarray, q: np.ndarray,
-                 tau: float) -> np.ndarray:
-    th = (tau - t) / h
-    p = np.array([th, th * th, th ** 3, th ** 4])
-    return y0 + h * (q @ p)
+def _unrolled_q() -> Callable:
+    """The dim-1 q of a scalar-kernel step record, ``q(steps, base, n2)``:
+    the 8 floats (x row, then v row) of each column of P summed from 0.0
+    over its nonzero entries in stage order, as straight-line float code."""
+    terms = ", ".join(f"kx{s}, kv{s}" for s in range(7))
+    sums = ", ".join(" + ".join(["0.0"] + [f"{p!r} * k{c}{s}" for s, p in column])
+                     for c in "xv" for column in _P_COLUMNS)
+    source = (f"def q(steps, base, n2):\n"
+              f"    {terms} = steps[base + 4:base + 18]\n"
+              f"    return ({sums})\n")
+    scope: dict = {}
+    exec(compile(source, "<febvp.ode_core dense q, dim 1>", "exec"), {}, scope)
+    return scope["q"]
 
 
-def _dense_scalar(steps: array, base: int, n2: int) -> tuple:
-    """Interpolant ``(t, h, y0, q)`` of a scalar-kernel step, q summed stage
-    by stage in plain floats over the nonzero entries of P."""
-    t, h, x, v = steps[base:base + 4]
-    kxs = steps[base + 4:base + 18:2]
-    kvs = steps[base + 5:base + 18:2]
-    qx = []
-    qv = []
-    for column in _P_COLUMNS:
-        ax = bv = 0.0
-        for s, ps in column:
-            ax += ps * kxs[s]
-            bv += ps * kvs[s]
-        qx.append(ax)
-        qv.append(bv)
-    return t, h, np.array((x, v)), np.array((qx, qv))
+_q_scalar = _unrolled_q()
 
 
-def _dense_vector(steps: array, base: int, n2: int) -> tuple:
-    """Interpolant ``(t, h, y0, q)`` of a vector-kernel step: q = K.T @ P, as
-    one matrix product."""
-    y0 = np.frombuffer(steps, count=n2, offset=8 * (base + 2))
+def _q_vector(steps: array, base: int, n2: int) -> np.ndarray:
+    """The (2n, 4) q of a vector-kernel step record: K.T @ P, as one matrix
+    product."""
     K = np.frombuffer(steps, count=7 * n2, offset=8 * (base + 2 + n2)).reshape(7, n2)
-    return steps[base], steps[base + 1], y0, K.T @ _P_ARR
+    return K.T @ _P_ARR
 
 
 class Trajectory:
@@ -274,20 +275,20 @@ class Trajectory:
       ``t, h, y (2n), K (7 x 2n, stage-major)``: start time, signed width,
       start state and the seven stage derivatives.
 
-    A step's quartic interpolant is built from its record only when a tau
-    strictly inside it is evaluated, with the arithmetic of the kernel that
-    produced the run; exactly at a knot the stored state is returned.
-    Nothing is kept between calls, so every query gives the same bits in
-    any order; eval_many shares one step's interpolant among its taus.
+    Every evaluation goes through read: exactly at a knot it returns the
+    stored state; strictly inside a step it evaluates the step's quartic
+    interpolant, built from the record with the arithmetic of the kernel
+    that produced the run.  Nothing is kept between calls, so every query
+    gives the same bits in any order and in any batch.
     """
 
     def __init__(self, dim: int, knots: array, states: array, steps: array,
-                 dense: Callable = _dense_vector, label: str = ""):
+                 q: Callable = _q_vector, label: str = ""):
         self.dim = dim
         self._knots = knots
         self._states = states
         self._steps = steps
-        self._dense = dense
+        self._q = q
         self._backward = len(knots) > 1 and knots[-1] < knots[0]
         self.label = label
 
@@ -315,42 +316,67 @@ class Trajectory:
         return self.eval_many((tau,))[0]
 
     def eval_many(self, taus) -> list[StatePoint]:
-        """Evaluate the trajectory at each tau of taus, in the order given.
-
-        Each result has the bits of eval(tau); a step's interpolant is built
-        once however many of the taus fall inside it.
+        """Evaluate the trajectory at each tau of taus, in the order given;
+        each result has the bits of eval(tau).
 
         Raises:
             OutOfSpan: a tau lies outside [span lo, span hi].
         """
         taus = [float(tau) for tau in taus]
+        n = self.dim
+        return [StatePoint(tau, np.array(row[:n]), np.array(row[n:]))
+                for tau, row in zip(taus, self.read(taus))]
+
+    def read(self, taus) -> list[list[float]]:
+        """The state at each tau of taus, in the order given, as a row of
+        2n plain floats: x, then v.
+
+        A knot tau reads its stored state.  An interior tau reads its step's
+        interpolant y0 + h * (q @ p), with th = (tau - t) / h and
+        p = (th, th^2, th^3, th^4): q is built once per touched step, and the
+        q @ p of all interior taus are one stacked matrix product.
+
+        Raises:
+            OutOfSpan: a tau lies outside [span lo, span hi].
+        """
         lo, hi = self.span
+        knots, states, steps = self._knots, self._states, self._steps
+        n2 = 2 * self.dim
+        rows = []
+        # per interior tau: (its place in rows, h, y0), then its q and p
+        inner, qs, ps = [], [], []
+        built = {}
         for tau in taus:
+            tau = float(tau)
             if not lo <= tau <= hi:
                 raise OutOfSpan(
                     f"tau={tau!r} outside trajectory span [{lo!r}, {hi!r}]",
                     tau=tau, span=(lo, hi),
                 )
-        knots = self._knots
-        n = self.dim
-        n2 = 2 * n
-        built = {}
-        out = []
-        for tau in taus:
             if self._backward:
                 i = bisect.bisect_left(knots, -tau, key=operator.neg)
             else:
                 i = bisect.bisect_left(knots, tau)
             if knots[i] == tau:
-                y = np.frombuffer(self._states, count=n2, offset=8 * n2 * i)
-            else:
-                segment = built.get(i)
-                if segment is None:
-                    segment = built[i] = self._dense(
-                        self._steps, (i - 1) * (2 + 8 * n2), n2)
-                y = _interpolate(*segment, tau)
-            out.append(StatePoint(tau, y[:n].copy(), y[n:].copy()))
-        return out
+                rows.append(states[n2 * i:n2 * i + n2].tolist())
+                continue
+            base = (i - 1) * (2 + 8 * n2)
+            q = built.get(i)
+            if q is None:
+                q = built[i] = self._q(steps, base, n2)
+            h = steps[base + 1]
+            th = (tau - steps[base]) / h
+            inner.append((len(rows), h, steps[base + 2:base + 2 + n2]))
+            rows.append(None)
+            qs.append(q)
+            ps.append((th, th * th, th ** 3, th ** 4))
+        if inner:
+            m = len(inner)
+            qp = np.matmul(np.array(qs).reshape(m, n2, 4), np.array(ps).reshape(m, 4, 1))
+            # y0 + h * qp in plain floats, which round as NumPy's do
+            for (j, h, y0), hq in zip(inner, qp.reshape(m, n2).tolist()):
+                rows[j] = [y + h * c for y, c in zip(y0, hq)]
+        return rows
 
 
 def _pi_factor(err_norm: float, err_prev: float) -> float:
@@ -375,7 +401,8 @@ def integrate_ivp(ode: SecondOrderOde, start: StatePoint, tau_end: float,
     n = ode.dim
     if start.x.shape != (n,) or start.v.shape != (n,):
         raise ValueError(f"start state has wrong dimension for ode of dim {n}")
-    if not (np.all(np.isfinite(start.x)) and np.all(np.isfinite(start.v)) and math.isfinite(start.tau)):
+    if not (all(map(math.isfinite, start.x.tolist())) and all(map(math.isfinite, start.v.tolist()))
+            and math.isfinite(start.tau)):
         raise ValueError("start state must be finite")
     tau_end = float(tau_end)
     if not math.isfinite(tau_end):
@@ -389,9 +416,9 @@ def integrate_ivp(ode: SecondOrderOde, start: StatePoint, tau_end: float,
     if n == 1 and ode.rhs1 is not None:
         knots, states, steps = _integrate_scalar(
             ode.rhs1, t0, float(start.x[0]), float(start.v[0]), tau_end, config)
-        return Trajectory(n, knots, states, steps, _dense_scalar, label=ode.label)
+        return Trajectory(n, knots, states, steps, _q_scalar, label=ode.label)
     knots, states, steps = _integrate_vector(ode, t0, start, tau_end, config)
-    return Trajectory(n, knots, states, steps, _dense_vector, label=ode.label)
+    return Trajectory(n, knots, states, steps, _q_vector, label=ode.label)
 
 
 def _integrate_scalar(f, t0: float, x0: float, v0: float, t_end: float,

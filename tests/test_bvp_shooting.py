@@ -421,6 +421,9 @@ class _EndValue:
     def eval(self, tau):
         return StatePoint.of(tau, [self.x], [0.0])
 
+    def read(self, taus):
+        return [[self.x, 0.0] for _ in taus]
+
 
 @pytest.mark.parametrize("J, kind", [
     (math.nan, "not decomposable"), (math.inf, "non-finite"),

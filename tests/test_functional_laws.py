@@ -6,11 +6,16 @@ published algorithm (Steele/Lea/Flood), frozen here as the PRNG oracle.
 
 import json
 import math
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as hst
 
-from febvp.bvp_shooting import DEFAULT_SHOOTING
+from febvp import catalog
+from febvp.bvp_shooting import DEFAULT_SHOOTING, ShootingConfig
 from febvp.errors import FebvpError
 from febvp.functional_laws import (
     DIAG_EPSILONS,
@@ -28,7 +33,7 @@ from febvp.functional_laws import (
     evaluator_from_scalar,
 )
 from febvp.closed_forms import free_fall_F, free_fall_S
-from febvp.ode_core import SecondOrderOde
+from febvp.ode_core import IntegratorConfig, SecondOrderOde
 
 SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
                     0x06C45D188009454F)
@@ -316,3 +321,64 @@ def test_extension_failure_at_one_eps_fails_only_its_report():
         lambda al, be: abs((be - al) - 1e-3) < 1e-9) == {
         "extension_offdiag": 0, "extension_diag_1e-2": 0,
         "extension_diag_1e-3": 9, "extension_diag_1e-4": 0}
+
+
+# ------------------------------------------------- any sampling box
+
+class _Overran(Exception):
+    pass
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise _Overran in the test if the block runs longer than seconds."""
+    def overran(signum, frame):
+        raise _Overran(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# range ends and separations: mostly moderate, some huge, reversed, empty
+# or not finite
+_moderate = hst.floats(-10.0, 10.0)
+_odd = hst.sampled_from([0.0, -1.0, 1e-300, 1e308, -1e308, math.inf, -math.inf, math.nan])
+_end = hst.one_of(_moderate, _moderate, _moderate, hst.floats(-1e300, 1e300), _odd)
+_range = hst.tuples(_end, _end)
+_separation = hst.one_of(*[hst.floats(1e-12, 4.0)] * 4, _odd)
+# A numeric solve over a huge interval can take every step the integrator
+# allows (see CHANGES.md), so the numeric cases allow 20000, not 10^6.
+_BOUNDED = ShootingConfig(integrator=IntegratorConfig(max_steps=20_000))
+_LAWS = [(check_composition, catalog.closed_evaluator(name)) for name in catalog.catalog_names()
+         if catalog.get_entry(name).closed_f is not None] + [
+    (check_boundary, catalog.closed_evaluator("linear_basis")),
+    (check_extension, catalog.closed_evaluator("conic")),
+    (check_boundary, catalog.numeric_evaluator("free_fall", cfg=_BOUNDED)),
+    (lambda ev, spec: check_lemma1_equivalence(catalog.make_ode("free_fall")[0], spec, _BOUNDED), None),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(law=hst.sampled_from(_LAWS), count=hst.integers(1, 4), seed=hst.integers(0, 2 ** 64 - 1),
+       tau_range=_range, alpha_beta_range=_range, ab_range=_range,
+       min_separation=_separation)
+def test_any_sampling_box_reports_or_raises_a_typed_error(
+        law, count, seed, tau_range, alpha_beta_range, ab_range, min_separation):
+    check, evaluator = law
+    with _deadline(20.0):
+        try:
+            spec = SampleSpec(count=count, seed=seed, tau_range=tau_range,
+                              alpha_beta_range=alpha_beta_range, ab_range=ab_range,
+                              min_separation=min_separation)
+            reports = check(evaluator, spec)
+        except (ValueError, FebvpError) as exc:
+            event(f"raised {type(exc).__name__}: {str(exc)[:30]}")
+            return
+    event("reported")
+    reports = reports if isinstance(reports, list) else [reports]
+    assert all(r.samples == count and 0 <= r.failures <= count for r in reports)
