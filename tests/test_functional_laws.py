@@ -351,8 +351,9 @@ _odd = hst.sampled_from([0.0, -1.0, 1e-300, 1e308, -1e308, math.inf, -math.inf, 
 _end = hst.one_of(_moderate, _moderate, _moderate, hst.floats(-1e300, 1e300), _odd)
 _range = hst.tuples(_end, _end)
 _separation = hst.one_of(*[hst.floats(1e-12, 4.0)] * 4, _odd)
-# A numeric solve over a huge interval can take every step the integrator
-# allows (see CHANGES.md), so the numeric cases allow 20000, not 10^6.
+# Far from tau = 0 a step can be too small to move tau (t + h == t), and a
+# numeric solve there takes every step the integrator allows, about 4 s at
+# the default 10^6; the numeric cases allow 20000.
 _BOUNDED = ShootingConfig(integrator=IntegratorConfig(max_steps=20_000))
 _LAWS = [(check_composition, catalog.closed_evaluator(name)) for name in catalog.catalog_names()
          if catalog.get_entry(name).closed_f is not None] + [

@@ -941,26 +941,32 @@ def eager_row(traj, eager_q, tau):
     return [float(c).hex() for c in y]
 
 
+def linear_ode(dim, scalar, A, B, c):
+    """A x + B v + c in dimension dim from flat coefficient lists: on the
+    scalar kernel when dim is 1 and scalar is set, else on the vector one."""
+    A, B, c = np.reshape(A[:dim * dim], (dim, dim)), np.reshape(B[:dim * dim], (dim, dim)), np.array(c[:dim])
+    if dim == 1 and scalar:
+        a, b, c0 = float(A[0, 0]), float(B[0, 0]), float(c[0])
+        return SecondOrderOde.from_scalar(lambda t, x, v: a * x + b * v + c0)
+    return SecondOrderOde(dim, lambda t, x, v: A @ x + B @ v + c)
+
+
+_nine = hst.lists(_entries, min_size=9, max_size=9)
+_three = hst.lists(_entries, min_size=3, max_size=3)
+
+
 @settings(max_examples=60, deadline=None)
-@given(dim=hst.sampled_from([1, 2, 3]), scalar=hst.booleans(),
-       coeffs=hst.lists(_entries, min_size=21, max_size=21),
-       t0=hst.floats(-2.0, 2.0), span=hst.floats(0.5, 3.0), backward=hst.booleans(),
+@given(dim=hst.sampled_from([1, 2, 3]), scalar=hst.booleans(), A=_nine, B=_nine, c=_three,
+       x0=_three, v0=_three, t0=hst.floats(-2.0, 2.0), span=hst.floats(0.5, 3.0),
+       backward=hst.booleans(),
        picks=hst.lists(hst.tuples(hst.integers(0, 10 ** 6),
                                   hst.sampled_from([0.0, 0.29, 0.71]) | hst.floats(0.0, 1.0)),
                        min_size=1, max_size=30))
-def test_batched_read_matches_eager_reference(dim, scalar, coeffs, t0, span, backward, picks):
-    # Random linear systems A x + B v + c in dims 1-3, on the scalar kernel
-    # (dim 1 with rhs1) or the vector one, run forward or backward.
-    A = np.reshape(coeffs[:dim * dim], (dim, dim))
-    B = np.reshape(coeffs[9:9 + dim * dim], (dim, dim))
-    c = np.array(coeffs[18:18 + dim])
-    if dim == 1 and scalar:
-        a, b, c0 = float(A[0, 0]), float(B[0, 0]), float(c[0])
-        ode, eager_q = SecondOrderOde.from_scalar(lambda t, x, v: a * x + b * v + c0), eager_q_scalar
-    else:
-        ode, eager_q = SecondOrderOde(dim, lambda t, x, v: A @ x + B @ v + c), eager_q_vector
+def test_batched_read_matches_eager_reference(dim, scalar, A, B, c, x0, v0, t0, span, backward, picks):
+    ode = linear_ode(dim, scalar, A, B, c)
+    eager_q = eager_q_scalar if dim == 1 and scalar else eager_q_vector
     t1 = t0 - span if backward else t0 + span
-    traj = integrate_ivp(ode, StatePoint.of(t0, coeffs[:dim], coeffs[-dim:]), t1, DEFAULT)
+    traj = integrate_ivp(ode, StatePoint.of(t0, x0[:dim], v0[:dim]), t1, DEFAULT)
     records = step_records(traj)
     # knots (frac 0.0), interior points, several taus in one step, repeats;
     # t + h of the last step may round past the span's end
@@ -971,32 +977,24 @@ def test_batched_read_matches_eager_reference(dim, scalar, coeffs, t0, span, bac
     taus += [t + 0.25 * h, t + 0.5 * h, t + 0.75 * h, t1, t0] + taus[:3]
     expected = [eager_row(traj, eager_q, tau) for tau in taus]
     assert [[c.hex() for c in row] for row in traj.read(taus)] == expected
-    # eval and eval_many keep those bits, as do the rows read one at a time
-    single = [traj.read((tau,))[0] for tau in taus]
-    assert [[c.hex() for c in row] for row in single] == expected
-    assert [list(bits(st)[1] + bits(st)[2]) for st in traj.eval_many(taus)] == expected
-    assert [list(bits(traj.eval(tau))[1] + bits(traj.eval(tau))[2]) for tau in taus] == expected
+    # the rows read one at a time, eval and eval_many keep those bits
+    assert [[c.hex() for c in traj.read((tau,))[0]] for tau in taus] == expected
+    for points in (traj.eval_many(taus), [traj.eval(tau) for tau in taus]):
+        assert [list(bits(st)[1] + bits(st)[2]) for st in points] == expected
 
 
 _unit = hst.floats(-1.0, 1.0)
+_unit_nine = hst.lists(_unit, min_size=9, max_size=9)
 
 
 @settings(max_examples=60, deadline=None)
-@given(dim=hst.sampled_from([1, 2, 3]), scalar=hst.booleans(),
-       A=hst.lists(_unit, min_size=9, max_size=9), B=hst.lists(_unit, min_size=9, max_size=9),
-       c=hst.lists(_entries, min_size=3, max_size=3), x0=hst.lists(_entries, min_size=3, max_size=3),
-       v0=hst.lists(_entries, min_size=3, max_size=3),
-       t0=hst.floats(-2.0, 2.0), span=hst.floats(-2.0, 2.0))
+@given(dim=hst.sampled_from([1, 2, 3]), scalar=hst.booleans(), A=_unit_nine, B=_unit_nine,
+       c=_three, x0=_three, v0=_three, t0=hst.floats(-2.0, 2.0), span=hst.floats(-2.0, 2.0))
 def test_backward_run_from_the_end_state_returns_to_the_start(dim, scalar, A, B, c, x0, v0, t0, span):
     # Integrate [t0, t1], then from the end state back to t0.  With these
     # coefficient bounds the state grows little over |span| <= 2, so the two
     # runs' global errors (rel_tol 1e-10) leave the start within 1e-8.
-    A, B, c = np.reshape(A[:dim * dim], (dim, dim)), np.reshape(B[:dim * dim], (dim, dim)), np.array(c[:dim])
-    if dim == 1 and scalar:
-        a, b, c0 = float(A[0, 0]), float(B[0, 0]), float(c[0])
-        ode = SecondOrderOde.from_scalar(lambda t, x, v: a * x + b * v + c0)
-    else:
-        ode = SecondOrderOde(dim, lambda t, x, v: A @ x + B @ v + c)
+    ode = linear_ode(dim, scalar, A, B, c)
     start = StatePoint.of(t0, x0[:dim], v0[:dim])
     t1 = t0 + span
     end = integrate_ivp(ode, start, t1, DEFAULT).eval(t1)
