@@ -261,7 +261,9 @@ def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
                 raise ConjugatePoint("shooting Jacobian solve failed", interval=interval)
             return s if np.all(np.isfinite(s)) else None
 
-        u = (b - a) / interval
+        # data that overflow give a non-finite guess, which the IVP rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = (b - a) / interval
 
     r, rn, traj = residual(u)
     iterations = 0
@@ -301,6 +303,13 @@ def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
     return ShootingResult(u=vec(u), trajectory=traj, iterations=iterations, final_residual=rn)
 
 
+def _end_value(cond: IntegralConditions) -> np.ndarray:
+    """b = a + v (beta - alpha).  Data that overflow give inf or NaN, which
+    the solve then rejects, so NumPy's warnings about them are silenced."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return cond.a + cond.v * (cond.beta - cond.alpha)
+
+
 def solve_integral(ode: SecondOrderOde, cond: IntegralConditions,
                    cfg: ShootingConfig = DEFAULT_SHOOTING) -> ShootingResult:
     """Solve under average-slope data by reduction to endpoint data.
@@ -317,8 +326,7 @@ def solve_integral(ode: SecondOrderOde, cond: IntegralConditions,
                              cond.alpha, cfg.integrator)
         return ShootingResult(u=cond.v.copy(), trajectory=traj, iterations=0,
                               final_residual=0.0)
-    b = cond.a + cond.v * (cond.beta - cond.alpha)
-    ncond = NeumannConditions(cond.alpha, cond.beta, cond.a, b)
+    ncond = NeumannConditions(cond.alpha, cond.beta, cond.a, _end_value(cond))
     return solve_neumann(ode, ncond, cfg)
 
 
@@ -395,8 +403,7 @@ def eval_S(ode: SecondOrderOde, tau: float, cond: IntegralConditions,
     tau = float(tau)
     alpha, beta = cond.alpha, cond.beta
     if abs(beta - alpha) > diag_switch(alpha):
-        b = cond.a + cond.v * (beta - alpha)
-        ncond = NeumannConditions(alpha, beta, cond.a, b)
+        ncond = NeumannConditions(alpha, beta, cond.a, _end_value(cond))
         return eval_F(ode, tau, ncond, cfg)
     if tau == alpha:
         return cond.a.copy()

@@ -1,9 +1,9 @@
 """Registry of named ODE families for the CLI and the acceptance suite.
 
-Each entry couples a numeric ODE with (when available) its closed-form
-dependence maps, the true right-hand side for reconstruction comparisons,
-and the sampling domain on which the family is well-conditioned enough for
-tight residual thresholds.
+Each entry couples a numeric ODE, whose rhs is also the true right-hand
+side for reconstruction comparisons, with (when available) its closed-form
+dependence maps, and the sampling domain on which the family is
+well-conditioned enough for tight residual thresholds.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ class CatalogEntry:
     domain: Callable[[Mapping[str, float]], EvalDomain]
     closed_f: Optional[Callable] = None  # params -> (tau,alpha,beta,a,b)->x
     closed_s: Optional[Callable] = None  # params -> (tau,alpha,beta,a,v)->x
-    rhs_true: Optional[Callable] = None  # params -> (tau,x,v)->xdd
 
 
 def _free_fall_ode(p):
@@ -102,6 +101,26 @@ def _cos_sin_ode(p):
     return SecondOrderOde.from_scalar(rhs1, label="linear_basis")
 
 
+def _conic_closed(p, form: str) -> Callable:
+    """The closed form F or S of one conic member, with its ConicParams
+    built once.  The closures look conic_F and conic_S up as module
+    globals at each call, so a wrapper installed on those names sees every
+    call.  A non-finite k or g fails every call, as building ConicParams
+    in the call would."""
+    try:
+        cp = ConicParams(p["k"], p["g"])
+    except ValueError as exc:
+        reason = exc.args
+
+        def invalid(*args):
+            raise ValueError(*reason)
+
+        return invalid
+    if form == "F":
+        return lambda t, al, be, a, b: conic_F(cp, t, al, be, a, b)
+    return lambda t, al, be, a, v: conic_S(cp, t, al, be, a, v)
+
+
 def _conic_domain(p) -> EvalDomain:
     # Hyperbolic solutions grow like exp(|k| L); shrink the box as |k| grows
     # so closed-vs-rebased comparisons stay far below the acceptance
@@ -133,20 +152,14 @@ CATALOG: dict[str, CatalogEntry] = {
                             free_fall_F(p["g"], t, al, be, a, b)),
         closed_s=lambda p: (lambda t, al, be, a, v:
                             free_fall_S(p["g"], t, al, be, a, v)),
-        rhs_true=lambda p: (lambda t, x, v: p["g"]),
     ),
     "conic": CatalogEntry(
         name="conic",
         defaults={"k": 1.0, "g": -9.8},
         make_ode=_conic_ode,
         domain=_conic_domain,
-        closed_f=lambda p: (lambda t, al, be, a, b:
-                            conic_F(ConicParams(p["k"], p["g"]),
-                                    t, al, be, a, b)),
-        closed_s=lambda p: (lambda t, al, be, a, v:
-                            conic_S(ConicParams(p["k"], p["g"]),
-                                    t, al, be, a, v)),
-        rhs_true=lambda p: (lambda t, x, v: p["k"] ** 2 * x + p["g"]),
+        closed_f=lambda p: _conic_closed(p, "F"),
+        closed_s=lambda p: _conic_closed(p, "S"),
     ),
     "linear_zero": CatalogEntry(
         name="linear_zero",
@@ -157,14 +170,12 @@ CATALOG: dict[str, CatalogEntry] = {
                             free_fall_F(0.0, t, al, be, a, b)),
         closed_s=lambda p: (lambda t, al, be, a, v:
                             free_fall_S(0.0, t, al, be, a, v)),
-        rhs_true=lambda p: (lambda t, x, v: 0.0),
     ),
     "oscillator": CatalogEntry(
         name="oscillator",
         defaults={"omega": 1.0},
         make_ode=_oscillator_ode,
         domain=_oscillator_domain,
-        rhs_true=lambda p: (lambda t, x, v: -p["omega"] ** 2 * x),
     ),
     "linear_basis": CatalogEntry(
         name="linear_basis",
@@ -175,7 +186,6 @@ CATALOG: dict[str, CatalogEntry] = {
                             linear_F(COS_SIN_BASIS, t, al, be, a, b)),
         closed_s=lambda p: (lambda t, al, be, a, v:
                             cos_sin_S(t, al, be, a, v)),
-        rhs_true=lambda p: (lambda t, x, v: -x),
     ),
 }
 
@@ -237,11 +247,10 @@ def numeric_evaluator(name: str,
 
 
 def rhs_true(name: str, overrides: Mapping[str, float] | None = None
-             ) -> Optional[Callable]:
-    entry = get_entry(name)
-    if entry.rhs_true is None:
-        return None
-    return entry.rhs_true(resolve_params(entry, overrides))
+             ) -> Callable:
+    """The family's true rhs (tau, x, v) -> xdd: its ode's float-level
+    rhs1."""
+    return make_ode(name, overrides)[0].rhs1
 
 
 def check_angelesco(spec: SampleSpec,

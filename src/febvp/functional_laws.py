@@ -99,8 +99,11 @@ class Splitmix64:
         return z ^ (z >> 31)
 
     def uniform(self, lo: float, hi: float) -> float:
-        u = (self.next_u64() >> 11) * 2.0 ** -53
-        return lo + (hi - lo) * u
+        # next_u64, inlined: the harness draws several scalars per sample
+        self.state = z = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return lo + (hi - lo) * (((z ^ (z >> 31)) >> 11) * 2.0 ** -53)
 
 
 @dataclass(frozen=True)
@@ -123,9 +126,12 @@ class EvalDomain:
 
 @dataclass(eq=False)
 class DependenceEvaluator:
-    """A dependence map under test: eval_f(tau, alpha, beta, a, b) -> value
-    (scalar or length-dim vector), optional eval_s(tau, alpha, beta, a, v),
-    and the domain it is defined on."""
+    """A dependence map under test: eval_f(tau, alpha, beta, a, b), optional
+    eval_s(tau, alpha, beta, a, v), and the domain it is defined on.
+
+    Evaluators receive tau, alpha and beta as floats and a, b and v as
+    (dim,) float arrays.  They may return a float (dim 1) or a (dim,)
+    vector; any other shape fails the sample."""
 
     dim: int
     eval_f: Callable
@@ -255,16 +261,47 @@ def draw_vec(rng: Splitmix64, box: SampleBox, n: int) -> np.ndarray:
     return np.array([rng.uniform(lo, hi) for _ in range(n)])
 
 
-def _as_value(raw, dim: int) -> np.ndarray:
+# Inside a law's residuals a value is a Python float in dim 1, which
+# rounds as the 1-element NumPy operations it replaces, and an (n,) array
+# in dim n.  Values that overflow to inf or NaN fail their sample, so
+# NumPy's warnings about them are silenced.
+
+def _as_value(raw, dim: int):
+    """An evaluator's result as a harness value."""
+    if dim == 1 and type(raw) is float:
+        return raw
     out = np.atleast_1d(np.asarray(raw, dtype=float))
     if out.shape != (dim,):
         raise EvaluatorFailure(
             f"evaluator returned shape {out.shape}, expected ({dim},)")
-    return out
+    return out.item() if dim == 1 else out
 
 
-def _gap(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.max(np.abs(x - y)))
+def _value(vec: np.ndarray, dim: int):
+    """A sample's (dim,) array as a harness value."""
+    return vec.item() if dim == 1 else vec
+
+
+def _vector(value, dim: int) -> np.ndarray:
+    """A harness value as the (dim,) array an evaluator receives."""
+    return np.array([value]) if dim == 1 else value
+
+
+def _end_value(a, v, span: float, dim: int) -> np.ndarray:
+    """a + v * span, the endpoint value of average-slope data, as the
+    (dim,) array an evaluator receives."""
+    if dim == 1:
+        return np.array([a.item() + v.item() * span])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return a + v * span
+
+
+def _gap(x, y) -> float:
+    """Infinity-norm distance of two harness values."""
+    if type(x) is float:
+        return abs(x - y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(x - y)))
 
 
 @dataclass(frozen=True)
@@ -355,7 +392,8 @@ def check_composition(F: DependenceEvaluator, spec: SampleSpec) -> LawReport:
         at_gamma = _as_value(F.eval_f(gamma, alpha, beta, a, b), F.dim)
         at_delta = _as_value(F.eval_f(delta, alpha, beta, a, b), F.dim)
         rebased = _as_value(
-            F.eval_f(tau, gamma, delta, at_gamma, at_delta), F.dim)
+            F.eval_f(tau, gamma, delta, _vector(at_gamma, F.dim),
+                     _vector(at_delta, F.dim)), F.dim)
         return [(_gap(direct, rebased), s)]
 
     law = SampledLaw(("composition",), draw, residuals)
@@ -378,8 +416,8 @@ def check_boundary(F: DependenceEvaluator, spec: SampleSpec) -> LawReport:
         alpha, beta, a, b = s["alpha"], s["beta"], s["a"], s["b"]
         at_alpha = _as_value(F.eval_f(alpha, alpha, beta, a, b), F.dim)
         at_beta = _as_value(F.eval_f(beta, alpha, beta, a, b), F.dim)
-        return [(float(max(np.max(np.abs(at_alpha - a)),
-                           np.max(np.abs(at_beta - b)))), s)]
+        return [(max(_gap(at_alpha, _value(a, F.dim)),
+                     _gap(at_beta, _value(b, F.dim))), s)]
 
     law = SampledLaw(("boundary",), draw, residuals)
     return run_law(law, spec, F.domain)[0]
@@ -422,7 +460,8 @@ def check_extension(F: DependenceEvaluator,
         try:
             s_val = _as_value(F.eval_s(tau, alpha, beta, a, v), F.dim)
             f_val = _as_value(
-                F.eval_f(tau, alpha, beta, a, a + v * (beta - alpha)), F.dim)
+                F.eval_f(tau, alpha, beta, a,
+                         _end_value(a, v, beta - alpha, F.dim)), F.dim)
         except SAMPLE_ERRORS:
             outcomes = [None]
         else:
@@ -486,7 +525,8 @@ def check_lemma1_equivalence(ode: SecondOrderOde, spec: SampleSpec,
         for row, weight in zip(traj.read(nodes), _GL01_WEIGHTS):
             for i, vi in enumerate(row[n:]):
                 mean_slope[i] += weight * vi
-        return [(0.0, s), (_gap(np.array(mean_slope), v), s)]
+        slope = mean_slope[0] if n == 1 else np.array(mean_slope)
+        return [(0.0, s), (_gap(slope, _value(v, n)), s)]
 
     law = SampledLaw(("lemma1_agreement", "lemma1_quadrature"), draw,
                      residuals)
@@ -497,16 +537,16 @@ def evaluator_from_scalar(eval_f: Callable, eval_s: Optional[Callable] = None,
                           domain: EvalDomain = EvalDomain(),
                           label: str = "") -> DependenceEvaluator:
     """Wrap scalar closed forms f(tau, alpha, beta, a, b) (and optionally
-    s(tau, alpha, beta, a, v)) taking/returning plain floats."""
+    s(tau, alpha, beta, a, v)) taking/returning plain floats.  The wrappers
+    take (1,) arrays and return the closed form's float as it is."""
 
     def f_vec(tau, alpha, beta, a, b):
-        return np.array([eval_f(tau, alpha, beta, float(a[0]), float(b[0]))])
+        return eval_f(tau, alpha, beta, float(a[0]), float(b[0]))
 
     s_vec = None
     if eval_s is not None:
         def s_vec(tau, alpha, beta, a, v):
-            return np.array(
-                [eval_s(tau, alpha, beta, float(a[0]), float(v[0]))])
+            return eval_s(tau, alpha, beta, float(a[0]), float(v[0]))
 
     return DependenceEvaluator(dim=1, eval_f=f_vec, eval_s=s_vec,
                                domain=domain, label=label)

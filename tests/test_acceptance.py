@@ -28,6 +28,7 @@ from febvp.catalog import (
     make_ode,
     numeric_evaluator,
     resolve_params,
+    rhs_true,
 )
 from febvp.closed_forms import (
     COS_SIN_BASIS,
@@ -163,7 +164,7 @@ def test_criterion_04_reconstruction(acceptance_log):
         entry = get_entry(name)
         params = resolve_params(entry, None)
         closed_s = entry.closed_s(params)
-        truth = entry.rhs_true(params)
+        truth = rhs_true(name, params)
 
         def S(qt, al, be, a, v):
             return closed_s(qt, al, be, float(a[0]), float(v[0]))

@@ -18,7 +18,7 @@ from febvp.catalog import (
     resolve_params,
     rhs_true,
 )
-from febvp.functional_laws import SampleSpec, Splitmix64
+from febvp.functional_laws import SampleSpec, Splitmix64, check_extension
 from febvp.rhs_parser import bind, parse
 
 
@@ -74,6 +74,20 @@ def test_conic_rhs_matches_parsed_expression_bitwise():
             v = rng.uniform(-3.0, 3.0)
             ours = ode.rhs(tau, np.array([x]), np.array([v]))
             assert _bits(ours[0]) == _bits(bound(tau, x, v))
+
+
+def test_conic_closed_forms_are_looked_up_at_each_call(monkeypatch):
+    # a wrapper installed on catalog.conic_F / conic_S after the evaluator
+    # is built still sees every call (the benchmark's tracer counts them)
+    ev = closed_evaluator("conic", {"k": 0.5})
+    calls = []
+    for name in ("conic_F", "conic_S"):
+        def counted(*args, name=name, fn=getattr(catalog, name)):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(catalog, name, counted)
+    check_extension(ev, SampleSpec(count=5, seed=1))
+    assert calls.count("conic_F") == 5 and calls.count("conic_S") == 25
 
 
 def test_rhs_true_values():

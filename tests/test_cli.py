@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -135,6 +136,42 @@ def test_verify_composition_closed(capsys):
     assert report["law"] == "composition"
     assert report["failures"] == 0
     assert report["max_residual"] <= 1e-12
+
+
+_EXTENSION_REPORTS = ["extension_offdiag", "extension_diag_1e-2",
+                      "extension_diag_1e-3", "extension_diag_1e-4"]
+
+
+@pytest.mark.parametrize("source, laws, reports", [
+    (["--catalog", "free_fall", "--mode", "numeric"], "lemma1",
+     ["lemma1_agreement", "lemma1_quadrature"]),
+    (["--catalog", "free_fall", "--mode", "closed"], "composition,extension",
+     ["composition"] + _EXTENSION_REPORTS),
+    (["--ode=-x2", "--ode=-x1", "--mode", "numeric"], "composition,extension,lemma1",
+     ["composition"] + _EXTENSION_REPORTS + ["lemma1_agreement", "lemma1_quadrature"]),
+])
+def test_huge_value_range_fails_its_samples_without_numpy_warnings(source, laws, reports,
+                                                                   capsys):
+    # a + v (beta - alpha) and the data gaps overflow to inf and NaN here;
+    # every sample fails, and no NumPy RuntimeWarning reaches stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, doc, err = run_json(["verify", *source, "--laws", laws, "--ab-range", "-1e308",
+                                   "1e308", "--samples", "3", "--format", "json"], capsys)
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert (code, err) == (2, "")
+    assert [(r["law"], r["failures"], r["worst_case"]) for r in doc] == [
+        (name, 3, None) for name in reports]
+
+
+def test_verify_non_finite_conic_member_fails_every_sample(capsys):
+    code, out, err = run(["verify", "--catalog", "conic", "--mode", "closed", "--param",
+                          "k=inf", "--samples", "3"], capsys)
+    assert (code, err) == (2, "")
+    assert out == (
+        "law          samples  max_residual  mean_residual  failures  worst_case\n"
+        "composition  3        0.0           0.0            3         null\n"
+        "boundary     3        0.0           0.0            3         null\n")
 
 
 def test_verify_threshold_override_can_fail(capsys):

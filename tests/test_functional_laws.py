@@ -32,7 +32,16 @@ from febvp.functional_laws import (
     evaluator_from_ode,
     evaluator_from_scalar,
 )
-from febvp.closed_forms import free_fall_F, free_fall_S
+from febvp.closed_forms import (
+    COS_SIN_BASIS,
+    ConicParams,
+    conic_F,
+    conic_S,
+    cos_sin_S,
+    free_fall_F,
+    free_fall_S,
+    linear_F,
+)
 from febvp.ode_core import IntegratorConfig, SecondOrderOde
 
 SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
@@ -383,3 +392,88 @@ def test_any_sampling_box_reports_or_raises_a_typed_error(
     event("reported")
     reports = reports if isinstance(reports, list) else [reports]
     assert all(r.samples == count and 0 <= r.failures <= count for r in reports)
+
+
+# ------------------------------------------- float path vs NumPy path
+
+def _forms(draw):
+    """A scalar map F and its extension S, from a closed-form family or a
+    map that breaks composition."""
+    kind = draw(hst.sampled_from(["free_fall", "conic", "linear_basis", "bent"]))
+    g = draw(hst.floats(-10.0, 10.0))
+    if kind == "free_fall":
+        return (lambda t, al, be, a, b: free_fall_F(g, t, al, be, a, b),
+                lambda t, al, be, a, v: free_fall_S(g, t, al, be, a, v))
+    if kind == "conic":
+        p = ConicParams(draw(hst.floats(0.0, 2.0)), g)
+        return (lambda t, al, be, a, b: conic_F(p, t, al, be, a, b),
+                lambda t, al, be, a, v: conic_S(p, t, al, be, a, v))
+    if kind == "linear_basis":
+        return (lambda t, al, be, a, b: linear_F(COS_SIN_BASIS, t, al, be, a, b),
+                cos_sin_S)
+    return (lambda t, al, be, a, b: (free_fall_F(g, t, al, be, a, b)
+                                     + 0.01 * (b - a) ** 2 * (t - al) * (t - be)),
+            lambda t, al, be, a, v: free_fall_S(g, t, al, be, a, v))
+
+
+def _faulty(form, fault, cut):
+    """form, except that where its last argument (b or v) exceeds cut it
+    raises (fault "raise") or returns fault."""
+    if fault is None:
+        return form
+
+    def scalar(t, al, be, a, x):
+        if x > cut:
+            if fault == "raise":
+                raise EvaluatorFailure("synthetic")
+            return fault
+        return form(t, al, be, a, x)
+
+    return scalar
+
+
+def _checking_inputs(fn):
+    """fn, asserting that every call receives floats and (1,) float arrays."""
+    def call(t, al, be, a, x):
+        assert all(type(arg) is float for arg in (t, al, be))
+        for arr in (a, x):
+            assert type(arr) is np.ndarray and arr.shape == (1,)
+            assert arr.dtype == np.float64
+        return fn(t, al, be, a, x)
+
+    return call
+
+
+@hst.composite
+def _scalar_maps(draw):
+    f, s = _forms(draw)
+    faults = hst.sampled_from([None, "raise", math.nan, math.inf, -math.inf])
+    cut = hst.floats(-2.0, 2.0)
+    return (_faulty(f, draw(faults), draw(cut)),
+            _faulty(s, draw(faults), draw(cut)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(maps=_scalar_maps(), count=hst.integers(1, 25),
+       seed=hst.integers(0, 2 ** 64 - 1),
+       ab_range=hst.sampled_from([(-2.0, 2.0), (-1e3, 1e3), (-1e308, 1e308)]))
+def test_float_harness_matches_the_numpy_path(maps, count, seed, ab_range):
+    # evaluator_from_scalar returns the map's floats, which the harness
+    # keeps as floats; the same map returning (1,) arrays goes through
+    # the NumPy conversion.  Every report must agree to the byte.
+    f, s = maps
+    floats = evaluator_from_scalar(f, s)
+    arrays = DependenceEvaluator(
+        dim=1,
+        eval_f=lambda t, al, be, a, b: np.array([f(t, al, be, float(a[0]), float(b[0]))]),
+        eval_s=lambda t, al, be, a, v: np.array([s(t, al, be, float(a[0]), float(v[0]))]))
+    spec = SampleSpec(count=count, seed=seed, ab_range=ab_range)
+    for check in (check_composition, check_boundary, check_extension):
+        docs = []
+        for ev in (floats, arrays):
+            checked = DependenceEvaluator(dim=1, eval_f=_checking_inputs(ev.eval_f),
+                                          eval_s=_checking_inputs(ev.eval_s))
+            reports = check(checked, spec)
+            reports = reports if isinstance(reports, list) else [reports]
+            docs.append(json.dumps([r.to_json() for r in reports]))
+        assert docs[0] == docs[1]
