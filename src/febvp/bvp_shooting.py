@@ -48,6 +48,7 @@ __all__ = [
     "eval_S",
     "eval_state",
     "diag_switch",
+    "end_value",
     "clear_cache",
 ]
 
@@ -303,11 +304,13 @@ def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
     return ShootingResult(u=vec(u), trajectory=traj, iterations=iterations, final_residual=rn)
 
 
-def _end_value(cond: IntegralConditions) -> np.ndarray:
-    """b = a + v (beta - alpha).  Data that overflow give inf or NaN, which
-    the solve then rejects, so NumPy's warnings about them are silenced."""
+def end_value(a: np.ndarray, v: np.ndarray, span: float) -> np.ndarray:
+    """b = a + v * span, the endpoint value of average-slope data over an
+    interval of length span.  Data that overflow give inf or NaN, which the
+    solve or the sampled law then rejects, so NumPy's warnings about them
+    are silenced."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return cond.a + cond.v * (cond.beta - cond.alpha)
+        return a + v * span
 
 
 def solve_integral(ode: SecondOrderOde, cond: IntegralConditions,
@@ -326,7 +329,8 @@ def solve_integral(ode: SecondOrderOde, cond: IntegralConditions,
                              cond.alpha, cfg.integrator)
         return ShootingResult(u=cond.v.copy(), trajectory=traj, iterations=0,
                               final_residual=0.0)
-    ncond = NeumannConditions(cond.alpha, cond.beta, cond.a, _end_value(cond))
+    b = end_value(cond.a, cond.v, cond.beta - cond.alpha)
+    ncond = NeumannConditions(cond.alpha, cond.beta, cond.a, b)
     return solve_neumann(ode, ncond, cfg)
 
 
@@ -403,7 +407,8 @@ def eval_S(ode: SecondOrderOde, tau: float, cond: IntegralConditions,
     tau = float(tau)
     alpha, beta = cond.alpha, cond.beta
     if abs(beta - alpha) > diag_switch(alpha):
-        ncond = NeumannConditions(alpha, beta, cond.a, _end_value(cond))
+        b = end_value(cond.a, cond.v, beta - alpha)
+        ncond = NeumannConditions(alpha, beta, cond.a, b)
         return eval_F(ode, tau, ncond, cfg)
     if tau == alpha:
         return cond.a.copy()

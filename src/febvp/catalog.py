@@ -101,24 +101,26 @@ def _cos_sin_ode(p):
     return SecondOrderOde.from_scalar(rhs1, label="linear_basis")
 
 
-def _conic_closed(p, form: str) -> Callable:
-    """The closed form F or S of one conic member, with its ConicParams
-    built once.  The closures look conic_F and conic_S up as module
-    globals at each call, so a wrapper installed on those names sees every
-    call.  A non-finite k or g fails every call, as building ConicParams
-    in the call would."""
+class _InvalidConic:
+    """Stands in for the ConicParams of a member whose k or g is not
+    finite: any use raises the ValueError that building it raised, so
+    every sample fails."""
+
+    def __init__(self, reason: tuple):
+        self.reason = reason
+
+    def __getattr__(self, name):
+        raise ValueError(*self.reason)
+
+
+def _conic_params(p):
+    """One conic member's ConicParams, built once per evaluator.  Its
+    closures look conic_F and conic_S up as module globals at each call, so
+    a wrapper installed on those names sees every call."""
     try:
-        cp = ConicParams(p["k"], p["g"])
+        return ConicParams(p["k"], p["g"])
     except ValueError as exc:
-        reason = exc.args
-
-        def invalid(*args):
-            raise ValueError(*reason)
-
-        return invalid
-    if form == "F":
-        return lambda t, al, be, a, b: conic_F(cp, t, al, be, a, b)
-    return lambda t, al, be, a, v: conic_S(cp, t, al, be, a, v)
+        return _InvalidConic(exc.args)
 
 
 def _conic_domain(p) -> EvalDomain:
@@ -158,8 +160,10 @@ CATALOG: dict[str, CatalogEntry] = {
         defaults={"k": 1.0, "g": -9.8},
         make_ode=_conic_ode,
         domain=_conic_domain,
-        closed_f=lambda p: _conic_closed(p, "F"),
-        closed_s=lambda p: _conic_closed(p, "S"),
+        closed_f=lambda p: (lambda t, al, be, a, b, cp=_conic_params(p):
+                            conic_F(cp, t, al, be, a, b)),
+        closed_s=lambda p: (lambda t, al, be, a, v, cp=_conic_params(p):
+                            conic_S(cp, t, al, be, a, v)),
     ),
     "linear_zero": CatalogEntry(
         name="linear_zero",

@@ -582,7 +582,7 @@ def _reconstruct(o: dict) -> int:
                _parse_vec(v, "point v", ode.dim)) for tau, x, v in o["points"]]
     if not points:
         raise _UsageError("at least one --point TAU X V is required")
-    truth = _catalog.rhs_true(name, params) if name else None
+    truth = ode.rhs1 if name else None
     S, eff = solver_extension(ode, recon, shooting)
     rows = []
     for tau, x, v in points:

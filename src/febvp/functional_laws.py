@@ -39,6 +39,7 @@ from .bvp_shooting import (
     IntegralConditions,
     NeumannConditions,
     ShootingConfig,
+    end_value,
     eval_F,
     eval_S,
     solve_integral,
@@ -99,11 +100,8 @@ class Splitmix64:
         return z ^ (z >> 31)
 
     def uniform(self, lo: float, hi: float) -> float:
-        # next_u64, inlined: the harness draws several scalars per sample
-        self.state = z = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return lo + (hi - lo) * (((z ^ (z >> 31)) >> 11) * 2.0 ** -53)
+        u = (self.next_u64() >> 11) * 2.0 ** -53
+        return lo + (hi - lo) * u
 
 
 @dataclass(frozen=True)
@@ -288,12 +286,10 @@ def _vector(value, dim: int) -> np.ndarray:
 
 
 def _end_value(a, v, span: float, dim: int) -> np.ndarray:
-    """a + v * span, the endpoint value of average-slope data, as the
-    (dim,) array an evaluator receives."""
+    """bvp_shooting.end_value, with its dim-1 arithmetic on floats."""
     if dim == 1:
         return np.array([a.item() + v.item() * span])
-    with np.errstate(over="ignore", invalid="ignore"):
-        return a + v * span
+    return end_value(a, v, span)
 
 
 def _gap(x, y) -> float:

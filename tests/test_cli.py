@@ -339,7 +339,6 @@ def test_solve_rejects_bad_shooting_config(key, value, tmp_path, capsys):
     assert doc["message"] == f"{key} must be a finite number > 0, got {value!r}"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_zero_error_scale_is_step_underflow_in_both_kernels(capsys):
     # --abs-tol 0 on the zero solution: the dim-1 catalog solve used to end
     # in a ZeroDivisionError traceback; it now fails as the 2-d one does.
