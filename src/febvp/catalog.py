@@ -114,9 +114,10 @@ class _InvalidConic:
 
 
 def _conic_params(p):
-    """One conic member's ConicParams, built once per evaluator.  Its
-    closures look conic_F and conic_S up as module globals at each call, so
-    a wrapper installed on those names sees every call."""
+    """One conic member's ConicParams, built once per evaluator.  The conic
+    closures bind it as a default argument and look conic_F and conic_S up
+    as module globals at each call, so a wrapper installed on those names
+    sees every call."""
     try:
         return ConicParams(p["k"], p["g"])
     except ValueError as exc:
