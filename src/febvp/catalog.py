@@ -8,6 +8,7 @@ well-conditioned enough for tight residual thresholds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
@@ -35,6 +36,7 @@ from .functional_laws import (
 )
 from .bvp_shooting import DEFAULT_SHOOTING, ShootingConfig
 from .ode_core import SecondOrderOde
+from .rhs_parser import Expr, bind, parse
 
 __all__ = [
     "CatalogEntry",
@@ -60,45 +62,36 @@ class CatalogEntry:
     closed_s: Optional[Callable] = None  # params -> (tau,alpha,beta,a,v)->x
 
 
+@functools.cache
+def _tree(text: str, names: tuple) -> Expr:
+    return parse(text, params=names)
+
+
+def _expression_ode(text: str, label: str, **constants: float) -> SecondOrderOde:
+    """A family's ode, whose rhs1 is the dim-1 expression text bound to
+    constants that the family computes from its parameters in Python."""
+    rhs1 = bind(_tree(text, tuple(constants)), constants)
+    return SecondOrderOde.from_scalar(rhs1, label=label)
+
+
 def _free_fall_ode(p):
-    g = p["g"]
-
-    def rhs1(tau: float, x: float, v: float) -> float:
-        return g
-
-    return SecondOrderOde.from_scalar(rhs1, label="free_fall")
+    return _expression_ode("g", "free_fall", g=p["g"])
 
 
 def _conic_ode(p):
-    k2, g = p["k"] ** 2, p["g"]
-
-    def rhs1(tau: float, x: float, v: float) -> float:
-        return k2 * x + g
-
-    return SecondOrderOde.from_scalar(rhs1, label="conic")
+    return _expression_ode("k2*x + g", "conic", k2=p["k"] ** 2, g=p["g"])
 
 
 def _linear_zero_ode(p):
-    def rhs1(tau: float, x: float, v: float) -> float:
-        return 0.0
-
-    return SecondOrderOde.from_scalar(rhs1, label="linear_zero")
+    return _expression_ode("0", "linear_zero")
 
 
 def _oscillator_ode(p):
-    w2 = p["omega"] ** 2
-
-    def rhs1(tau: float, x: float, v: float) -> float:
-        return -w2 * x
-
-    return SecondOrderOde.from_scalar(rhs1, label="oscillator")
+    return _expression_ode("-w2*x", "oscillator", w2=p["omega"] ** 2)
 
 
 def _cos_sin_ode(p):
-    def rhs1(tau: float, x: float, v: float) -> float:
-        return -x
-
-    return SecondOrderOde.from_scalar(rhs1, label="linear_basis")
+    return _expression_ode("-x", "linear_basis")
 
 
 class _InvalidConic:

@@ -22,6 +22,7 @@ arclength, which this module implements independently of the solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
 import math
 from typing import Callable, Optional, Sequence
 
@@ -40,7 +41,7 @@ from .functional_laws import (
     Splitmix64,
     run_law,
 )
-from .ode_core import SecondOrderOde
+from .ode_core import SecondOrderOde, compile_rhs
 
 __all__ = [
     "Connection",
@@ -99,19 +100,23 @@ def half_plane_connection() -> Connection:
         out[1, 1, 1] = -1.0 / y
         return out
 
-    def accel(tau: float, x: list, v: list) -> list:
-        # einsum adds (G[k, i, j] * v[i]) * v[j] for (i, j) in C order to
-        # +0.0, zero symbols included.  For finite v the zero terms only
-        # decide the sign of a zero first component: the last one,
-        # (0.0 * v1) * v1 = +0.0, makes it +0.0, hence the + 0.0.
-        g = -1.0 / x[1]
-        h = 1.0 / x[1]
-        v0, v1 = v
-        return [-((g * v0) * v1 + (g * v1) * v0 + 0.0),
-                -((h * v0) * v0 + (g * v1) * v1)]
-
     return Connection(dim=2, gamma=gamma, label="half_plane",
-                      sampling_box=[(-0.5, 0.5), (0.5, 2.0)], accel=accel)
+                      sampling_box=[(-0.5, 0.5), (0.5, 2.0)], accel=_half_plane_accel())
+
+
+@functools.cache
+def _half_plane_accel() -> Callable:
+    """The half-plane accel, generated from its four lines, which the
+    integrator kernel also runs inline.  einsum adds
+    (G[k, i, j] * v[i]) * v[j] for (i, j) in C order to +0.0, zero symbols
+    included.  For finite v the zero terms only decide the sign of a zero
+    first component: the last one, (0.0 * v2) * v2 = +0.0, makes it +0.0,
+    hence the + 0.0."""
+    return compile_rhs(2, ("$g = -1.0 / $x2",
+                           "$h = 1.0 / $x2",
+                           "$a1 = -(($g * $v1) * $v2 + ($g * $v2) * $v1 + 0.0)",
+                           "$a2 = -(($h * $v1) * $v1 + ($g * $v2) * $v2)"),
+                       ("$a1", "$a2"), "<febvp.geodesics half-plane accel>")
 
 
 def connection_asymmetry(conn: Connection, points: Sequence) -> float:

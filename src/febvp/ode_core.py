@@ -63,6 +63,7 @@ and a Trajectory returns the same bits for a tau whatever it was asked before.
 from __future__ import annotations
 
 import bisect
+import hashlib
 import itertools
 import linecache
 import math
@@ -71,8 +72,8 @@ import re
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from types import FunctionType
-from typing import Callable
+from types import CodeType, FunctionType
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -89,6 +90,8 @@ __all__ = [
     "NonFiniteRhs",
     "OutOfSpan",
     "integrate_ivp",
+    "KernelSource",
+    "compile_rhs",
 ]
 
 
@@ -424,7 +427,7 @@ def integrate_ivp(ode: SecondOrderOde, start: StatePoint, tau_end: float,
 def _integrate_scalar(f, t0: float, x0: float, v0: float, t_end: float,
                       cfg: IntegratorConfig):
     """The dim-1 kernel on a float rhs f(tau, x, v) -> float."""
-    return _kernel(1, "scalar")(f, t0, (x0, v0), t_end, cfg)
+    return _kernel(1, "scalar", f)(f, t0, (x0, v0), t_end, cfg)
 
 
 def _integrate_vector(ode: SecondOrderOde, t0: float, start: StatePoint,
@@ -433,7 +436,7 @@ def _integrate_vector(ode: SecondOrderOde, t0: float, start: StatePoint,
     Both are looked up on every call."""
     f = ode.rhs1 if ode.rhs1 is not None else _float_rhs(ode.rhs, ode.dim)
     y0 = np.concatenate([start.x, start.v]).astype(float).tolist()
-    return _kernel(ode.dim, "vector")(f, t0, y0, t_end, cfg)
+    return _kernel(ode.dim, "vector", f)(f, t0, y0, t_end, cfg)
 
 
 def _float_rhs(rhs: Callable, n: int) -> Callable:
@@ -472,6 +475,7 @@ def _float_rhs(rhs: Callable, n: int) -> Callable:
 # ``b if b < a else a``.
 _TEMPLATE = '''\
 def kernel(f, t0, y0, t_end, cfg):
+    @load
     # Locals are cheaper to read than module globals on every step.
     isfinite, sqrt, inf, new_array, dot = math.isfinite, math.sqrt, math.inf, np.array, np.dot
     c2, c3, c4, c5 = _C2, _C3, _C4, _C5
@@ -514,6 +518,9 @@ def kernel(f, t0, y0, t_end, cfg):
                 raise StepSizeUnderflow(
                     f"step size {abs(hs)!r} fell below h_min={h_min!r} at tau={t!r}",
                     tau=t, h=abs(hs))
+            if t + hs == t:
+                raise StepSizeUnderflow(
+                    f"step size {abs(hs)!r} does not move tau={t!r}", tau=t, h=abs(hs))
         attempts += 1
         if attempts > max_steps:
             raise MaxStepsExceeded(
@@ -605,6 +612,7 @@ _VARIANTS = {
     # dim 1, f(tau, x, v) -> float; the rhs values are checked once all
     # seven are in, and the norm is a plain sum.
     "scalar": {
+        "load": "",
         "call": "k{*}_{s} = f({t}, x{*}_{s}, v{*}_{s})",
         "check": ("if not (isfinite(k0_2) and isfinite(k0_3) and isfinite(k0_4)"
                   " and isfinite(k0_5) and isfinite(k0_6) and isfinite(k0_7)):\n"
@@ -614,6 +622,7 @@ _VARIANTS = {
     },
     # dim n, f(tau, xs, vs) -> n values, each checked as it comes.
     "vector": {
+        "load": "",
         "call": """\
 ts = {t}
 fs = f(ts, [x{*}_{s}], [v{*}_{s}])
@@ -638,6 +647,97 @@ ss += ex{i} * ex{i} + ev{i} * ev{i}
 en = sqrt(float(dot(r := new_array((ex{*}, ev{*})), r)) / {n2}) if ss < 1e300 else inf""",
     },
 }
+
+
+@dataclass(frozen=True, eq=False)
+class KernelSource:
+    """The straight-line source of a generated float-level rhs, which a
+    kernel unrolls into each stage in place of calling the function.
+
+    ``lines`` are assignments, run in order, each to a temporary of its
+    own, and ``results`` the names of the values: one for a scalar source
+    (a dim-1 rhs, which returns a float), n for a list source (a dim-n rhs,
+    which returns a list).  Every name of the source is marked with ``$``:
+    ``$tau``, ``$x1``..``$xn`` and ``$v1``..``$vn`` are the rhs arguments,
+    a name that a line assigns is a temporary, and any other is a global of
+    the function, which the kernel reads from ``f.__globals__`` once per
+    run.  ``code`` is the code of the
+    function that carries the source as its ``kernel_source``: a kernel
+    inlines it only for that function, so a wrapper that copied the
+    attribute is still called.
+    """
+
+    code: CodeType
+    lines: tuple[str, ...]
+    results: tuple[str, ...]
+    scalar: bool
+
+
+def compile_rhs(dim: int, lines: Sequence[str], results: Sequence[str],
+                filename: str) -> FunctionType:
+    """The float-level rhs f(tau, x, v) that runs a KernelSource's lines and
+    returns its results, carrying that source: in dim 1 on floats,
+    returning a float, in dim n on sequences of n floats, returning a list.
+    The lines may read no globals.  Tracebacks show them under filename."""
+    xs, vs = (", ".join(f"{k}{i}" for i in range(1, dim + 1)) + ("" if dim == 1 else ",")
+              for k in "xv")
+    value = results[0] if dim == 1 else "[" + ", ".join(results) + "]"
+    text = "".join([f"def rhs(tau, x, v):\n    {xs} = x\n    {vs} = v\n",
+                    *(f"    {line}\n" for line in lines), f"    return {value}\n"]).replace("$", "")
+    scope: dict = {}
+    exec(compile(text, filename, "exec"), {}, scope)
+    linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
+    f = scope["rhs"]
+    f.kernel_source = KernelSource(f.__code__, tuple(lines), tuple(results), dim == 1)
+    return f
+
+
+_MARKED = re.compile(r"\$(\w+)")
+_ARGUMENT = re.compile(r"([xv])([1-9][0-9]*)")
+
+
+def _inline_snippets(source: KernelSource, variant: str) -> dict:
+    """The ``load`` and ``call`` snippets of a kernel that runs source in
+    place of calling f.  ``load`` reads the source's globals from f once per
+    run.  ``call`` assigns the stage's k values from the stage's names: a
+    temporary that is a result is the k value itself, the others are
+    renamed per stage, and the stage time is computed only where the
+    source reads ``$tau``.  The vector variant then checks each value, in
+    order, as its call snippet does."""
+    assigned = {line.split("=", 1)[0].strip()[1:] for line in source.lines}
+    results: dict = {}
+    for i, value in enumerate(source.results):
+        if value[1:] in assigned:
+            results.setdefault(value[1:], i)
+    globals_: dict = {}
+    reads_tau = []
+
+    def rename(m: re.Match) -> str:
+        word = m[1]
+        if word == "tau":
+            reads_tau.append(True)
+            return "ts"
+        argument = _ARGUMENT.fullmatch(word)
+        if argument:
+            return f"{argument[1]}{int(argument[2]) - 1}_{{s}}"
+        if word in results:
+            return f"k{results[word]}_{{s}}"
+        if word in assigned:
+            return f"r_{word}_{{s}}"
+        globals_[word] = None
+        return f"f_{word}"
+
+    call = [_MARKED.sub(rename, line) for line in source.lines]
+    call += [f"k{i}_{{s}} = " + _MARKED.sub(rename, value)
+             for i, value in enumerate(source.results) if results.get(value[1:]) != i]
+    if reads_tau:
+        call.insert(0, "ts = {t}")
+    if variant == "vector":
+        call += [f"if not isfinite(k{i}_{{s}}): raise NonFiniteRhs("
+                 'f"rhs returned a non-finite value at tau={({t})!r}", tau={t})'
+                 for i in range(len(source.results))]
+    load = [f"f_{name} = f.__globals__[{name!r}]" for name in globals_]
+    return {"load": "\n".join(load), "call": "\n".join(call)}
 
 
 class CodeCache:
@@ -668,30 +768,44 @@ class CodeCache:
         return fn if fn.__globals__ is namespace else FunctionType(fn.__code__, namespace)
 
 
-# The kernels of the last few (n, variant) pairs: one costs 3 ms and 218
-# lines to compile at n = 2, 154 ms and 5960 lines at n = 200.
-_KERNELS = CodeCache(8)
+# The kernels of the last few (n, variant, source) keys: one costs 3 ms
+# and 218 lines to compile at n = 2, 154 ms and 5960 lines at n = 200,
+# and about 40 KB to keep.  One pass of any benchmark workload uses at
+# most 8 (tests/test_ode_core.py counts them).
+_KERNELS = CodeCache(16)
 
 
-def _kernel(n: int, variant: str) -> Callable:
+def _kernel(n: int, variant: str, f: Callable) -> Callable:
     """_TEMPLATE unrolled for dimension n with the snippets of
-    _VARIANTS[variant], compiled on first use into _KERNELS."""
+    _VARIANTS[variant], compiled on first use into _KERNELS.  Where f
+    carries a KernelSource of the variant's shape, its stages run that
+    source inline, and f is never called; otherwise they call f."""
+    source = getattr(f, "kernel_source", None)
+    if source is not None and not (source.code is getattr(f, "__code__", None)
+                                   and source.scalar == (variant == "scalar")
+                                   and len(source.results) == n):
+        source = None
+    key = (n, variant) if source is None else (n, variant, source.lines, source.results)
+
     def unroll() -> tuple[str, str]:
-        snippets = _VARIANTS[variant]
+        snippets, name = _VARIANTS[variant], f"dim {n}, {variant}"
+        if source is not None:
+            snippets = {**snippets, **_inline_snippets(source, variant)}
+            name += ", inline " + hashlib.blake2b(repr(key).encode(), digest_size=6).hexdigest()
 
         def directive(m: re.Match) -> str:
             text = snippets[m[2]].replace("{s}", m[3]).replace("{t}", m[4])
             return "\n".join(m[1] + line for line in text.splitlines())
 
-        source = re.sub(r"^( *)@(\w+) ?(\d?) ?(.*)$", directive, _TEMPLATE, flags=re.M)
-        source = (source.replace("{scale}", snippets["scale"])
-                  .replace("{n}", str(n)).replace("{n2}", str(2 * n)))
-        source = re.sub(r"(\w*)\{\*\}(\w*)",
-                        lambda m: ", ".join(f"{m[1]}{i}{m[2]}" for i in range(n)), source)
+        text = re.sub(r"^( *)@(\w+) ?(\d?) ?(.*)$", directive, _TEMPLATE, flags=re.M)
+        text = (text.replace("{scale}", snippets["scale"])
+                .replace("{n}", str(n)).replace("{n2}", str(2 * n)))
+        text = re.sub(r"(\w*)\{\*\}(\w*)",
+                      lambda m: ", ".join(f"{m[1]}{i}{m[2]}" for i in range(n)), text)
         lines = []
-        for unrolled, run in itertools.groupby(source.splitlines(True), lambda line: "{i}" in line):
+        for unrolled, run in itertools.groupby(text.splitlines(True), lambda line: "{i}" in line):
             run = list(run)
             lines += [line.replace("{i}", str(i)) for i in range(n) for line in run] if unrolled else run
-        return f"<febvp.ode_core kernel, dim {n}, {variant}>", "".join(lines)
+        return f"<febvp.ode_core kernel, {name}>", "".join(lines)
 
-    return _KERNELS.function((n, variant), unroll, globals())
+    return _KERNELS.function(key, unroll, globals())

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import FebvpError
-from .ode_core import CodeCache
+from .ode_core import CodeCache, KernelSource
 
 __all__ = [
     "ParseError",
@@ -444,35 +444,44 @@ _NAMESPACE = {"_div": _div, "_pow": _pow, "_apply": _apply,
               "_unbound": _unbound, **FUNCTIONS}
 _CODES = CodeCache(128)
 
+def _read(name: str) -> str:
+    """How the generated function reads the variable of a marked name,
+    into a temporary of its own."""
+    if name == "$tau":
+        return "tau if type(tau) is float else float(tau)"
+    kind, index = name[1], int(name[2:])
+    form = f"r if type(r := {kind}[{index - 1}]) is float else float(r)"
+    # a float is x1 (or v1) itself
+    return f"{kind} if type({kind}) is float else {form}" if index == 1 else form
 
-def _emit(e: Expr, params: Mapping[str, float] | None, body: list[str],
+
+def _emit(e: Expr, params: Mapping[str, float] | None, body: list,
           consts: dict):
     """e's value when it needs no variable (folded by eval_expr), else the
-    temporary that the statements appended to body assign: eval_expr(e)'s
-    operations in its order, / ^ and functions through its helpers, each
-    read as float(...) unless a float.  A constant subexpression that
-    faults, and an unbound parameter, raise when called."""
+    temporary t<i> of the body entry i that computes it.  An entry is a
+    variable read, its ``$``-marked name alone, or an operation
+    ``(form, args)``: eval_expr(e)'s operations in its order, / ^ and
+    functions through its helpers, over temporaries and ``$``-marked
+    globals.  A constant subexpression that faults, and an unbound
+    parameter, raise when called."""
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Param) and params is not None and e.name in params:
         return float(params[e.name])
     fields = ()
     if isinstance(e, Param):
-        form = f"_unbound({e.name!r}, {e.pos})"
-    elif isinstance(e, Var) and e.kind == "tau":
-        form = "tau if type(tau) is float else float(tau)"
+        form = f"$_unbound({e.name!r}, {e.pos})"
     elif isinstance(e, Var):
-        form = f"r if type(r := {e.kind}[{e.index - 1}]) is float else float(r)"
-        if e.index == 1:  # a float is x1 (or v1) itself
-            form = f"{e.kind} if type({e.kind}) is float else {form}"
+        body.append("$tau" if e.kind == "tau" else f"${e.kind}{e.index}")
+        return f"t{len(body) - 1}"
     elif isinstance(e, Neg):
         form, fields = "-{}", ("operand",)
     elif isinstance(e, BinOp):
-        helper = {"/": "_div", "^": "_pow"}.get(e.op)
+        helper = {"/": "$_div", "^": "$_pow"}.get(e.op)
         form = f"{helper}({{}}, {{}}, {e.pos})" if helper else f"{{}} {e.op} {{}}"
         fields = ("left", "right")
     elif isinstance(e, Call):
-        form, fields = f"_apply({e.func}, {{}}, {e.pos})", ("arg",)
+        form, fields = f"$_apply(${e.func}, {{}}, {e.pos})", ("arg",)
     else:
         raise TypeError(f"not an Expr node: {e!r}")
     values = [_emit(getattr(e, f), params, body, consts) for f in fields]
@@ -481,16 +490,39 @@ def _emit(e: Expr, params: Mapping[str, float] | None, body: list[str],
             return eval_expr(replace(e, **{f: Num(a) for f, a in zip(fields, values)}), None)
         except EvaluationError:
             pass  # raised again each time the function is called
-    body.append(f"t{len(body)} = " + form.format(*(_name(a, consts) for a in values)))
+    body.append((form, [_name(a, consts) for a in values]))
     return f"t{len(body) - 1}"
 
 
 def _name(value, consts: dict) -> str:
-    """A temporary's name, or a new global's for a constant value."""
+    """A temporary's name, or a new global's marked name for a constant."""
     if isinstance(value, str):
         return value
     consts[f"_c{len(consts)}"] = value
-    return f"_c{len(consts) - 1}"
+    return f"$_c{len(consts) - 1}"
+
+
+def _render(body: list, results: list) -> tuple[list, list, list, list]:
+    """The body and results as the function's statements and values, where
+    each entry is a temporary t<index>, and as a KernelSource's lines and
+    results, where a variable read is its marked name and an operation a
+    marked temporary."""
+    lines, kernel_lines, alias = [], [], {}
+
+    def marked(name: str) -> str:
+        return name if name[0] == "$" else alias.get(name, "$" + name)
+
+    for i, entry in enumerate(body):
+        if isinstance(entry, str):
+            lines.append(f"t{i} = {_read(entry)}")
+            alias[f"t{i}"] = entry
+            continue
+        form, args = entry
+        lines.append(f"t{i} = " + form.format(*args).replace("$", ""))
+        kernel_lines.append(f"$t{i} = " + form.format(*map(marked, args)))
+    values = [r.replace("$", "") for r in results]
+    kernel_values = [marked(r) for r in results]
+    return lines, values, kernel_lines, kernel_values
 
 
 def bind(exprs: Sequence[Expr] | Expr, params: Mapping[str, float]):
@@ -502,25 +534,34 @@ def bind(exprs: Sequence[Expr] | Expr, params: Mapping[str, float]):
     constants as its globals, compiled once per source into a bounded
     cache.  eval_expr evaluates again a call whose reads raise TypeError
     or IndexError (None, an int, a NumPy scalar, a short list) and one with
-    a NaN result, whose sign bit a specialised float multiply may flip."""
+    a NaN result, whose sign bit a specialised float multiply may flip.
+
+    The function carries the same operations as its ``kernel_source``, over
+    the variables themselves, with no reads and no fallbacks, for an
+    integrator kernel to run inline: a kernel's values are floats, and a
+    NaN there ends the run whatever its sign."""
     scalar = isinstance(exprs, (Num, Var, Param, Neg, BinOp, Call))
     parts = [exprs] if scalar else list(exprs)
     params = None if params is None else dict(params)
-    body: list[str] = []
+    body: list = []
     consts: dict = {}
     results = [_name(_emit(e, params, body, consts), consts) for e in parts]
-    nan = " or ".join(f"{r} != {r}" for r in results) or "False"
+    lines, values, kernel_lines, kernel_values = _render(body, results)
+    nan = " or ".join(f"{r} != {r}" for r in values) or "False"
     source = "".join([
         "def rhs(tau, x, v):\n    try:\n",
-        *(f"        {line}\n" for line in body or ["pass"]),
+        *(f"        {line}\n" for line in lines or ["pass"]),
         "    except (TypeError, IndexError):\n        return _walk(tau, x, v)\n",
         f"    if {nan}:\n        return _walk(tau, x, v)\n",
-        f"    return {results[0] if scalar else '[' + ', '.join(results) + ']'}\n"])
+        f"    return {values[0] if scalar else '[' + ', '.join(values) + ']'}\n"])
 
     def walk(tau, x, v):
         values = [eval_expr(e, tau, x, v, params) for e in parts]
         return values[0] if scalar else values
 
     digest = hashlib.blake2b(source.encode(), digest_size=6).hexdigest()
-    return _CODES.function(source, lambda: (f"<febvp.rhs_parser rhs {digest}>", source),
-                           {**_NAMESPACE, **consts, "_walk": walk})
+    rhs = _CODES.function(source, lambda: (f"<febvp.rhs_parser rhs {digest}>", source),
+                          {**_NAMESPACE, **consts, "_walk": walk})
+    rhs.kernel_source = KernelSource(rhs.__code__, tuple(kernel_lines),
+                                     tuple(kernel_values), scalar)
+    return rhs

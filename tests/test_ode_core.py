@@ -1,7 +1,12 @@
 """Integrator tests against closed-form solutions."""
 
+import functools
 import linecache
 import math
+import random
+import re
+import struct
+import time
 import traceback
 from array import array
 
@@ -10,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from febvp import catalog, cli, geodesics
-from febvp.rhs_parser import eval_expr, parse
+from febvp import catalog, cli, geodesics, ode_core
+from febvp.rhs_parser import EvaluationError, ParseError, bind, eval_expr, parse
 from febvp.ode_core import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
     _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
@@ -29,6 +34,7 @@ from febvp.ode_core import (
     _P_ARR,
     _integrate_scalar,
     _integrate_vector,
+    _kernel,
     _pi_factor,
     integrate_ivp,
 )
@@ -312,6 +318,9 @@ def reference_integrate_scalar(f, t0: float, x0: float, v0: float, t_end: float,
                 raise StepSizeUnderflow(
                     f"step size {abs(hs)!r} fell below h_min={cfg.h_min!r} at tau={t!r}",
                     tau=t, h=abs(hs))
+            if t + hs == t:
+                raise StepSizeUnderflow(
+                    f"step size {abs(hs)!r} does not move tau={t!r}", tau=t, h=abs(hs))
         attempts += 1
         if attempts > cfg.max_steps:
             raise MaxStepsExceeded(
@@ -422,6 +431,9 @@ PARITY_CASES = [
                  id="underflow-at-blow-up"),
     pytest.param(_rhs1("oscillator"), 0.0, 1.0, 0.0, 100.0,
                  IntegratorConfig(max_steps=40), id="max-steps"),
+    # h_init is below the spacing of floats at 1e20: t + h == t
+    pytest.param(_rhs1("free_fall"), 1e20, 0.3, -0.2, 1e20 + 1e6, DEFAULT,
+                 id="step-does-not-move-tau"),
 ]
 
 
@@ -492,6 +504,9 @@ def reference_integrate_vector(ode: SecondOrderOde, t0: float, start: StatePoint
                 raise StepSizeUnderflow(
                     f"step size {abs(hs)!r} fell below h_min={cfg.h_min!r} at tau={t!r}",
                     tau=t, h=abs(hs))
+            if t + hs == t:
+                raise StepSizeUnderflow(
+                    f"step size {abs(hs)!r} does not move tau={t!r}", tau=t, h=abs(hs))
         attempts += 1
         if attempts > cfg.max_steps:
             raise MaxStepsExceeded(
@@ -587,6 +602,8 @@ VECTOR_PARITY_CASES = [
                 0.0, [1.0, 1.0], [1.0, 0.5], 5.0, id="underflow-at-blow-up"),
     vector_case(HALF_PLANE, 0.0, [0.2, 1.0], [0.7, 0.4], 10.0,
                 IntegratorConfig(max_steps=20), id="max-steps"),
+    vector_case(COUPLED, 1e20, [0.5, 1.0], [-0.3, 0.2], 1e20 + 1e6,
+                id="step-does-not-move-tau"),
 ]
 
 
@@ -1028,3 +1045,300 @@ def test_integrator_config_accepts_zero_tolerances_and_floor():
     # a zero error scale is legal: it rejects steps until step_underflow
     cfg = IntegratorConfig(rel_tol=0.0, abs_tol=0.0, h_min=0.0, max_steps=1)
     assert (cfg.rel_tol, cfg.abs_tol, cfg.h_min) == (0.0, 0.0, 0.0)
+
+
+# ------------------------------------------------------ inlined rhs sources
+#
+# A generated rhs (rhs_parser.bind's functions, so the catalog families and
+# --ode systems, and the half-plane accel) carries its straight-line
+# source, and a kernel runs that source in each stage in place of calling
+# it.  The reference kernels above call the rhs: the inlined kernels must
+# give their bits and their errors (class, message and context).
+
+def run_outcome(kernel, *args):
+    """kernel_outcome, with any exception as its class, message and context."""
+    try:
+        return tuple(buf.tobytes() for buf in kernel(*args))
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "context", None)
+
+
+def inlined(f, n=1, variant="scalar"):
+    """Whether the kernel for f runs f's source inline."""
+    return ", inline " in _kernel(n, variant, f).__code__.co_filename
+
+
+# ACCEPTANCE 11's token pool; each dimension adds its variables and the
+# parameters k and g.
+ACCEPTANCE_POOL = list("xv+-*/^(). 0123456789") + ["tau", "sin", "cos", "exp",
+                                                    "x1", "v2", ","]
+
+
+def random_system(seed, dim):
+    """dim expressions from ACCEPTANCE 11's generator (1 to 12 random
+    tokens), each the first text that parses."""
+    rng = random.Random(seed)
+    pool = ACCEPTANCE_POOL + [f"{k}{i}" for k in "xv" for i in range(1, dim + 1)] + ["k", "g"]
+    exprs = []
+    while len(exprs) < dim:
+        text = "".join(rng.choice(pool) for _ in range(rng.randint(1, 12)))
+        try:
+            exprs.append(parse(text, dim=dim, params=("k", "g")))
+        except ParseError:
+            pass
+    return exprs
+
+
+SHORT = IntegratorConfig(max_steps=300)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(seed=hst.integers(0, 2 ** 32 - 1), dim=hst.integers(1, 3),
+       k=hst.floats(-2.0, 2.0), g=hst.floats(-2.0, 2.0),
+       y0=hst.lists(hst.floats(-2.0, 2.0), min_size=6, max_size=6),
+       t1=hst.sampled_from([1.5, -1.5]))
+def test_inlined_expressions_match_the_reference_kernels(seed, dim, k, g, y0, t1):
+    exprs = random_system(seed, dim)
+    x0, v0 = y0[:dim], y0[3:3 + dim]
+    if dim == 1:
+        f = bind(exprs[0], {"k": k, "g": g})
+        assert inlined(f)
+        args = (f, 0.0, x0[0], v0[0], t1, SHORT)
+        assert run_outcome(_integrate_scalar, *args) == run_outcome(reference_integrate_scalar, *args)
+    else:
+        f = bind(exprs, {"k": k, "g": g})
+        assert inlined(f, dim, "vector")
+        ode = SecondOrderOde(dim, lambda t, x, v: np.array(f(t, x, v)), rhs1=f)
+        args = (ode, 0.0, StatePoint.of(0.0, x0, v0), t1, SHORT)
+        assert run_outcome(_integrate_vector, *args) == run_outcome(reference_integrate_vector, *args)
+
+
+# Faults in the middle of a run: evaluation errors, and a NaN or an inf
+# once tau passes 0.25.
+FAULTS = ["sqrt(0.5 - tau)", "log(x)", "(x - 0.2)^0.5", "exp(tau*800)",
+          "((tau - 0.25)/abs(tau - 0.25) + 1)*1e300*1e300*0",
+          "x*((tau - 0.25)/abs(tau - 0.25) + 1)*1e300*1e300"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_inlined_faults_match_the_reference_kernels():
+    outcomes = set()
+    for text in FAULTS:
+        f = bind(parse(text), {})
+        args = (f, 0.0, 0.3, -0.5, 1.5, SHORT)
+        got = run_outcome(_integrate_scalar, *args)
+        assert got == run_outcome(reference_integrate_scalar, *args), text
+        system = bind([parse("v1 - x2", dim=2), parse(re.sub(r"\bx\b", "x2", text), dim=2)], {})
+        ode = SecondOrderOde(2, lambda t, x, v: np.array(system(t, x, v)), rhs1=system)
+        args = (ode, 0.0, StatePoint.of(0.0, [0.1, 0.3], [0.2, -0.5]), 1.5, SHORT)
+        assert run_outcome(_integrate_vector, *args) == run_outcome(reference_integrate_vector, *args), text
+        outcomes.add(got[0])
+    assert {EvaluationError, NonFiniteRhs} <= outcomes
+
+
+# The catalog's rhs1 closures before the families became expressions.
+def _old_free_fall(p):
+    g = p["g"]
+    return lambda tau, x, v: g
+
+
+def _old_conic(p):
+    k2, g = p["k"] ** 2, p["g"]
+    return lambda tau, x, v: k2 * x + g
+
+
+def _old_oscillator(p):
+    w2 = p["omega"] ** 2
+    return lambda tau, x, v: -w2 * x
+
+
+OLD_CLOSURES = {"free_fall": _old_free_fall, "conic": _old_conic,
+                "linear_zero": lambda p: (lambda tau, x, v: 0.0),
+                "oscillator": _old_oscillator,
+                "linear_basis": lambda p: (lambda tau, x, v: -x)}
+FAMILY_MEMBERS = [
+    ("free_fall", {}), ("free_fall", {"g": 3.5}), ("free_fall", {"g": math.nan}),
+    ("conic", {}), ("conic", {"k": 0.5, "g": 0.0}), ("conic", {"k": 2.0, "g": -2.0}),
+    ("conic", {"k": 1.3, "g": math.inf}), ("linear_zero", {}),
+    ("oscillator", {}), ("oscillator", {"omega": 2.5}), ("linear_basis", {}),
+]
+
+
+@pytest.mark.parametrize("name, overrides", FAMILY_MEMBERS)
+def test_catalog_families_inline_with_the_old_closures_bits(name, overrides):
+    ode, params = catalog.make_ode(name, overrides)
+    rhs1, old = ode.rhs1, OLD_CLOSURES[name](params)
+    assert inlined(rhs1)
+    points = uniform_draws(7)
+    for _ in range(200):
+        t, x, v = points(), points(), points()
+        assert struct.pack("<d", rhs1(t, x, v)) == struct.pack("<d", old(t, x, v))
+    for t0, t1 in ((0.0, 2.0), (2.0, -1.0)):
+        assert (run_outcome(_integrate_scalar, rhs1, t0, 0.3, -0.2, t1, DEFAULT)
+                == run_outcome(reference_integrate_scalar, old, t0, 0.3, -0.2, t1, DEFAULT))
+
+
+def uniform_draws(seed):
+    """Seeded uniform draws from [-3, 3]."""
+    rng = random.Random(seed)
+    return lambda: rng.uniform(-3.0, 3.0)
+
+
+def _old_half_plane_accel(tau, x, v):
+    g = -1.0 / x[1]
+    h = 1.0 / x[1]
+    v0, v1 = v
+    return [-((g * v0) * v1 + (g * v1) * v0 + 0.0),
+            -((h * v0) * v0 + (g * v1) * v1)]
+
+
+def _accel_outcome(f, *args):
+    try:
+        return [struct.pack("<d", value) for value in f(*args)]
+    except ZeroDivisionError as exc:
+        return type(exc)
+
+
+def test_half_plane_source_gives_the_old_accel_and_einsum_bits():
+    accel = HALF_PLANE.rhs1
+    assert accel.kernel_source.lines and inlined(accel, 2, "vector")
+    draw = uniform_draws(11)
+    points = [([draw(), abs(draw())], [draw(), draw()]) for _ in range(300)]
+    points += [([0.2, 0.0], [0.7, 0.4]), ([0.2, -0.0], [0.0, 0.0]),
+               ([0.2, 1.0], [0.0, 0.5]), ([0.2, 1.0], [-0.0, 0.5]),
+               ([0.2, 1.0], [0.7, 0.0]), ([0.2, 1.0], [0.0, -0.0])]
+    for x, v in points:
+        want = _accel_outcome(_old_half_plane_accel, 0.0, x, v)
+        assert _accel_outcome(accel, 0.0, x, v) == want
+        assert _accel_outcome(HALF_PLANE.rhs, 0.0, np.array(x), np.array(v)) == want
+
+
+OLD_HALF_PLANE = SecondOrderOde(2, HALF_PLANE.rhs, rhs1=_old_half_plane_accel)
+
+
+@pytest.mark.parametrize("x0, v0, t1, cfg", [
+    ([0.2, 1.0], [0.7, 0.4], 1.0, DEFAULT),
+    ([0.2, 1.0], [0.7, 0.4], -0.5, DEFAULT),
+    ([0.2, 1.0], [0.0, 0.5], 1.0, DEFAULT),
+    ([0.2, 1.0], [0.7, 0.0], 1.0, DEFAULT),
+    ([0.2, 0.0], [0.7, 0.4], 1.0, DEFAULT),  # y = 0: ZeroDivisionError
+    ([0.2, 1.0], [0.7, 0.4], 10.0, IntegratorConfig(max_steps=20)),
+], ids=["forward", "backward", "vertical", "zero-velocity-component",
+        "y-zero", "max-steps"])
+def test_half_plane_inlined_kernel_matches_the_old_accel_and_einsum(x0, v0, t1, cfg):
+    start = StatePoint.of(0.0, x0, v0)
+    got = run_outcome(_integrate_vector, HALF_PLANE, 0.0, start, t1, cfg)
+    assert got == run_outcome(_integrate_vector, OLD_HALF_PLANE, 0.0, start, t1, cfg)
+    assert got == run_outcome(reference_integrate_vector, HALF_PLANE, 0.0, start, t1, cfg)
+
+
+def buffers(traj):
+    return [buf.tobytes() for buf in (traj._knots, traj._states, traj._steps)]
+
+
+def _plain_counter(fn, calls):
+    def wrapper(*args):
+        calls.append(args[0])
+        return fn(*args)
+    return wrapper
+
+
+def _wraps_counter(fn, calls):
+    # functools.wraps copies fn's kernel_source, but not its code
+    @functools.wraps(fn)
+    def wrapper(*args):
+        calls.append(args[0])
+        return fn(*args)
+    return wrapper
+
+
+@pytest.mark.parametrize("wrap", [_plain_counter, _wraps_counter], ids=["plain", "wraps"])
+@pytest.mark.parametrize("make, start", [
+    (lambda: catalog.make_ode("conic", {"k": 1.5, "g": 0.5})[0],
+     StatePoint.of(0.0, [0.3], [-0.2])),
+    (lambda: cli._build_expression_ode(["k^2*x + g"], {"k": 1.5, "g": 0.5}),
+     StatePoint.of(0.0, [0.3], [-0.2])),
+    (lambda: cli._build_expression_ode(["k^2*x1 + g", "-x2"], {"k": 1.5, "g": 0.5}),
+     StatePoint.of(0.0, [0.3, 1.0], [-0.2, 0.5])),
+    (lambda: geodesics.geodesic_ode(geodesics.half_plane_connection()),
+     StatePoint.of(0.0, [0.2, 1.0], [0.7, 0.4])),
+], ids=["catalog", "ode", "ode-2d", "half-plane"])
+def test_a_wrapper_on_rhs1_sees_every_call(make, start, wrap):
+    # A wrapper has no source of its own, so the kernel calls it: once at
+    # the start and 6 times per attempted step (these runs reject none).
+    # The benchmark's tracer counts rhs evaluations this way.
+    inline = integrate_ivp(make(), start, 2.0)
+    ode, calls = make(), []
+    ode.rhs1 = wrap(ode.rhs1, calls)
+    got = integrate_ivp(ode, start, 2.0)
+    assert buffers(got) == buffers(inline)
+    assert len(calls) == 1 + 6 * got.n_segments
+
+
+def _request_kinds(p, q):
+    """The seven kinds of benchmark request, with parameters p, q."""
+    return [
+        ["solve", "--catalog", "conic", "--param", f"k={p}", "--param", f"g={q}",
+         "--neumann", "0", "1", "0.2", "-0.4", "--tau", "0.5"],
+        ["solve", "--ode", "k^2*x + g", "--param", f"k={p}", "--param", f"g={q}",
+         "--neumann", "0", "1", "0.2", "-0.4", "--tau", "0.5"],
+        ["solve", "--catalog", "oscillator", "--param", f"omega={p}",
+         "--cauchy", "0", "0.3", f"{q}", "--tau", "0.5"],
+        ["solve", "--ode", "k^2*x1 + g", "--ode=-x2", "--param", f"k={p}",
+         "--param", f"g={q}", "--neumann", "0", "1", "0.2,1", "-0.4,0", "--tau", "0.5"],
+        ["geodesic", "--connection", "half_plane", "--a", "0.1", f"{p}",
+         "--b", "-0.3", "1.5", "--rho", "0.25"],
+        ["reconstruct", "--catalog", "free_fall", "--param", f"g={q}",
+         "--point", "0.3", "0.5", "-0.2"],
+        ["reconstruct", "--ode=-x", "--point", f"{q}", "0.5", "-0.2"],
+    ]
+
+
+def test_requests_compile_each_kernel_and_rhs_once(monkeypatch, capsys):
+    # New parameter values reuse the compiled kernels and rhs code: the
+    # kernel cache is keyed by source, and constants are not in it.
+    compiled = []
+
+    def counting_compile(source, filename, mode):
+        compiled.append(filename)
+        return compile(source, filename, mode)
+
+    kernels = set()
+    function = ode_core.CodeCache.function
+
+    def recording(self, key, build, namespace):
+        if self is _KERNELS:
+            kernels.add(key)
+        return function(self, key, build, namespace)
+
+    monkeypatch.setattr(ode_core, "compile", counting_compile, raising=False)
+    monkeypatch.setattr(ode_core.CodeCache, "function", recording)
+    for i, (p, q) in enumerate([(1.5, 0.5), (0.7, -2.0), (1.9, 1.25)]):
+        for argv in _request_kinds(p, q):
+            assert cli.main(argv + ["--format", "json"]) == 0, argv
+        if i == 0:
+            first = list(compiled)
+    capsys.readouterr()
+    assert compiled == first
+    assert len(set(compiled)) == len(compiled)
+    # the cache keeps these and a traced run's two call kernels with room
+    assert len(kernels) + 2 <= _KERNELS.size // 2
+
+
+def test_a_step_that_does_not_move_tau_raises_step_underflow_at_once():
+    # From tau = 8.8e307 no step of h_init moves tau.  The kernel used to
+    # store such steps as repeated knots, growing h 5x per step, and ended
+    # in max_steps_exceeded after 10^6 attempts (about 4 s).
+    ff = catalog.make_ode("free_fall")[0]
+    started = time.perf_counter()
+    with pytest.raises(StepSizeUnderflow, match="does not move tau") as info:
+        integrate_ivp(ff, StatePoint.of(8.8e307, [0.0], [1.0]), 8.9e307)
+    assert time.perf_counter() - started < 1.0
+    assert info.value.context == {"tau": 8.8e307, "h": 1e-3}
+    with pytest.raises(StepSizeUnderflow, match="does not move tau"):
+        integrate_ivp(HALF_PLANE, StatePoint.of(-8.8e307, [0.2, 1.0], [0.7, 0.4]), 0.0)
+    # From 1e20 the first steps, below 16384 (the spacing of floats
+    # there), used to be stored as zero-width steps until h outgrew it.
+    with pytest.raises(StepSizeUnderflow, match="does not move tau"):
+        integrate_ivp(ff, StatePoint.of(1e20, [0.3], [-0.2]), 1e20 + 1e6)
