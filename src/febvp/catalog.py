@@ -3,7 +3,9 @@
 Each entry couples a numeric ODE, whose rhs is also the true right-hand
 side for reconstruction comparisons, with (when available) its closed-form
 dependence maps, and the sampling domain on which the family is
-well-conditioned enough for tight residual thresholds.
+well-conditioned enough for tight residual thresholds.  A family's rhs1 is
+a parser expression bound to constants computed from its parameters, so
+the integrator kernel runs it inline.
 """
 
 from __future__ import annotations

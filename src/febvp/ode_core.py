@@ -10,16 +10,25 @@ There is one step loop, written once as a template (_TEMPLATE) and
 unrolled for each dimension n into straight-line code over named floats:
 one statement per component and stage (x0_2, v0_2, k0_2, x1_2, ...), with
 no lists, comprehensions or per-stage helper calls.  _kernel generates
-the source and compiles it once per (n, variant) into a bounded cache that
-shows its lines in tracebacks.  Both variants call a
-float-level rhs, ``SecondOrderOde.rhs1``, and differ in three snippets:
+the source and compiles it once per (n, variant, rhs source) into a
+bounded cache that shows its lines in tracebacks.
+
+The rhs is a float-level ``SecondOrderOde.rhs1``, and each stage's
+``@call`` expands in one of two ways.  A generated rhs carries its own
+straight-line source (a KernelSource: rhs_parser.bind's functions, so
+the catalog families and ``--ode`` systems, and the half-plane geodesic's
+accel), and the kernel runs that source inline, with its temporaries
+renamed per stage and its constants read from the function's globals once
+per run, so a new parameter value reuses the compiled kernel.  Any other
+callable, a wrapper around a generated one included, is called on every
+stage.  The two variants differ in three snippets:
 
 - the rhs call: the dim-1 variant's ``rhs1`` takes and returns floats,
   and the seven values of a step are checked together once they are in;
-  the dim-n variant calls ``rhs1`` with lists of n floats (the
-  half-plane geodesic's accel, compiled ``--ode`` expressions), or a
-  wrapper around the array ``rhs`` that hands it fresh (n,) arrays, and
-  checks the length and each value's finiteness as they come;
+  the dim-n variant calls ``rhs1`` with lists of n floats, or a wrapper
+  around the array ``rhs`` that hands it fresh (n,) arrays, and checks
+  the length and each value's finiteness as they come (an inline source
+  has the variant's shape, and its values are checked in the same order);
 - the error scale: builtin max in dim 1, np.maximum's rule (a NaN wins)
   in dim n;
 - the error norm: a plain sum in dim 1; in dim n the ratios are divided
@@ -55,6 +64,9 @@ one stacked matrix product, (m, 2n, 4) @ (m, 4, 1), and y0 + h * qp.
 These are the per-tau operations of the quartic interpolant, batched, so
 every tau has the same bits alone or in a batch.  Only the public eval
 and eval_many build StatePoints from the rows.
+
+A step too small to move tau (t + h == t, far from 0) raises
+StepSizeUnderflow, as one below h_min does.
 
 Results are deterministic: identical inputs and config yield identical bits,
 and a Trajectory returns the same bits for a tau whatever it was asked before.
@@ -124,11 +136,15 @@ class SecondOrderOde:
         rhs: map (tau, x, v) -> f with x, v, f numpy arrays of shape (n,).
         label: human-readable name used in reports and error context.
         rhs1: optional float-level form of ``rhs``, which the integrator
-            calls instead of ``rhs`` to avoid array overhead.  For dim == 1
+            uses instead of ``rhs`` to avoid array overhead.  For dim == 1
             it takes plain floats (tau, x, v) and returns a float; for
             dim n it takes tau and lists of n floats x, v and returns a
             sequence of n floats (any other length raises ValueError).  It
-            must give the bits of ``rhs``.
+            must give the bits of ``rhs``.  A generated rhs1 that carries
+            a KernelSource (bind's, compile_rhs's) is run inline by the
+            integrator and never called; any other rhs1, a wrapper put on
+            a generated one included, is called once at the start and six
+            times per attempted step.
     """
 
     dim: int
@@ -465,8 +481,12 @@ def _float_rhs(rhs: Callable, n: int) -> Callable:
 #
 # - ``name{*}suffix`` becomes ``name0suffix, name1suffix, ...``;
 # - each run of lines holding ``{i}`` is repeated once per component i;
-# - ``@call S TIME`` becomes the variant's rhs call for stage S at TIME,
-#   ``@check`` and ``@norm`` its other statements and ``{scale}`` its max.
+# - ``@call S TIME`` becomes the rhs values of stage S at TIME: the
+#   variant's call of f, or, for an f that carries a KernelSource, that
+#   source inline (_inline_snippets); ``@load`` reads the inline source's
+#   globals from f (nothing for a call);
+# - ``@check`` and ``@norm`` become the variant's other statements and
+#   ``{scale}`` its max.
 #
 # Component i of stage s = 1..7 is x{i}_{s}, v{i}_{s} and k{i}_{s}, the rhs
 # value there; stage 1 is the step's start, stage 7 its end, and the stage
@@ -607,7 +627,8 @@ def kernel(f, t0, y0, t_end, cfg):
 
 # What the two variants do differently: the rhs call of a stage (with its
 # checks, and the checks made once a step's seven calls are in), the error
-# scale's max and the error norm.
+# scale's max and the error norm.  An inline source replaces the call and
+# load snippets, and keeps the checks.
 _VARIANTS = {
     # dim 1, f(tau, x, v) -> float; the rhs values are checked once all
     # seven are in, and the norm is a plain sum.

@@ -19,7 +19,9 @@ powers of negatives), and range overflow raise EvaluationError rather than
 returning non-finite values silently.
 
 eval_expr walks the tree and is the reference; bind emits the expressions
-as one generated function with the same results and errors.
+as one generated function with the same results and errors, which also
+carries them as straight-line source for the integrator kernel to run
+inline (ode_core.KernelSource).
 """
 
 from __future__ import annotations
