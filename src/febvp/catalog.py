@@ -10,7 +10,6 @@ the integrator kernel runs it inline.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
@@ -38,7 +37,7 @@ from .functional_laws import (
 )
 from .bvp_shooting import DEFAULT_SHOOTING, ShootingConfig
 from .ode_core import SecondOrderOde
-from .rhs_parser import Expr, bind, parse
+from .rhs_parser import bind, parse
 
 __all__ = [
     "CatalogEntry",
@@ -64,15 +63,10 @@ class CatalogEntry:
     closed_s: Optional[Callable] = None  # params -> (tau,alpha,beta,a,v)->x
 
 
-@functools.cache
-def _tree(text: str, names: tuple) -> Expr:
-    return parse(text, params=names)
-
-
 def _expression_ode(text: str, label: str, **constants: float) -> SecondOrderOde:
     """A family's ode, whose rhs1 is the dim-1 expression text bound to
     constants that the family computes from its parameters in Python."""
-    rhs1 = bind(_tree(text, tuple(constants)), constants)
+    rhs1 = bind(parse(text, params=constants), constants)
     return SecondOrderOde.from_scalar(rhs1, label=label)
 
 

@@ -682,10 +682,9 @@ class KernelSource:
     ``$tau``, ``$x1``..``$xn`` and ``$v1``..``$vn`` are the rhs arguments,
     a name that a line assigns is a temporary, and any other is a global of
     the function, which the kernel reads from ``f.__globals__`` once per
-    run.  ``code`` is the code of the
-    function that carries the source as its ``kernel_source``: a kernel
-    inlines it only for that function, so a wrapper that copied the
-    attribute is still called.
+    run.  ``code`` is the code of the function that carries the source as
+    its ``kernel_source``: a kernel inlines it only for that function, so a
+    wrapper that copied the attribute is still called.
     """
 
     code: CodeType
@@ -791,8 +790,9 @@ class CodeCache:
 
 # The kernels of the last few (n, variant, source) keys: one costs 3 ms
 # and 218 lines to compile at n = 2, 154 ms and 5960 lines at n = 200,
-# and about 40 KB to keep.  One pass of any benchmark workload uses at
-# most 8 (tests/test_ode_core.py counts them).
+# and about 40 KB to keep.  A pass of the benchmark's requests uses 6
+# inline kernels, and a traced pass (whose rhs wrappers are called) the
+# 2 call kernels of dims 1 and 2.
 _KERNELS = CodeCache(16)
 
 
