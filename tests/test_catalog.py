@@ -59,6 +59,18 @@ def test_make_ode_returns_resolved_params():
     assert float(got[0]) == pytest.approx(-2.0)
 
 
+def test_make_ode_binds_each_member_once_by_the_bits_of_its_constants():
+    # a member built again reuses its bound rhs1; 0.0 and -0.0 do not
+    first = make_ode("free_fall", {"g": 0.0})[0].rhs1
+    assert make_ode("free_fall", {"g": 0.0})[0].rhs1 is first
+    negative = make_ode("free_fall", {"g": -0.0})[0].rhs1
+    assert negative is not first
+    assert _bits(first(0.0, 1.0, 1.0)) != _bits(negative(0.0, 1.0, 1.0))
+    # the key is the constants, here k^2, not the parameters
+    assert (make_ode("conic", {"k": 1.5, "g": 0.5})[0].rhs1
+            is make_ode("conic", {"k": -1.5, "g": 0.5})[0].rhs1)
+
+
 # ------------------------------------------------------------- the rhs texts
 
 def test_conic_rhs_matches_parsed_expression_bitwise():
