@@ -66,7 +66,8 @@ class Connection:
     a convex neighborhood).  accel(tau, x, v), optional for dim >= 2, is
     the geodesic acceleration -Gamma^k_ij(x) v^i v^j on lists of n floats,
     returning n floats with the bits of the einsum in geodesic_ode; the
-    integrator calls it instead of building Gamma.
+    integrator uses it instead of building Gamma (the half-plane accel,
+    made by ode_core.compile_rhs, runs inline in the kernel).
     """
 
     dim: int

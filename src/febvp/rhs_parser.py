@@ -446,6 +446,7 @@ _NAMESPACE = {"_div": _div, "_pow": _pow, "_apply": _apply,
               "_unbound": _unbound, **FUNCTIONS}
 _CODES = CodeCache(128)
 
+
 def _read(name: str) -> str:
     """How the generated function reads the variable of a marked name,
     into a temporary of its own."""
