@@ -730,12 +730,10 @@ def _inline_snippets(source: KernelSource, variant: str) -> dict:
         if value[1:] in assigned:
             results.setdefault(value[1:], i)
     globals_: dict = {}
-    reads_tau = []
 
     def rename(m: re.Match) -> str:
         word = m[1]
         if word == "tau":
-            reads_tau.append(True)
             return "ts"
         argument = _ARGUMENT.fullmatch(word)
         if argument:
@@ -750,7 +748,7 @@ def _inline_snippets(source: KernelSource, variant: str) -> dict:
     call = [_MARKED.sub(rename, line) for line in source.lines]
     call += [f"k{i}_{{s}} = " + _MARKED.sub(rename, value)
              for i, value in enumerate(source.results) if results.get(value[1:]) != i]
-    if reads_tau:
+    if any(m[1] == "tau" for text in source.lines + source.results for m in _MARKED.finditer(text)):
         call.insert(0, "ts = {t}")
     if variant == "vector":
         call += [f"if not isfinite(k{i}_{{s}}): raise NonFiniteRhs("
