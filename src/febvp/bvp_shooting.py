@@ -306,9 +306,11 @@ def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
 
 def end_value(a: np.ndarray, v: np.ndarray, span: float) -> np.ndarray:
     """b = a + v * span, the endpoint value of average-slope data over an
-    interval of length span.  Data that overflow give inf or NaN, which the
-    solve or the sampled law then rejects, so NumPy's warnings about them
-    are silenced."""
+    interval of length span, in dim 1 on floats (with NumPy's bits).  Data
+    that overflow give inf or NaN, which the solve or the sampled law then
+    rejects, so NumPy's warnings about them are silenced."""
+    if a.shape == (1,):
+        return np.array([a.item() + v.item() * span])
     with np.errstate(over="ignore", invalid="ignore"):
         return a + v * span
 

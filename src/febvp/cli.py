@@ -130,9 +130,14 @@ def _emit_doc(fmt: str, doc, columns: Sequence[str], rows: Sequence[Sequence[str
 def _convert(kind: type, noun: str) -> Callable:
     def parse(value, what: str):
         try:
-            return kind(value)
+            number = kind(value)
         except (TypeError, ValueError, OverflowError):
+            number = None
+        # a bool is no number, and a count from a file keeps no fraction
+        if (number is None or isinstance(value, bool)
+                or kind is int and isinstance(value, float) and number != value):
             raise _UsageError(f"{what} must be {noun}, got {value!r}")
+        return number
     return parse
 
 

@@ -285,13 +285,6 @@ def _vector(value, dim: int) -> np.ndarray:
     return np.array([value]) if dim == 1 else value
 
 
-def _end_value(a, v, span: float, dim: int) -> np.ndarray:
-    """bvp_shooting.end_value, with its dim-1 arithmetic on floats."""
-    if dim == 1:
-        return np.array([a.item() + v.item() * span])
-    return end_value(a, v, span)
-
-
 def _gap(x, y) -> float:
     """Infinity-norm distance of two harness values."""
     if type(x) is float:
@@ -457,7 +450,7 @@ def check_extension(F: DependenceEvaluator,
             s_val = _as_value(F.eval_s(tau, alpha, beta, a, v), F.dim)
             f_val = _as_value(
                 F.eval_f(tau, alpha, beta, a,
-                         _end_value(a, v, beta - alpha, F.dim)), F.dim)
+                         end_value(a, v, beta - alpha)), F.dim)
         except SAMPLE_ERRORS:
             outcomes = [None]
         else:

@@ -41,7 +41,8 @@ from .functional_laws import (
     Splitmix64,
     run_law,
 )
-from .ode_core import SecondOrderOde, compile_rhs
+from .ode_core import SecondOrderOde
+from .rhs_parser import compile_rhs
 
 __all__ = [
     "Connection",
@@ -67,7 +68,7 @@ class Connection:
     the geodesic acceleration -Gamma^k_ij(x) v^i v^j on lists of n floats,
     returning n floats with the bits of the einsum in geodesic_ode; the
     integrator uses it instead of building Gamma (the half-plane accel,
-    made by ode_core.compile_rhs, runs inline in the kernel).
+    made by rhs_parser.compile_rhs, runs inline in the kernel).
     """
 
     dim: int
@@ -113,11 +114,11 @@ def _half_plane_accel() -> Callable:
     included.  For finite v the zero terms only decide the sign of a zero
     first component: the last one, (0.0 * v2) * v2 = +0.0, makes it +0.0,
     hence the + 0.0."""
-    return compile_rhs(2, ("$g = -1.0 / $x2",
-                           "$h = 1.0 / $x2",
-                           "$a1 = -(($g * $v1) * $v2 + ($g * $v2) * $v1 + 0.0)",
-                           "$a2 = -(($h * $v1) * $v1 + ($g * $v2) * $v2)"),
-                       ("$a1", "$a2"), "<febvp.geodesics half-plane accel>")
+    return compile_rhs(("$g = -1.0 / $x2",
+                        "$h = 1.0 / $x2",
+                        "$a1 = -(($g * $v1) * $v2 + ($g * $v2) * $v1 + 0.0)",
+                        "$a2 = -(($h * $v1) * $v1 + ($g * $v2) * $v2)"),
+                       ("$a1", "$a2"), False)
 
 
 def connection_asymmetry(conn: Connection, points: Sequence) -> float:

@@ -15,13 +15,13 @@ bounded cache that shows its lines in tracebacks.
 
 The rhs is a float-level ``SecondOrderOde.rhs1``, and each stage's
 ``@call`` expands in one of two ways.  A generated rhs carries its own
-straight-line source (a KernelSource: rhs_parser.bind's functions, so
-the catalog families and ``--ode`` systems, and the half-plane geodesic's
-accel), and the kernel runs that source inline, with its temporaries
-renamed per stage and its constants read from the function's globals once
-per run, so a new parameter value reuses the compiled kernel.  Any other
-callable, a wrapper around a generated one included, is called on every
-stage.  The two variants differ in three snippets:
+straight-line source (a KernelSource; rhs_parser.compile_rhs makes every
+one, and this module none), and the kernel runs that source inline, with
+its temporaries renamed per stage and its constants read from the
+function's globals once per run, so a new parameter value reuses the
+compiled kernel.  Any other callable, a wrapper around a generated one
+included, is called on every stage.  The two variants differ in three
+snippets:
 
 - the rhs call: the dim-1 variant's ``rhs1`` takes and returns floats,
   and the seven values of a step are checked together once they are in;
@@ -85,7 +85,7 @@ from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from types import CodeType, FunctionType
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -103,7 +103,6 @@ __all__ = [
     "OutOfSpan",
     "integrate_ivp",
     "KernelSource",
-    "compile_rhs",
 ]
 
 
@@ -141,7 +140,7 @@ class SecondOrderOde:
             dim n it takes tau and lists of n floats x, v and returns a
             sequence of n floats (any other length raises ValueError).  It
             must give the bits of ``rhs``.  A generated rhs1 that carries
-            a KernelSource (bind's, compile_rhs's) is run inline by the
+            a KernelSource (rhs_parser.compile_rhs's) is run inline by the
             integrator and never called; any other rhs1, a wrapper put on
             a generated one included, is called once at the start and six
             times per attempted step.
@@ -684,32 +683,14 @@ class KernelSource:
     the function, which the kernel reads from ``f.__globals__`` once per
     run.  ``code`` is the code of the function that carries the source as
     its ``kernel_source``: a kernel inlines it only for that function, so a
-    wrapper that copied the attribute is still called.
+    wrapper that copied the attribute is still called.  rhs_parser.compile_rhs
+    makes that function from the lines and results, and sets its source.
     """
 
     code: CodeType
     lines: tuple[str, ...]
     results: tuple[str, ...]
     scalar: bool
-
-
-def compile_rhs(dim: int, lines: Sequence[str], results: Sequence[str],
-                filename: str) -> FunctionType:
-    """The float-level rhs f(tau, x, v) that runs a KernelSource's lines and
-    returns its results, carrying that source: in dim 1 on floats,
-    returning a float, in dim n on sequences of n floats, returning a list.
-    The lines may read no globals.  Tracebacks show them under filename."""
-    xs, vs = (", ".join(f"{k}{i}" for i in range(1, dim + 1)) + ("" if dim == 1 else ",")
-              for k in "xv")
-    value = results[0] if dim == 1 else "[" + ", ".join(results) + "]"
-    text = "".join([f"def rhs(tau, x, v):\n    {xs} = x\n    {vs} = v\n",
-                    *(f"    {line}\n" for line in lines), f"    return {value}\n"]).replace("$", "")
-    scope: dict = {}
-    exec(compile(text, filename, "exec"), {}, scope)
-    linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
-    f = scope["rhs"]
-    f.kernel_source = KernelSource(f.__code__, tuple(lines), tuple(results), dim == 1)
-    return f
 
 
 _MARKED = re.compile(r"\$(\w+)")
@@ -760,8 +741,8 @@ def _inline_snippets(source: KernelSource, variant: str) -> dict:
 
 class CodeCache:
     """The code of the last ``size`` generated functions used, by key: the
-    kernels here and rhs_parser.bind's.  The kept sources are registered
-    with linecache, so that tracebacks show their lines."""
+    kernels here and rhs_parser.compile_rhs's.  The kept sources are
+    registered with linecache, so that tracebacks show their lines."""
 
     def __init__(self, size: int):
         self.size = size

@@ -19,9 +19,10 @@ powers of negatives), and range overflow raise EvaluationError rather than
 returning non-finite values silently.
 
 eval_expr walks the tree and is the reference; bind emits the expressions
-as one generated function with the same results and errors, which also
-carries them as straight-line source for the integrator kernel to run
-inline (ode_core.KernelSource).
+as straight-line lines, with the same results and errors.  compile_rhs is
+the one generator of float-level rhs functions, bind's and the half-plane
+geodesic accel's: it makes such lines one function, which carries them as
+its ode_core.KernelSource for the integrator kernel to run inline.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ __all__ = [
     "eval_expr",
     "pretty",
     "bind",
+    "compile_rhs",
 ]
 
 
@@ -441,42 +443,73 @@ def pretty(e: Expr) -> str:
     raise TypeError(f"not an Expr node: {e!r}")
 
 
-# The globals every generated rhs reads, besides its constants and _walk.
+# The globals every function of bind reads, besides its constants and _walk.
 _NAMESPACE = {"_div": _div, "_pow": _pow, "_apply": _apply,
               "_unbound": _unbound, **FUNCTIONS}
 _CODES = CodeCache(128)
+_ARGUMENTS = re.compile(r"\$(tau|[xv][1-9][0-9]*)\b")
 
 
 def _read(name: str) -> str:
-    """How the generated function reads the variable of a marked name,
-    into a temporary of its own."""
-    if name == "$tau":
-        return "tau if type(tau) is float else float(tau)"
-    kind, index = name[1], int(name[2:])
+    """The statement that reads the argument of a marked name (tau, x1,
+    v2, ...) into a local of that name."""
+    if name == "tau":
+        return "tau = tau if type(tau) is float else float(tau)"
+    kind, index = name[0], int(name[1:])
     form = f"r if type(r := {kind}[{index - 1}]) is float else float(r)"
-    # a float is x1 (or v1) itself
-    return f"{kind} if type({kind}) is float else {form}" if index == 1 else form
+    return f"{name} = " + (f"{kind} if type({kind}) is float else {form}" if index == 1 else form)
 
 
-def _emit(e: Expr, params: Mapping[str, float] | None, body: list,
+def compile_rhs(lines: Sequence[str], results: Sequence[str], scalar: bool,
+                namespace: dict | None = None, fallback: Callable | None = None):
+    """The float-level rhs(tau, x, v) that runs the ``$``-marked lines of a
+    KernelSource and returns its results, a float if scalar, else a list,
+    and carries that source as its ``kernel_source``.
+
+    It reads each argument the source uses once, from floats (x1 or v1
+    may be a float itself) or sequences, and strips the marks: a marked
+    global is a name of namespace.  With a fallback, a call that raises
+    TypeError, IndexError, ValueError or OverflowError (a read that
+    fails), and one with a NaN result, return fallback(tau, x, v).  The
+    code is compiled once per source into a bounded cache, whose kept
+    lines tracebacks show."""
+    used = dict.fromkeys(_ARGUMENTS.findall(" ".join([*lines, *results])))
+    body = [_read(name) for name in used] + [line.replace("$", "") for line in lines]
+    values = [r.replace("$", "") for r in results]
+    value = values[0] if scalar else "[" + ", ".join(values) + "]"
+    if fallback is None:
+        text = body
+    else:
+        nan = " or ".join(f"{r} != {r}" for r in values) or "False"
+        text = ["try:", *("    " + line for line in body or ["pass"]),
+                "except (TypeError, IndexError, ValueError, OverflowError):",
+                "    return _walk(tau, x, v)", f"if {nan}:", "    return _walk(tau, x, v)"]
+    source = "def rhs(tau, x, v):\n" + "".join(f"    {line}\n" for line in [*text, f"return {value}"])
+    rhs = _CODES.function(source, lambda: (
+        f"<febvp.rhs_parser rhs {hashlib.blake2b(source.encode(), digest_size=6).hexdigest()}>",
+        source), dict(namespace or {}, _walk=fallback))
+    rhs.kernel_source = KernelSource(rhs.__code__, tuple(lines), tuple(results), scalar)
+    return rhs
+
+
+def _emit(e: Expr, params: Mapping[str, float] | None, lines: list,
           consts: dict):
     """e's value when it needs no variable (folded by eval_expr), else the
-    temporary t<i> of the body entry i that computes it.  An entry is a
-    variable read, its ``$``-marked name alone, or an operation
-    ``(form, args)``: eval_expr(e)'s operations in its order, / ^ and
-    functions through its helpers, over temporaries and ``$``-marked
-    globals.  A constant subexpression that faults, and an unbound
-    parameter, raise when called."""
+    marked name that holds it: ``$tau``, ``$x<i>`` or ``$v<i>`` for a
+    variable, and for an operation the temporary ``$t<i>`` of the line
+    ``$t<i> = form`` it appends to lines: eval_expr(e)'s operations in its
+    order, / ^ and functions through its helpers, over marked names.  A
+    constant subexpression that faults, and an unbound parameter, raise
+    when called."""
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Param) and params is not None and e.name in params:
         return float(params[e.name])
+    if isinstance(e, Var):
+        return "$tau" if e.kind == "tau" else f"${e.kind}{e.index}"
     fields = ()
     if isinstance(e, Param):
         form = f"$_unbound({e.name!r}, {e.pos})"
-    elif isinstance(e, Var):
-        body.append("$tau" if e.kind == "tau" else f"${e.kind}{e.index}")
-        return f"t{len(body) - 1}"
     elif isinstance(e, Neg):
         form, fields = "-{}", ("operand",)
     elif isinstance(e, BinOp):
@@ -487,45 +520,22 @@ def _emit(e: Expr, params: Mapping[str, float] | None, body: list,
         form, fields = f"$_apply(${e.func}, {{}}, {e.pos})", ("arg",)
     else:
         raise TypeError(f"not an Expr node: {e!r}")
-    values = [_emit(getattr(e, f), params, body, consts) for f in fields]
+    values = [_emit(getattr(e, f), params, lines, consts) for f in fields]
     if fields and not any(isinstance(a, str) for a in values):
         try:
             return eval_expr(replace(e, **{f: Num(a) for f, a in zip(fields, values)}), None)
         except EvaluationError:
             pass  # raised again each time the function is called
-    body.append((form, [_name(a, consts) for a in values]))
-    return f"t{len(body) - 1}"
+    lines.append(f"$t{len(lines)} = " + form.format(*(_name(a, consts) for a in values)))
+    return f"$t{len(lines) - 1}"
 
 
 def _name(value, consts: dict) -> str:
-    """A temporary's name, or a new global's marked name for a constant."""
+    """A marked name, or a new global's marked name for a constant."""
     if isinstance(value, str):
         return value
     consts[f"_c{len(consts)}"] = value
     return f"$_c{len(consts) - 1}"
-
-
-def _render(body: list, results: list) -> tuple[list, list, list, list]:
-    """The body and results as the function's statements and values, where
-    each entry is a temporary t<index>, and as a KernelSource's lines and
-    results, where a variable read is its marked name and an operation a
-    marked temporary."""
-    lines, kernel_lines, alias = [], [], {}
-
-    def marked(name: str) -> str:
-        return name if name[0] == "$" else alias.get(name, "$" + name)
-
-    for i, entry in enumerate(body):
-        if isinstance(entry, str):
-            lines.append(f"t{i} = {_read(entry)}")
-            alias[f"t{i}"] = entry
-            continue
-        form, args = entry
-        lines.append(f"t{i} = " + form.format(*args).replace("$", ""))
-        kernel_lines.append(f"$t{i} = " + form.format(*map(marked, args)))
-    values = [r.replace("$", "") for r in results]
-    kernel_values = [marked(r) for r in results]
-    return lines, values, kernel_lines, kernel_values
 
 
 def bind(exprs: Sequence[Expr] | Expr, params: Mapping[str, float]):
@@ -533,38 +543,21 @@ def bind(exprs: Sequence[Expr] | Expr, params: Mapping[str, float]):
     fixed parameter values, yielding rhs(tau, x, v): a float, or a list of
     floats, with the bits and errors of eval_expr.
 
-    The expressions become one generated function (_emit), with their
-    constants as its globals, compiled once per source into a bounded
-    cache.  eval_expr evaluates again a call whose reads raise TypeError
-    or IndexError (None, an int, a NumPy scalar, a short list) and one with
-    a NaN result, whose sign bit a specialised float multiply may flip.
-
-    The function carries the same operations as its ``kernel_source``, over
-    the variables themselves, with no reads and no fallbacks, for an
-    integrator kernel to run inline: a kernel's values are floats, and a
-    NaN there ends the run whatever its sign."""
+    The expressions become straight-line lines (_emit), with their
+    constants as globals, and compile_rhs makes them one function, whose
+    kernel_source an integrator kernel runs inline: a kernel's values are
+    floats, and a NaN there ends the run whatever its sign.  eval_expr
+    evaluates again a call whose reads fail (None, an int, a NumPy scalar,
+    a short list, a string), so faults come in its order, and one with a
+    NaN result, whose sign bit a specialised float multiply may flip."""
     scalar = isinstance(exprs, (Num, Var, Param, Neg, BinOp, Call))
     parts = [exprs] if scalar else list(exprs)
     params = None if params is None else dict(params)
-    body: list = []
-    consts: dict = {}
-    results = [_name(_emit(e, params, body, consts), consts) for e in parts]
-    lines, values, kernel_lines, kernel_values = _render(body, results)
-    nan = " or ".join(f"{r} != {r}" for r in values) or "False"
-    source = "".join([
-        "def rhs(tau, x, v):\n    try:\n",
-        *(f"        {line}\n" for line in lines or ["pass"]),
-        "    except (TypeError, IndexError):\n        return _walk(tau, x, v)\n",
-        f"    if {nan}:\n        return _walk(tau, x, v)\n",
-        f"    return {values[0] if scalar else '[' + ', '.join(values) + ']'}\n"])
+    lines, consts = [], {}
+    results = [_name(_emit(e, params, lines, consts), consts) for e in parts]
 
     def walk(tau, x, v):
         values = [eval_expr(e, tau, x, v, params) for e in parts]
         return values[0] if scalar else values
 
-    digest = hashlib.blake2b(source.encode(), digest_size=6).hexdigest()
-    rhs = _CODES.function(source, lambda: (f"<febvp.rhs_parser rhs {digest}>", source),
-                          {**_NAMESPACE, **consts, "_walk": walk})
-    rhs.kernel_source = KernelSource(rhs.__code__, tuple(kernel_lines),
-                                     tuple(kernel_values), scalar)
-    return rhs
+    return compile_rhs(lines, results, scalar, {**_NAMESPACE, **consts}, walk)

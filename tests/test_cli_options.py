@@ -73,6 +73,10 @@ def test_every_config_key_rejects_a_wrong_type(command, key, tmp_path,
     ("geodesic", {"rho": ["x"]}), ("geodesic", {"rho": [math.inf]}),
     ("reconstruct", {"points": [5]}), ("reconstruct", {"fd_step": math.nan}),
     ("verify", {"laws": 5}), ("verify", {"samples": math.inf}),
+    # a bool is no number, and a count has no fractional part
+    ("verify", {"samples": 2.5}), ("verify", {"samples": True}),
+    ("verify", {"seed": 1.9}), ("verify", {"seed": False}),
+    ("solve", {"rel_tol": True}), ("solve", {"params": {"g": True}}),
 ], ids=lambda value: json.dumps(value)[:40] if isinstance(value, dict) else value)
 def test_wrong_shape_config_value_is_config_error(command, config, tmp_path,
                                                   capsys):
@@ -82,6 +86,18 @@ def test_wrong_shape_config_value_is_config_error(command, config, tmp_path,
     if "ode" in config:
         del config["catalog"]
     assert_config_error(run_config(command, config, tmp_path, capsys))
+
+
+def test_integral_float_counts_and_integer_text_run_as_today(tmp_path, capsys):
+    # 5.0 and 3.0 have no fractional part, so they count as 5 and 3
+    as_float = run_config("verify", dict(BASE["verify"], samples=5.0, seed=3.0),
+                          tmp_path, capsys, ["--format", "json"])
+    as_int = run_config("verify", dict(BASE["verify"], seed=3), tmp_path,
+                        capsys, ["--format", "json"])
+    flags = run(["verify", "--catalog", "free_fall", "--laws", "composition",
+                 "--samples", "5", "--seed", "3", "--format", "json"], capsys)
+    assert as_float[0] == 0
+    assert as_float == as_int == flags
 
 
 SOLVE = ["solve", "--catalog", "free_fall", "--neumann", "0", "1", "0", "0"]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from febvp import rhs_parser
+from febvp import geodesics, rhs_parser
 from febvp.ode_core import CodeCache
 from febvp.rhs_parser import (
     FUNCTIONS,
@@ -23,6 +23,7 @@ from febvp.rhs_parser import (
     UnboundReference,
     Var,
     bind,
+    compile_rhs,
     eval_expr,
     parse,
     pretty,
@@ -314,7 +315,11 @@ def test_generated_rhs_gives_the_tree_walks_bits_from_the_first_call(
     ("x*v + tau", 1, np.float64(0.5)),
     ("x*v + tau", 1, 2),
     ("x1*v1 + x2", 2, np.array([0.5, 2.0])),
-], ids=["none", "short-list", "numpy-scalar", "int", "numpy-array"])
+    # the function reads x before it divides, the tree walk divides first
+    ("1/(tau - tau) + x", 1, ["a"]),
+    ("1/(tau - tau) + x", 1, [10 ** 400]),
+], ids=["none", "short-list", "numpy-scalar", "int", "numpy-array",
+        "string-after-a-fault", "huge-int-after-a-fault"])
 def test_generated_rhs_falls_back_to_the_tree_walk(text, dim, x):
     e = parse(text, dim=dim)
     v = 0.25 if dim == 1 else [0.25, 0.75]
@@ -337,7 +342,54 @@ def test_evaluation_error_traceback_shows_the_generated_line():
         f(0.0, 1.0, 0.0)
     frame, = [frame for frame in traceback.extract_tb(info.tb)
               if frame.filename.startswith("<febvp.rhs_parser rhs")]
-    assert frame.line.startswith("t1 = _div(")
+    assert frame.line.startswith("t0 = _div(")
+
+
+class _CountingList(list):
+    def __init__(self, values):
+        super().__init__(values)
+        self.reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def test_bind_reads_each_variable_once_with_the_tree_walks_bits():
+    e = parse("x*x + x")
+    f = bind(e, {})
+    for value in (0.1, -2.5, 1e200, -0.0, math.inf, 3.0):
+        x = _CountingList([value])
+        assert outcome(f, 0.0, x, 0.0) == outcome(eval_expr, e, 0.0, value, 0.0)
+        assert x.reads == 1
+
+
+def test_compile_rhs_hands_failed_reads_and_nan_to_its_fallback_only():
+    lines, results = ("$t0 = $x1 * $v1",), ("$t0",)
+    bare = compile_rhs(lines, results, True)
+    walked = compile_rhs(lines, results, True, fallback=lambda *args: "walked")
+    assert bare.kernel_source.lines == walked.kernel_source.lines == lines
+    for x, error in ((None, TypeError), ([], IndexError), (["a"], ValueError),
+                     ([10 ** 400], OverflowError)):
+        with pytest.raises(error):
+            bare(0.0, x, 1.0)
+        assert walked(0.0, x, 1.0) == "walked"
+    assert math.isnan(bare(0.0, math.nan, 1.0))
+    assert walked(0.0, math.nan, 1.0) == "walked"
+    assert bare(0.0, 1.5, 2.0) == walked(0.0, [1.5], [2.0]) == 3.0
+
+
+def test_half_plane_accel_is_kept_in_the_code_cache_with_its_lines(monkeypatch):
+    # The geodesic accel comes from compile_rhs, as bind's functions do: its
+    # code is kept in the one cache, and a y = 0 fault shows its line.
+    monkeypatch.setattr(rhs_parser, "_CODES", CodeCache(8))
+    accel = geodesics._half_plane_accel.__wrapped__()
+    assert [entry[1].__code__ for entry in rhs_parser._CODES._entries.values()] == [accel.__code__]
+    with pytest.raises(ZeroDivisionError) as info:
+        accel(0.0, [0.2, 0.0], [0.7, 0.4])
+    frame = traceback.extract_tb(info.tb)[-1]
+    assert frame.filename.startswith("<febvp.rhs_parser rhs")
+    assert frame.line == "g = -1.0 / x2"
 
 
 # Trees that parse can produce: its numbers are finite and non-negative
