@@ -88,7 +88,7 @@ def test_wrong_shape_config_value_is_config_error(command, config, tmp_path,
     assert_config_error(run_config(command, config, tmp_path, capsys))
 
 
-def test_integral_float_counts_and_integer_text_run_as_today(tmp_path, capsys):
+def test_integral_float_counts_run_like_integers(tmp_path, capsys):
     # 5.0 and 3.0 have no fractional part, so they count as 5 and 3
     as_float = run_config("verify", dict(BASE["verify"], samples=5.0, seed=3.0),
                           tmp_path, capsys, ["--format", "json"])
