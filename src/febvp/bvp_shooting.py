@@ -199,7 +199,8 @@ def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
         ConjugatePoint: Jacobian numerically singular (no locally unique
             solution; oscillator over a length-pi interval is the canonical
             case).
-        NoConvergence: iteration or line-search budget exhausted.
+        NoConvergence: iteration or line-search budget exhausted, or a
+            secant start that overflows.
         IntegrationError subclasses propagate from the integrator.
     """
     if cond.dim != ode.dim:
@@ -262,9 +263,13 @@ def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
                 raise ConjugatePoint("shooting Jacobian solve failed", interval=interval)
             return s if np.all(np.isfinite(s)) else None
 
-        # data that overflow give a non-finite guess, which the IVP rejects
         with np.errstate(over="ignore", invalid="ignore"):
             u = (b - a) / interval
+
+    # finite data whose secant slope overflows leave Newton no finite start
+    if not np.isfinite(u).all() and np.isfinite(a).all() and np.isfinite(b).all():
+        raise NoConvergence("the secant start (b - a)/(beta - alpha) is not finite",
+                            interval=interval)
 
     r, rn, traj = residual(u)
     iterations = 0

@@ -3,14 +3,14 @@
 Each entry couples a numeric ODE, whose rhs is also the true right-hand
 side for reconstruction comparisons, with (when available) its closed-form
 dependence maps, and the sampling domain on which the family is
-well-conditioned enough for tight residual thresholds.  A family's rhs1 is
-a parser expression bound to constants computed from its parameters, so
-the integrator kernel runs it inline.
+well-conditioned enough for tight residual thresholds.  A family's rhs is
+a parser expression, parsed when the table is built; a member's rhs1 binds
+it to constants computed from the member's parameters, so the integrator
+kernel runs it inline, and every member of a family shares one code.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
@@ -38,7 +38,7 @@ from .functional_laws import (
 )
 from .bvp_shooting import DEFAULT_SHOOTING, ShootingConfig
 from .ode_core import SecondOrderOde
-from .rhs_parser import bind, parse
+from .rhs_parser import Expr, bind, parse
 
 __all__ = [
     "CatalogEntry",
@@ -56,51 +56,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A family: rhs is its dim-1 right-hand side, parsed once, over the
+    names that constants(params) binds to values computed in Python."""
+
     name: str
     defaults: Mapping[str, float]
-    make_ode: Callable[[Mapping[str, float]], SecondOrderOde]
+    rhs: Expr
+    constants: Callable[[Mapping[str, float]], dict]
     domain: Callable[[Mapping[str, float]], EvalDomain]
     closed_f: Optional[Callable] = None  # params -> (tau,alpha,beta,a,b)->x
     closed_s: Optional[Callable] = None  # params -> (tau,alpha,beta,a,v)->x
 
-
-# The bound rhs1 of the last family members built, by expression text and
-# the bits of its constants (so 0.0 and -0.0 differ): parsing and binding
-# one costs about 100 us, a whole make_ode that finds it here about 6 us
-# (timeit on a 2-core Xeon), and every catalog request makes one.
-_BOUND: dict = {}
-
-
-def _expression_ode(text: str, label: str, **constants: float) -> SecondOrderOde:
-    """A family's ode, whose rhs1 is the dim-1 expression text bound to
-    constants that the family computes from its parameters in Python."""
-    key = (text, *(struct.pack("<d", value) for value in constants.values()))
-    rhs1 = _BOUND.get(key)
-    if rhs1 is None:
-        if len(_BOUND) >= 256:
-            _BOUND.clear()
-        rhs1 = _BOUND[key] = bind(parse(text, params=constants), constants)
-    return SecondOrderOde.from_scalar(rhs1, label=label)
-
-
-def _free_fall_ode(p):
-    return _expression_ode("g", "free_fall", g=p["g"])
-
-
-def _conic_ode(p):
-    return _expression_ode("k2*x + g", "conic", k2=p["k"] ** 2, g=p["g"])
-
-
-def _linear_zero_ode(p):
-    return _expression_ode("0", "linear_zero")
-
-
-def _oscillator_ode(p):
-    return _expression_ode("-w2*x", "oscillator", w2=p["omega"] ** 2)
-
-
-def _cos_sin_ode(p):
-    return _expression_ode("-x", "linear_basis")
+    def make_ode(self, params: Mapping[str, float]) -> SecondOrderOde:
+        """The member's ode, whose rhs1 is rhs bound to its constants."""
+        return SecondOrderOde.from_scalar(bind(self.rhs, self.constants(params)),
+                                          label=self.name)
 
 
 class _InvalidConic:
@@ -151,7 +121,8 @@ CATALOG: dict[str, CatalogEntry] = {
     "free_fall": CatalogEntry(
         name="free_fall",
         defaults={"g": -9.8},
-        make_ode=_free_fall_ode,
+        rhs=parse("g", params=("g",)),
+        constants=lambda p: {"g": p["g"]},
         domain=lambda p: EvalDomain(),
         closed_f=lambda p: (lambda t, al, be, a, b:
                             free_fall_F(p["g"], t, al, be, a, b)),
@@ -161,7 +132,8 @@ CATALOG: dict[str, CatalogEntry] = {
     "conic": CatalogEntry(
         name="conic",
         defaults={"k": 1.0, "g": -9.8},
-        make_ode=_conic_ode,
+        rhs=parse("k2*x + g", params=("k2", "g")),
+        constants=lambda p: {"k2": p["k"] ** 2, "g": p["g"]},
         domain=_conic_domain,
         closed_f=lambda p: (lambda t, al, be, a, b, cp=_conic_params(p):
                             conic_F(cp, t, al, be, a, b)),
@@ -171,7 +143,8 @@ CATALOG: dict[str, CatalogEntry] = {
     "linear_zero": CatalogEntry(
         name="linear_zero",
         defaults={},
-        make_ode=_linear_zero_ode,
+        rhs=parse("0"),
+        constants=lambda p: {},
         domain=lambda p: EvalDomain(),
         closed_f=lambda p: (lambda t, al, be, a, b:
                             free_fall_F(0.0, t, al, be, a, b)),
@@ -181,13 +154,15 @@ CATALOG: dict[str, CatalogEntry] = {
     "oscillator": CatalogEntry(
         name="oscillator",
         defaults={"omega": 1.0},
-        make_ode=_oscillator_ode,
+        rhs=parse("-w2*x", params=("w2",)),
+        constants=lambda p: {"w2": p["omega"] ** 2},
         domain=_oscillator_domain,
     ),
     "linear_basis": CatalogEntry(
         name="linear_basis",
         defaults={},
-        make_ode=_cos_sin_ode,
+        rhs=parse("-x"),
+        constants=lambda p: {},
         domain=lambda p: EvalDomain(max_interval=3.0),
         closed_f=lambda p: (lambda t, al, be, a, b:
                             linear_F(COS_SIN_BASIS, t, al, be, a, b)),

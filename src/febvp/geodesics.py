@@ -22,7 +22,6 @@ arclength, which this module implements independently of the solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import functools
 import math
 from typing import Callable, Optional, Sequence
 
@@ -92,7 +91,13 @@ def half_plane_connection() -> Connection:
     """Upper half-plane fixture: at (x, y) with y > 0 the nonzero symbols
     are Gamma^1_12 = Gamma^1_21 = -1/y, Gamma^2_11 = 1/y, Gamma^2_22 = -1/y.
     Sampling box y in [0.5, 2], |x| <= 0.5 keeps solves well inside the
-    convergent regime."""
+    convergent regime.
+
+    Its accel is generated from four lines, which the integrator kernel
+    also runs inline.  einsum adds (G[k, i, j] * v[i]) * v[j] for (i, j)
+    in C order to +0.0, zero symbols included.  For finite v the zero
+    terms only decide the sign of a zero first component: the last one,
+    (0.0 * v2) * v2 = +0.0, makes it +0.0, hence the + 0.0."""
 
     def gamma(point: np.ndarray) -> np.ndarray:
         y = float(point[1])
@@ -102,23 +107,13 @@ def half_plane_connection() -> Connection:
         out[1, 1, 1] = -1.0 / y
         return out
 
+    accel = compile_rhs(("$g = -1.0 / $x2",
+                         "$h = 1.0 / $x2",
+                         "$a1 = -(($g * $v1) * $v2 + ($g * $v2) * $v1 + 0.0)",
+                         "$a2 = -(($h * $v1) * $v1 + ($g * $v2) * $v2)"),
+                        ("$a1", "$a2"), False)
     return Connection(dim=2, gamma=gamma, label="half_plane",
-                      sampling_box=[(-0.5, 0.5), (0.5, 2.0)], accel=_half_plane_accel())
-
-
-@functools.cache
-def _half_plane_accel() -> Callable:
-    """The half-plane accel, generated from its four lines, which the
-    integrator kernel also runs inline.  einsum adds
-    (G[k, i, j] * v[i]) * v[j] for (i, j) in C order to +0.0, zero symbols
-    included.  For finite v the zero terms only decide the sign of a zero
-    first component: the last one, (0.0 * v2) * v2 = +0.0, makes it +0.0,
-    hence the + 0.0."""
-    return compile_rhs(("$g = -1.0 / $x2",
-                        "$h = 1.0 / $x2",
-                        "$a1 = -(($g * $v1) * $v2 + ($g * $v2) * $v1 + 0.0)",
-                        "$a2 = -(($h * $v1) * $v1 + ($g * $v2) * $v2)"),
-                       ("$a1", "$a2"), False)
+                      sampling_box=[(-0.5, 0.5), (0.5, 2.0)], accel=accel)
 
 
 def connection_asymmetry(conn: Connection, points: Sequence) -> float:

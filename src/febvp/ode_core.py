@@ -75,12 +75,14 @@ and a Trajectory returns the same bits for a tau whatever it was asked before.
 from __future__ import annotations
 
 import bisect
+import gc
 import hashlib
 import itertools
 import linecache
 import math
 import operator
 import re
+import weakref
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -741,29 +743,51 @@ def _inline_snippets(source: KernelSource, variant: str) -> dict:
 
 class CodeCache:
     """The code of the last ``size`` generated functions used, by key: the
-    kernels here and rhs_parser.compile_rhs's.  The kept sources are
-    registered with linecache, so that tracebacks show their lines."""
+    kernels here and rhs_parser.compile_rhs's.  Eviction drops only the
+    cache's reference: a code's lines stay in linecache, for tracebacks,
+    until the code dies, and a source whose code lives gets it back, so no
+    two live codes share a filename.  A live evicted code may be held only
+    by garbage (a dropped traceback's frames), so evicting one collects if
+    it was used since an eviction last collected: at most one eviction in
+    ``size`` collects, however many functions a caller holds."""
+
+    # (filename, source) -> code, for every live code of every cache
+    _live = weakref.WeakValueDictionary()
+    _collections = 0  # garbage collections evictions have run
 
     def __init__(self, size: int):
         self.size = size
-        self._entries: OrderedDict = OrderedDict()  # key -> (filename, function)
+        self._entries: OrderedDict = OrderedDict()  # key -> [function, collections at last use]
 
     def function(self, key, build: Callable[[], tuple[str, str]],
                  namespace: dict) -> FunctionType:
         """key's function over the globals namespace (the kept one when it
         has those).  On a miss, build() gives the filename and the source
         that defines it."""
-        if key in self._entries:
+        entry = self._entries.get(key)
+        if entry is not None:
             self._entries.move_to_end(key)
+            entry[1] = CodeCache._collections
         else:
-            filename, source = build()
-            scope: dict = {}
-            exec(compile(source, filename, "exec"), namespace, scope)
-            linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-            self._entries[key] = (filename, *scope.values())
+            filename, source = built = build()
+            code = self._live.get(built)
+            if code is None:
+                scope: dict = {}
+                exec(compile(source, filename, "exec"), namespace, scope)
+                (fn,) = scope.values()
+                self._live[built] = fn.__code__
+                linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+                weakref.finalize(fn.__code__, linecache.cache.pop, filename, None)
+            else:
+                fn = FunctionType(code, namespace)
+            entry = self._entries[key] = [fn, CodeCache._collections]
             if len(self._entries) > self.size:
-                linecache.cache.pop(self._entries.popitem(last=False)[1][0], None)
-        fn = self._entries[key][1]
+                _, (evicted, used) = self._entries.popitem(last=False)
+                evicted = weakref.ref(evicted.__code__)
+                if evicted() is not None and used == CodeCache._collections:
+                    gc.collect()
+                    CodeCache._collections += 1
+        fn = entry[0]
         return fn if fn.__globals__ is namespace else FunctionType(fn.__code__, namespace)
 
 

@@ -471,8 +471,8 @@ def compile_rhs(lines: Sequence[str], results: Sequence[str], scalar: bool,
     global is a name of namespace.  With a fallback, a call that raises
     TypeError, IndexError, ValueError or OverflowError (a read that
     fails), and one with a NaN result, return fallback(tau, x, v).  The
-    code is compiled once per source into a bounded cache, whose kept
-    lines tracebacks show."""
+    code is compiled once per source into the one bounded CodeCache, and
+    tracebacks show its lines for as long as a function runs it."""
     used = dict.fromkeys(_ARGUMENTS.findall(" ".join([*lines, *results])))
     body = [_read(name) for name in used] + [line.replace("$", "") for line in lines]
     values = [r.replace("$", "") for r in results]

@@ -5,8 +5,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from febvp import catalog
+from febvp import catalog, cli
 from febvp.catalog import (
     CATALOG,
     catalog_names,
@@ -18,7 +20,8 @@ from febvp.catalog import (
     resolve_params,
     rhs_true,
 )
-from febvp.functional_laws import SampleSpec, Splitmix64, check_extension
+from febvp.functional_laws import (SampleSpec, Splitmix64, check_boundary, check_composition,
+                                   check_extension)
 from febvp.rhs_parser import bind, parse
 
 
@@ -60,15 +63,15 @@ def test_make_ode_returns_resolved_params():
 
 
 def test_make_ode_binds_each_member_once_by_the_bits_of_its_constants():
-    # a member built again reuses its bound rhs1; 0.0 and -0.0 do not
+    # 0.0 and -0.0 are different members, whose rhs1 give different bits
     first = make_ode("free_fall", {"g": 0.0})[0].rhs1
-    assert make_ode("free_fall", {"g": 0.0})[0].rhs1 is first
     negative = make_ode("free_fall", {"g": -0.0})[0].rhs1
-    assert negative is not first
     assert _bits(first(0.0, 1.0, 1.0)) != _bits(negative(0.0, 1.0, 1.0))
-    # the key is the constants, here k^2, not the parameters
-    assert (make_ode("conic", {"k": 1.5, "g": 0.5})[0].rhs1
-            is make_ode("conic", {"k": -1.5, "g": 0.5})[0].rhs1)
+    # the constants are k^2, not the parameters: k and -k share code and bits
+    plus = make_ode("conic", {"k": 1.5, "g": 0.5})[0].rhs1
+    minus = make_ode("conic", {"k": -1.5, "g": 0.5})[0].rhs1
+    assert plus.__code__ is minus.__code__
+    assert _bits(plus(0.3, 1.25, 0.0)) == _bits(minus(0.3, 1.25, 0.0))
 
 
 # ------------------------------------------------------------- the rhs texts
@@ -167,6 +170,27 @@ def test_closed_and_numeric_evaluators_agree(name, overrides):
         got = numeric.eval_f(tau, alpha, beta, a, b)
         assert float(np.max(np.abs(np.asarray(got) - np.asarray(want)))) \
             <= 1e-8
+
+
+# Members of the closed-form families, drawn from parameter ranges wider
+# than their defaults.
+_MEMBERS = {
+    "conic": hst.fixed_dictionaries({"k": hst.floats(-3.0, 3.0), "g": hst.floats(-10.0, 10.0)}),
+    "free_fall": hst.fixed_dictionaries({"g": hst.floats(-20.0, 20.0)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MEMBERS))
+@settings(max_examples=150, deadline=None)
+@given(data=hst.data(), seed=hst.integers(0, 2 ** 64 - 1))
+def test_random_closed_members_meet_the_composition_and_boundary_thresholds(name, data, seed):
+    # sampled inside the member's domain, each law stays under the closed
+    # threshold verify applies, with no failed sample
+    evaluator = closed_evaluator(name, data.draw(_MEMBERS[name], label="params"))
+    for law, check in (("composition", check_composition), ("boundary", check_boundary)):
+        report = check(evaluator, SampleSpec(count=50, seed=seed))
+        assert report.failures == 0, law
+        assert report.max_residual <= cli._LAWS[law].thresholds[law]["closed"], (law, report.worst_case)
 
 
 def test_oscillator_has_no_closed_form():

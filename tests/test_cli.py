@@ -354,6 +354,21 @@ def test_zero_error_scale_is_step_underflow_in_both_kernels(capsys):
     assert doc == stderr_doc(vector[2])
 
 
+@pytest.mark.parametrize("argv", [
+    ["--catalog", "free_fall", "--neumann", "0", "1", "-1e308", "1e308"],
+    ["--ode", "k^2*x1 + g", "--ode=-x2", "--param", "k=1", "--param", "g=0",
+     "--neumann", "0", "1e-320", "0,0", "1,1"],
+], ids=["dim-1", "dim-2"])
+def test_an_overflowing_secant_start_is_no_convergence(argv, capsys):
+    # finite data whose (b - a)/(beta - alpha) overflows used to reach the
+    # IVP's start-state check and end in config_error, exit 1
+    code, out, err = run(["solve", *argv, "--tau", "0.5"], capsys)
+    assert (code, out) == (2, "")
+    doc = stderr_doc(err)
+    assert doc["code"] == "no_convergence"
+    assert doc["message"] == "the secant start (b - a)/(beta - alpha) is not finite"
+
+
 @pytest.mark.parametrize("value", ["nan", "-1"])
 def test_reconstruct_rejects_bad_threshold(value, capsys):
     code, out, err = run(["reconstruct", "--catalog", "free_fall",

@@ -1,6 +1,7 @@
 """Integrator tests against closed-form solutions."""
 
 import functools
+import gc
 import linecache
 import math
 import random
@@ -22,6 +23,7 @@ from febvp.ode_core import (
     _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
     _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7,
     _ERR_PREV_INIT, _FLUSH_DOUBLES, _KERNELS, _MIN_FACTOR, _SAFETY,
+    CodeCache,
     IntegrationError,
     IntegratorConfig,
     MaxStepsExceeded,
@@ -881,6 +883,61 @@ def test_kernel_cache_is_bounded_with_its_linecache_lines():
     assert "<febvp.ode_core kernel, dim 1, vector>" not in kept
     newest = f"<febvp.ode_core kernel, dim {size + 2}, vector>"
     assert linecache.getline(newest, 1) == "def kernel(f, t0, y0, t_end, cfg):\n"
+
+
+def _build(name):
+    """A CodeCache build of ``def <name>(): return '<name>'``."""
+    return lambda: (f"<test code cache {name}>", f"def {name}():\n    return {name!r}\n")
+
+
+def test_code_cache_adopts_an_evicted_key_whose_code_still_lives(monkeypatch):
+    compiled = []
+    monkeypatch.setattr(ode_core, "compile", lambda *args: compiled.append(args[1]) or compile(*args),
+                        raising=False)
+    cache = CodeCache(1)
+    held = cache.function("adopted", _build("adopted"), {})
+    cache.function("evicting", _build("evicting"), {})
+    again = cache.function("adopted", _build("adopted"), {})
+    assert compiled == ["<test code cache adopted>", "<test code cache evicting>"]
+    assert again.__code__ is held.__code__ and again() == "adopted"
+
+
+def test_code_cache_drops_an_evicted_codes_lines_when_the_code_dies():
+    cache = CodeCache(1)
+    held = cache.function("dropped", _build("dropped"), {})
+    filename = held.__code__.co_filename
+    cache.function("kept", _build("kept"), {})
+    # evicted, but held still runs the code: its lines stay for tracebacks
+    assert linecache.getline(filename, 2) == "    return 'dropped'\n"
+    del held
+    gc.collect()
+    assert filename not in linecache.cache
+    assert linecache.getline("<test code cache kept>", 2) == "    return 'kept'\n"
+
+
+def test_code_cache_collects_garbage_at_most_once_per_size_evictions(monkeypatch):
+    # A live evicted code may be held only by garbage, here a list that
+    # holds itself: evicting it collects, and takes its lines.  Evicting
+    # codes not used since then does not collect again.
+    collect, collections = gc.collect, []
+    monkeypatch.setattr(gc, "collect", lambda: collections.append(collect()))
+    cache, held = CodeCache(2), []
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        garbage = [cache.function("in_garbage", _build("in_garbage"), {})]
+        garbage.append(garbage)
+        del garbage
+        for name in ("held1", "held2"):
+            held.append(cache.function(name, _build(name), {}))
+        assert len(collections) == 1
+        assert "<test code cache in_garbage>" not in linecache.cache
+        for name in ("held3", "held4", "held5"):
+            held.append(cache.function(name, _build(name), {}))
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(collections) == 2
 
 
 def _counted(fn, calls):

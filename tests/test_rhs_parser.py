@@ -383,13 +383,25 @@ def test_half_plane_accel_is_kept_in_the_code_cache_with_its_lines(monkeypatch):
     # The geodesic accel comes from compile_rhs, as bind's functions do: its
     # code is kept in the one cache, and a y = 0 fault shows its line.
     monkeypatch.setattr(rhs_parser, "_CODES", CodeCache(8))
-    accel = geodesics._half_plane_accel.__wrapped__()
-    assert [entry[1].__code__ for entry in rhs_parser._CODES._entries.values()] == [accel.__code__]
+    accel = geodesics.half_plane_connection().accel
+    assert [entry[0].__code__ for entry in rhs_parser._CODES._entries.values()] == [accel.__code__]
     with pytest.raises(ZeroDivisionError) as info:
         accel(0.0, [0.2, 0.0], [0.7, 0.4])
     frame = traceback.extract_tb(info.tb)[-1]
     assert frame.filename.startswith("<febvp.rhs_parser rhs")
     assert frame.line == "g = -1.0 / x2"
+
+
+def test_a_held_function_keeps_its_lines_after_its_entry_is_evicted():
+    # The accel outlives its cache entry once more distinct sources than
+    # the cache keeps have been bound; a y = 0 fault still shows its line.
+    accel = geodesics.half_plane_connection().accel
+    for terms in range(2, rhs_parser._CODES.size + 4):
+        bind(parse("+".join(["x"] * terms)), {})
+    assert accel.__code__ not in [entry[0].__code__ for entry in rhs_parser._CODES._entries.values()]
+    with pytest.raises(ZeroDivisionError) as info:
+        accel(0.0, [0.2, 0.0], [0.7, 0.4])
+    assert traceback.extract_tb(info.tb)[-1].line == "g = -1.0 / x2"
 
 
 # Trees that parse can produce: its numbers are finite and non-negative

@@ -1,6 +1,6 @@
 """Source-level rules of the package layout: modules share helpers only
-through public names, import nothing they do not use, and every sampled
-law runs through one loop."""
+through public names, import nothing they do not use, every sampled law
+runs through one loop, and generated code has one cache."""
 
 import ast
 import os
@@ -65,3 +65,15 @@ def test_one_sample_loop_over_spec_count():
              and isinstance(node.iter, ast.Call)
              and ast.unparse(node.iter) == "range(spec.count)"]
     assert [name for name, _ in loops] == ["functional_laws.py"], loops
+
+
+def test_no_cache_decorator_but_on_the_cli_parser():
+    # Generated functions have one home, ode_core.CodeCache; only the
+    # argument parser, built once per process, is cached by functools.
+    cached = [(name, node.name) for name in MODULES
+              for node in ast.walk(parse(name))
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for decorator in node.decorator_list
+              if ast.unparse(getattr(decorator, "func", decorator)).split(".")[-1]
+              in ("cache", "lru_cache")]
+    assert cached == [("cli.py", "build_parser")], cached
