@@ -45,16 +45,19 @@ so the dim-n bits are those of the array version; the tests keep both an
 array reference kernel and a plain dim-1 one, and pin every result to
 theirs bit for bit.
 
-The step loop only records each accepted step: its start time, width,
-start state and the seven stage derivatives go into one flat
-``array('d')`` per run, and the knot times and states into two more.  Both
-kernels append each accepted step to Python lists, move them into those
-arrays with ``fromlist`` every _FLUSH_DOUBLES doubles of step records and
-append the rest by concatenation at the end of the run, so they pay no
-per-step array call and hold a bounded number of pending floats.  A step's
-interpolant is built from its record when a tau inside it is evaluated,
-and never kept, so most steps (those of Jacobian and line-search runs that
-are never evaluated inside) cost no dense-output work at all.
+The step loop records its accepted steps only when its ``record``
+argument is set.  integrate_ivp runs it with recording off, keeping the
+end state and count of accepted steps; a Trajectory runs the same kernel
+again, recording, on its first read inside its span (same arithmetic,
+same bits, checked against the end state).  So runs read only at their
+ends (Jacobian columns, dropped Newton iterates, extensions) record
+nothing.  A recording run puts each accepted step's start time, width,
+start state and seven stage derivatives into one flat ``array('d')``, and
+the knot times and states into two more, through Python lists moved in
+with ``fromlist`` every _FLUSH_DOUBLES doubles and concatenated at the
+end, so it pays no per-step array call and holds a bounded number of
+pending floats.  A step's interpolant is built from its record when a
+tau inside it is evaluated, and never kept.
 
 Every evaluation is one batched read, Trajectory.read, which returns plain
 floats: a knot tau reads its stored state, and each step touched by an
@@ -75,6 +78,7 @@ and a Trajectory returns the same bits for a tau whatever it was asked before.
 from __future__ import annotations
 
 import bisect
+import functools
 import gc
 import hashlib
 import itertools
@@ -145,7 +149,8 @@ class SecondOrderOde:
             a KernelSource (rhs_parser.compile_rhs's) is run inline by the
             integrator and never called; any other rhs1, a wrapper put on
             a generated one included, is called once at the start and six
-            times per attempted step.
+            times per attempted step of each run, a Trajectory's recording
+            run included.
     """
 
     dim: int
@@ -286,8 +291,11 @@ def _q_vector(steps: array, base: int, n2: int) -> np.ndarray:
 class Trajectory:
     """Piecewise dense solution of one integration run, stored flat.
 
-    Three ``array('d')`` buffers hold the run in integration order, so a
-    backward run keeps decreasing tau and is indexed in reverse, never copied:
+    It is recorded only when read inside its span: until then it holds
+    its two ends (``_ends``), and ``_run(True)`` runs its kernel again,
+    recording.  Three ``array('d')`` buffers then hold the run in
+    integration order, so a backward run keeps decreasing tau and is
+    indexed in reverse, never copied:
 
     - ``_knots``: the accepted step boundaries, one double each;
     - ``_states``: the (2n,) state ``(x, v)`` at each knot;
@@ -298,19 +306,36 @@ class Trajectory:
     Every evaluation goes through read: exactly at a knot it returns the
     stored state; strictly inside a step it evaluates the step's quartic
     interpolant, built from the record with the arithmetic of the kernel
-    that produced the run.  Nothing is kept between calls, so every query
-    gives the same bits in any order and in any batch.
+    that produced the run.  Nothing is kept between calls but the record,
+    so every query gives the same bits in any order and in any batch.
+    ``span``, ``n_segments`` and reads at the ends never record.
     """
 
-    def __init__(self, dim: int, knots: array, states: array, steps: array,
-                 q: Callable = _q_vector, label: str = ""):
+    def __init__(self, dim: int, knots: array, states: array, n_segments: int,
+                 run: Callable | None = None, q: Callable = _q_vector, label: str = ""):
         self.dim = dim
-        self._knots = knots
-        self._states = states
-        self._steps = steps
+        self._ends = knots, states
+        self.n_segments = n_segments  # accepted steps
+        self._run = run
+        if run is None:
+            self._knots, self._states, self._steps = knots, states, array("d")
         self._q = q
-        self._backward = len(knots) > 1 and knots[-1] < knots[0]
+        self._backward = knots[-1] < knots[0]
         self.label = label
+
+    def __getattr__(self, name: str):
+        # _knots, _states and _steps are recorded on first use.
+        if name not in ("_knots", "_states", "_steps"):
+            raise AttributeError(name)
+        knots, states, steps = self._run(True)
+        ends, n2 = self._ends, 2 * self.dim
+        if (knots[-1] != ends[0][-1] or states[-n2:].tobytes() != ends[1][-n2:].tobytes()
+                or len(knots) - 1 != self.n_segments):
+            raise IntegrationError(
+                "rhs is not deterministic: recording the run again did not end on "
+                "its end state", label=self.label)
+        self._knots, self._states, self._steps = knots, states, steps
+        return getattr(self, name)
 
     @property
     def knots(self) -> list[float]:
@@ -319,13 +344,8 @@ class Trajectory:
 
     @property
     def span(self) -> tuple[float, float]:
-        k = self._knots
+        k = self._ends[0]
         return (k[-1], k[0]) if self._backward else (k[0], k[-1])
-
-    @property
-    def n_segments(self) -> int:
-        """Number of accepted steps."""
-        return len(self._steps) // (2 + 16 * self.dim)
 
     def eval(self, tau: float) -> StatePoint:
         """Evaluate the trajectory at tau.
@@ -354,25 +374,30 @@ class Trajectory:
         A knot tau reads its stored state.  An interior tau reads its step's
         interpolant y0 + h * (q @ p), with th = (tau - t) / h and
         p = (th, th^2, th^3, th^4): q is built once per touched step, and the
-        q @ p of all interior taus are one stacked matrix product.
+        q @ p of all interior taus are one stacked matrix product.  Only an
+        interior tau records the run.
 
         Raises:
             OutOfSpan: a tau lies outside [span lo, span hi].
         """
         lo, hi = self.span
-        knots, states, steps = self._knots, self._states, self._steps
+        taus = [float(tau) for tau in taus]
+        for tau in taus:
+            if not lo <= tau <= hi:
+                raise OutOfSpan(
+                    f"tau={tau!r} outside trajectory span [{lo!r}, {hi!r}]",
+                    tau=tau, span=(lo, hi),
+                )
+        if all(tau == lo or tau == hi for tau in taus):
+            (knots, states), steps = self._ends, None
+        else:
+            knots, states, steps = self._knots, self._states, self._steps
         n2 = 2 * self.dim
         rows = []
         # per interior tau: (its place in rows, h, y0), then its q and p
         inner, qs, ps = [], [], []
         built = {}
         for tau in taus:
-            tau = float(tau)
-            if not lo <= tau <= hi:
-                raise OutOfSpan(
-                    f"tau={tau!r} outside trajectory span [{lo!r}, {hi!r}]",
-                    tau=tau, span=(lo, hi),
-                )
             if self._backward:
                 i = bisect.bisect_left(knots, -tau, key=operator.neg)
             else:
@@ -429,31 +454,34 @@ def integrate_ivp(ode: SecondOrderOde, start: StatePoint, tau_end: float,
         raise ValueError("tau_end must be finite")
 
     t0 = float(start.tau)
+    y0 = np.concatenate([start.x, start.v]).astype(float).tolist()
     if tau_end == t0:
-        states = array("d", np.concatenate([start.x, start.v]).astype(float).tobytes())
-        return Trajectory(n, array("d", (t0,)), states, array("d"), label=ode.label)
-
+        return Trajectory(n, array("d", (t0,)), array("d", y0), 0, label=ode.label)
     if n == 1 and ode.rhs1 is not None:
-        knots, states, steps = _integrate_scalar(
-            ode.rhs1, t0, float(start.x[0]), float(start.v[0]), tau_end, config)
-        return Trajectory(n, knots, states, steps, _q_scalar, label=ode.label)
-    knots, states, steps = _integrate_vector(ode, t0, start, tau_end, config)
-    return Trajectory(n, knots, states, steps, _q_vector, label=ode.label)
+        f, variant, q = ode.rhs1, "scalar", _q_scalar
+    else:
+        f = ode.rhs1 if ode.rhs1 is not None else _float_rhs(ode.rhs, n)
+        variant, q = "vector", _q_vector
+    # The run is recorded only if it is read inside its span (Trajectory).
+    run = functools.partial(_kernel(n, variant, f), f, t0, y0, tau_end, config)
+    t_last, y_last, n_segments = run(False)
+    return Trajectory(n, array("d", (t0, t_last)), array("d", y0 + y_last), n_segments,
+                      run, q, label=ode.label)
 
 
 def _integrate_scalar(f, t0: float, x0: float, v0: float, t_end: float,
                       cfg: IntegratorConfig):
-    """The dim-1 kernel on a float rhs f(tau, x, v) -> float."""
-    return _kernel(1, "scalar", f)(f, t0, (x0, v0), t_end, cfg)
+    """The dim-1 kernel on a float rhs f(tau, x, v) -> float, recording."""
+    return _kernel(1, "scalar", f)(f, t0, (x0, v0), t_end, cfg, True)
 
 
 def _integrate_vector(ode: SecondOrderOde, t0: float, start: StatePoint,
                       t_end: float, cfg: IntegratorConfig):
-    """The dim-n kernel on ``ode.rhs1``, or on ``ode.rhs`` behind _float_rhs.
-    Both are looked up on every call."""
+    """The dim-n kernel on ``ode.rhs1``, or on ``ode.rhs`` behind _float_rhs,
+    recording.  Both are looked up on every call."""
     f = ode.rhs1 if ode.rhs1 is not None else _float_rhs(ode.rhs, ode.dim)
     y0 = np.concatenate([start.x, start.v]).astype(float).tolist()
-    return _kernel(ode.dim, "vector", f)(f, t0, y0, t_end, cfg)
+    return _kernel(ode.dim, "vector", f)(f, t0, y0, t_end, cfg, True)
 
 
 def _float_rhs(rhs: Callable, n: int) -> Callable:
@@ -495,7 +523,7 @@ def _float_rhs(rhs: Callable, n: int) -> Callable:
 # max(a, b) is written ``b if b > a else a`` and min(a, b)
 # ``b if b < a else a``.
 _TEMPLATE = '''\
-def kernel(f, t0, y0, t_end, cfg):
+def kernel(f, t0, y0, t_end, cfg, record):
     @load
     # Locals are cheaper to read than module globals on every step.
     isfinite, sqrt, inf, new_array, dot = math.isfinite, math.sqrt, math.inf, np.array, np.dot
@@ -520,14 +548,16 @@ def kernel(f, t0, y0, t_end, cfg):
     h = direction * min(cfg.h_init, abs(t_end - t0))
     err_prev = err_prev_init
     attempts = 0
+    accepted = 0
 
-    knots = array("d", (t0,))
-    states = array("d", y0)
-    steps = array("d")
-    # Accepted steps collect in lists, moved into the arrays in batches.
-    pending_knots = []
-    pending_states = []
-    pending_steps = []
+    if record:
+        knots = array("d", (t0,))
+        states = array("d", y0)
+        steps = array("d")
+        # Accepted steps collect in lists, moved into the arrays in batches.
+        pending_knots = []
+        pending_states = []
+        pending_steps = []
 
     remaining = t_end - t
     while remaining * direction > 0.0:
@@ -585,17 +615,19 @@ def kernel(f, t0, y0, t_end, cfg):
             @norm
 
         if isfinite(en) and en <= 1.0:
-            pending_steps += (t, hs, x{*}_1, v{*}_1, v{*}_1, k{*}_1, v{*}_2, k{*}_2, v{*}_3, k{*}_3,
-                              v{*}_4, k{*}_4, v{*}_5, k{*}_5, v{*}_6, k{*}_6, v{*}_7, k{*}_7)
-            pending_knots.append(t_new)
-            pending_states += (x{*}_7, v{*}_7)
-            if len(pending_steps) >= _FLUSH_DOUBLES:
-                steps.fromlist(pending_steps)
-                knots.fromlist(pending_knots)
-                states.fromlist(pending_states)
-                pending_steps.clear()
-                pending_knots.clear()
-                pending_states.clear()
+            accepted += 1
+            if record:
+                pending_steps += (t, hs, x{*}_1, v{*}_1, v{*}_1, k{*}_1, v{*}_2, k{*}_2, v{*}_3, k{*}_3,
+                                  v{*}_4, k{*}_4, v{*}_5, k{*}_5, v{*}_6, k{*}_6, v{*}_7, k{*}_7)
+                pending_knots.append(t_new)
+                pending_states += (x{*}_7, v{*}_7)
+                if len(pending_steps) >= _FLUSH_DOUBLES:
+                    steps.fromlist(pending_steps)
+                    knots.fromlist(pending_knots)
+                    states.fromlist(pending_states)
+                    pending_steps.clear()
+                    pending_knots.clear()
+                    pending_states.clear()
             # _pi_factor(en, err_prev), then max(en, _ERR_PREV_INIT).
             if en == 0.0:
                 fac = max_factor
@@ -619,6 +651,8 @@ def kernel(f, t0, y0, t_end, cfg):
                 raise StepSizeUnderflow(
                     f"step size {abs(h)!r} fell below h_min={h_min!r} at tau={t!r}",
                     tau=t, h=abs(h))
+    if not record:
+        return t, [x{*}_1, v{*}_1], accepted
     # Concatenation allocates each buffer at its exact size (fromlist would
     # over-allocate by about 1/16, and cached trajectories keep that).
     return (knots + array("d", pending_knots),

@@ -882,7 +882,7 @@ def test_kernel_cache_is_bounded_with_its_linecache_lines():
     assert len(kept) <= size
     assert "<febvp.ode_core kernel, dim 1, vector>" not in kept
     newest = f"<febvp.ode_core kernel, dim {size + 2}, vector>"
-    assert linecache.getline(newest, 1) == "def kernel(f, t0, y0, t_end, cfg):\n"
+    assert linecache.getline(newest, 1) == "def kernel(f, t0, y0, t_end, cfg, record):\n"
 
 
 def _build(name):
@@ -1329,8 +1329,11 @@ def test_a_wrapper_on_rhs1_sees_every_call(make, start, wrap):
     ode, calls = make(), []
     ode.rhs1 = wrap(ode.rhs1, calls)
     got = integrate_ivp(ode, start, 2.0)
-    assert buffers(got) == buffers(inline)
     assert len(calls) == 1 + 6 * got.n_segments
+    # recording the run for its buffers calls the wrapper again, call for call
+    run_calls = list(calls)
+    assert buffers(got) == buffers(inline)
+    assert calls == run_calls + run_calls
 
 
 def _request_kinds(p, q):
@@ -1399,3 +1402,122 @@ def test_a_step_that_does_not_move_tau_raises_step_underflow_at_once():
     # there), used to be stored as zero-width steps until h outgrew it.
     with pytest.raises(StepSizeUnderflow, match="does not move tau"):
         integrate_ivp(ff, StatePoint.of(1e20, [0.3], [-0.2]), 1e20 + 1e6)
+
+
+# ------------------------------------------------------ recording on demand
+#
+# integrate_ivp runs its kernel with recording off and keeps the run's two
+# ends; the first read strictly inside the span (or of knots) runs the same
+# kernel again with recording on.  A recorded trajectory is the eager
+# reference: every read must give its bits, or its error.
+
+def counting(ode):
+    """ode with the rhs its kernel calls counting its calls, and the calls."""
+    calls = []
+    if ode.rhs1 is not None:
+        ode.rhs1 = _counted(ode.rhs1, calls)
+    else:
+        ode.rhs = _counted(ode.rhs, calls)
+    return ode, calls
+
+
+def read_outcome(traj, taus):
+    """The hex of each row traj reads at taus, or the error's message and context."""
+    try:
+        return [[c.hex() for c in row] for row in traj.read(taus)]
+    except OutOfSpan as exc:
+        return str(exc), exc.context
+
+
+_READS = ["start", "end", "inside", "before", "after"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=hst.sampled_from([1, 2, 3]), scalar=hst.booleans(), A=_unit_nine, B=_unit_nine,
+       c=_three, x0=_three, v0=_three, t0=hst.floats(-2.0, 2.0), span=hst.floats(0.5, 3.0),
+       backward=hst.booleans(),
+       reads=hst.lists(hst.tuples(hst.sampled_from(_READS), hst.floats(0.0, 1.0)),
+                       min_size=1, max_size=12))
+def test_lazy_trajectory_reads_the_bits_of_a_recorded_one(dim, scalar, A, B, c, x0, v0,
+                                                          t0, span, backward, reads):
+    t1 = t0 - span if backward else t0 + span
+    start = StatePoint.of(t0, x0[:dim], v0[:dim])
+    eager = integrate_ivp(linear_ode(dim, scalar, A, B, c), start, t1, DEFAULT)
+    assert len(eager._steps) > 0  # recorded now
+    ode, calls = counting(linear_ode(dim, scalar, A, B, c))
+    lazy = integrate_ivp(ode, start, t1, DEFAULT)
+    run = len(calls)
+    assert (lazy.span, lazy.n_segments) == (eager.span, eager.n_segments)
+    assert len(calls) == run
+    lo, hi = eager.span
+    taus = {"start": lambda f: t0, "end": lambda f: t1, "inside": lambda f: lo + f * (hi - lo),
+            "before": lambda f: lo - 1.0 - f, "after": lambda f: hi + 1.0 + f}
+    recorded = False
+    for kind, frac in reads:
+        tau = taus[kind](frac)
+        assert read_outcome(lazy, [tau]) == read_outcome(eager, [tau])
+        recorded = recorded or lo < tau < hi
+        # recorded once, on the first interior read, with the first run's calls
+        assert calls == (calls[:run] * 2 if recorded else calls[:run])
+    inside = [taus[kind](frac) for kind, frac in reads if lo <= taus[kind](frac) <= hi]
+    assert read_outcome(lazy, inside) == read_outcome(eager, inside)
+    assert lazy.knots == eager.knots
+
+
+@pytest.mark.parametrize("ode, start", [
+    (SecondOrderOde.from_scalar(lambda t, x, v: -x), StatePoint.of(0.0, [0.5], [-0.3])),
+    (SecondOrderOde(2, COUPLED.rhs, rhs1=lambda t, x, v: [-x[1], x[0]]),
+     StatePoint.of(0.0, [0.5, 1.0], [-0.3, 0.2])),
+], ids=["dim1", "dim2"])
+def test_recording_a_run_whose_rhs_changes_raises(ode, start):
+    # The rhs drifts with every call, so the run recorded on the first
+    # interior read does not end where the first run did.
+    rhs1, calls = ode.rhs1, []
+
+    def drifting(t, x, v):
+        calls.append(t)
+        fx = rhs1(t, x, v)
+        return fx + 1e-6 * len(calls) if ode.dim == 1 else [c + 1e-6 * len(calls) for c in fx]
+
+    ode.rhs1 = drifting
+    traj = integrate_ivp(ode, start, 2.0)
+    traj.read([0.0, 2.0])  # the ends need no recording
+    with pytest.raises(IntegrationError, match="rhs is not deterministic"):
+        traj.read([1.0])
+
+
+@pytest.fixture
+def kernel_records(monkeypatch):
+    """The record flag of every kernel run that integrate_ivp starts."""
+    records, kernel = [], ode_core._kernel
+
+    def counted_kernel(n, variant, f):
+        run = kernel(n, variant, f)
+        return lambda *args: records.append(args[-1]) or run(*args)
+
+    monkeypatch.setattr(ode_core, "_kernel", counted_kernel)
+    return records
+
+
+def test_reads_at_the_ends_record_nothing(kernel_records, capsys):
+    from febvp.functional_laws import SampleSpec, check_boundary, evaluator_from_ode
+
+    conic = catalog.make_ode("conic", {"k": 1.5, "g": 0.5})[0]
+    report = check_boundary(evaluator_from_ode(conic), SampleSpec(count=20, seed=3))
+    assert report.failures == 0
+    base = ["solve", "--catalog", "conic", "--param", "k=1.5", "--param", "g=0.5",
+            "--neumann", "0", "1", "0.2", "-0.4", "--tau", "0", "--tau", "1"]
+    for taus in ([], ["--tau", "1.5"], ["--tau", "-0.5"]):
+        assert cli.main(base + taus + ["--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(kernel_records) > 20 and not any(kernel_records)
+
+
+def test_lemma1_records_once_per_sample(kernel_records):
+    from febvp.functional_laws import SampleSpec, check_lemma1_equivalence
+
+    conic = catalog.make_ode("conic", {"k": 1.5, "g": 0.5})[0]
+    reports = check_lemma1_equivalence(conic, SampleSpec(count=12, seed=3))
+    assert all(r.failures == 0 for r in reports)
+    assert kernel_records.count(True) == 12
+    assert len(kernel_records) > 3 * 12
