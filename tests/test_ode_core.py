@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from febvp import catalog, cli, geodesics, ode_core
+from febvp.functional_laws import SampleSpec, check_boundary, check_lemma1_equivalence, evaluator_from_ode
 from febvp.rhs_parser import EvaluationError, ParseError, bind, eval_expr, parse
 from febvp.ode_core import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
@@ -1450,16 +1451,16 @@ def test_lazy_trajectory_reads_the_bits_of_a_recorded_one(dim, scalar, A, B, c, 
     assert (lazy.span, lazy.n_segments) == (eager.span, eager.n_segments)
     assert len(calls) == run
     lo, hi = eager.span
-    taus = {"start": lambda f: t0, "end": lambda f: t1, "inside": lambda f: lo + f * (hi - lo),
-            "before": lambda f: lo - 1.0 - f, "after": lambda f: hi + 1.0 + f}
+    where = {"start": lambda f: t0, "end": lambda f: t1, "inside": lambda f: lo + f * (hi - lo),
+             "before": lambda f: lo - 1.0 - f, "after": lambda f: hi + 1.0 + f}
+    taus = [where[kind](frac) for kind, frac in reads]
     recorded = False
-    for kind, frac in reads:
-        tau = taus[kind](frac)
+    for tau in taus:
         assert read_outcome(lazy, [tau]) == read_outcome(eager, [tau])
         recorded = recorded or lo < tau < hi
         # recorded once, on the first interior read, with the first run's calls
         assert calls == (calls[:run] * 2 if recorded else calls[:run])
-    inside = [taus[kind](frac) for kind, frac in reads if lo <= taus[kind](frac) <= hi]
+    inside = [tau for tau in taus if lo <= tau <= hi]
     assert read_outcome(lazy, inside) == read_outcome(eager, inside)
     assert lazy.knots == eager.knots
 
@@ -1493,15 +1494,17 @@ def kernel_records(monkeypatch):
 
     def counted_kernel(n, variant, f):
         run = kernel(n, variant, f)
-        return lambda *args: records.append(args[-1]) or run(*args)
+
+        def counted(*args):
+            records.append(args[-1])
+            return run(*args)
+        return counted
 
     monkeypatch.setattr(ode_core, "_kernel", counted_kernel)
     return records
 
 
 def test_reads_at_the_ends_record_nothing(kernel_records, capsys):
-    from febvp.functional_laws import SampleSpec, check_boundary, evaluator_from_ode
-
     conic = catalog.make_ode("conic", {"k": 1.5, "g": 0.5})[0]
     report = check_boundary(evaluator_from_ode(conic), SampleSpec(count=20, seed=3))
     assert report.failures == 0
@@ -1514,8 +1517,6 @@ def test_reads_at_the_ends_record_nothing(kernel_records, capsys):
 
 
 def test_lemma1_records_once_per_sample(kernel_records):
-    from febvp.functional_laws import SampleSpec, check_lemma1_equivalence
-
     conic = catalog.make_ode("conic", {"k": 1.5, "g": 0.5})[0]
     reports = check_lemma1_equivalence(conic, SampleSpec(count=12, seed=3))
     assert all(r.failures == 0 for r in reports)
