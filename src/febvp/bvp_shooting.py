@@ -65,7 +65,9 @@ class NoConvergence(FebvpError):
 
 
 def _as_vec(val, dim_hint: int | None = None) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(val, dtype=float))
+    # a 1-d float64 ndarray is the array that asarray and atleast_1d return
+    as_is = type(val) is np.ndarray and val.dtype == float and val.ndim == 1
+    arr = val if as_is else np.atleast_1d(np.asarray(val, dtype=float))
     if arr.ndim != 1:
         raise ValueError("condition values must be scalars or 1-d arrays")
     if dim_hint is not None and arr.shape != (dim_hint,):
@@ -172,20 +174,24 @@ class ShootingResult:
     final_residual: float
 
 
-def _check_singular(sigma: list[float] | None, interval: float, cfg: ShootingConfig, where: str):
-    """sigma: the Jacobian's singular values, largest first; None if it does not decompose."""
+def _check_singular(sigma: list[float] | None, interval: float, cfg: ShootingConfig, u=None):
+    """sigma: the Jacobian's singular values, largest first; None if it does not decompose.
+    u: the Newton iterate it was formed at; None at the converged solution."""
+    def where() -> str:
+        return "the converged solution" if u is None else f"u={np.atleast_1d(u).tolist()!r}"
+
     if sigma is None:
         raise ConjugatePoint(
-            f"shooting Jacobian is not decomposable near {where}", interval=interval)
+            f"shooting Jacobian is not decomposable near {where()}", interval=interval)
     if not all(map(math.isfinite, sigma)):
         raise ConjugatePoint(
-            f"shooting Jacobian is non-finite near {where}", interval=interval)
+            f"shooting Jacobian is non-finite near {where()}", interval=interval)
     smin = sigma[-1]
     ref = max(sigma[0], abs(interval))
     if smin <= 0.0 or ref / smin > _COND_LIMIT or smin < cfg.singular_floor * ref:
         raise ConjugatePoint(
             "shooting Jacobian numerically singular "
-            f"(sigma_min={smin!r}, scale={ref!r}) near {where}: endpoint data "
+            f"(sigma_min={smin!r}, scale={ref!r}) near {where()}: endpoint data "
             "does not determine a locally unique solution",
             sigma_min=smin, scale=ref, interval=interval)
 
@@ -216,9 +222,11 @@ def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
         return (*read(traj), traj)
 
     # vec(u) is u as the (n,) array an IVP starts from; None is a non-finite step
-    vec = np.atleast_1d
     if n == 1:
         b0 = float(b[0])
+
+        def vec(u):
+            return np.array((u,))
 
         def read(traj):
             r = traj.read((beta,))[0][0] - b0
@@ -237,8 +245,10 @@ def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
 
         u = (b0 - float(a[0])) / interval
     else:
+        vec = np.atleast_1d
+
         def read(traj):
-            r = traj.eval(beta).x - b
+            r = np.array(traj.read((beta,))[0][:n]) - b
             return r, float(np.max(np.abs(r)))
 
         def jacobian(u, r_base):
@@ -267,7 +277,8 @@ def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
             u = (b - a) / interval
 
     # finite data whose secant slope overflows leave Newton no finite start
-    if not np.isfinite(u).all() and np.isfinite(a).all() and np.isfinite(b).all():
+    if (not (math.isfinite(u) if n == 1 else np.isfinite(u).all())
+            and np.isfinite(a).all() and np.isfinite(b).all()):
         raise NoConvergence("the secant start (b - a)/(beta - alpha) is not finite",
                             interval=interval)
 
@@ -281,7 +292,7 @@ def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
                 f"Newton did not reach tol={tol!r} in {cfg.max_newton_iters} "
                 f"iterations (residual {rn!r})", residual=rn, iterations=iterations)
         J = jacobian(u, r)
-        _check_singular(singular_values(J), interval, cfg, f"u={vec(u).tolist()!r}")
+        _check_singular(singular_values(J), interval, cfg, u)
         s = newton_step(J, r)
         if s is None:
             raise ConjugatePoint("shooting Newton step is non-finite", interval=interval)
@@ -305,7 +316,7 @@ def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
     # with matching endpoint data lands here), so form one now.
     if J is None:
         J = jacobian(u, r)
-    _check_singular(singular_values(J), interval, cfg, "the converged solution")
+    _check_singular(singular_values(J), interval, cfg)
     return ShootingResult(u=vec(u), trajectory=traj, iterations=iterations, final_residual=rn)
 
 
@@ -369,8 +380,8 @@ def _cached_solve(ode: SecondOrderOde, cond: NeumannConditions,
 
 def eval_state(ode: SecondOrderOde, traj: Trajectory, tau: float,
                icfg: IntegratorConfig) -> StatePoint:
-    """Evaluate a solve's trajectory at tau, integrating past an end if tau
-    lies outside the stored span.
+    """Evaluate a solve's trajectory at tau, integrating past an end, from
+    its stored row, if tau lies outside the stored span.
 
     Extensions are recomputed per call (never cached), so the value at tau
     depends only on (ode, trajectory, tau, config) and not on the history of
@@ -379,11 +390,11 @@ def eval_state(ode: SecondOrderOde, traj: Trajectory, tau: float,
     lo, hi = traj.span
     if lo <= tau <= hi:
         return traj.eval(tau)
-    if tau > hi:
-        ext = integrate_ivp(ode, traj.eval(hi), tau, icfg)
-    else:
-        ext = integrate_ivp(ode, traj.eval(lo), tau, icfg)
-    return ext.eval(tau)
+    n, end = traj.dim, hi if tau > hi else lo
+    (row,) = traj.read((end,))
+    ext = integrate_ivp(ode, StatePoint(end, np.array(row[:n]), np.array(row[n:])), tau, icfg)
+    (row,) = ext.read((tau,))
+    return StatePoint(float(tau), np.array(row[:n]), np.array(row[n:]))
 
 
 def eval_F(ode: SecondOrderOde, tau: float, cond: NeumannConditions,

@@ -60,13 +60,15 @@ pending floats.  A step's interpolant is built from its record when a
 tau inside it is evaluated, and never kept.
 
 Every evaluation is one batched read, Trajectory.read, which returns plain
-floats: a knot tau reads its stored state, and each step touched by an
-interior tau builds its q once (in dim 1 from straight-line float code
-generated once, in dim n as K.T @ P), after which all interior taus take
-one stacked matrix product, (m, 2n, 4) @ (m, 4, 1), and y0 + h * qp.
-These are the per-tau operations of the quartic interpolant, batched, so
-every tau has the same bits alone or in a batch.  Only the public eval
-and eval_many build StatePoints from the rows.
+floats.  When every tau is a span end it returns the stored end rows, with
+no bisect (shooting residuals and extension starts read these).  Else a
+knot tau reads its stored state, and each step touched by an interior tau
+builds its q once (in dim 1 from straight-line float code generated once,
+in dim n as K.T @ P), after which all interior taus take one stacked
+matrix product, (m, 2n, 4) @ (m, 4, 1), and y0 + h * qp.  These are the
+per-tau operations of the quartic interpolant, batched, so every tau has
+the same bits alone or in a batch.  Only the public eval and eval_many
+build StatePoints from the rows.
 
 A step too small to move tau (t + h == t, far from 0) raises
 StepSizeUnderflow, as one below h_min does.
@@ -244,6 +246,7 @@ _P = (
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
 _P_ARR = np.array(_P)
+_FLOAT64 = np.dtype(float)
 # The nonzero entries (s, P[s][j]) of each column j of P, in stage order.
 _P_COLUMNS = tuple(tuple((s, row[j]) for s, row in enumerate(_P) if row[j] != 0.0)
                    for j in range(4))
@@ -371,28 +374,31 @@ class Trajectory:
         """The state at each tau of taus, in the order given, as a row of
         2n plain floats: x, then v.
 
-        A knot tau reads its stored state.  An interior tau reads its step's
-        interpolant y0 + h * (q @ p), with th = (tau - t) / h and
-        p = (th, th^2, th^3, th^4): q is built once per touched step, and the
-        q @ p of all interior taus are one stacked matrix product.  Only an
-        interior tau records the run.
+        When every tau is a span end, the stored end rows are returned as
+        they are.  Else a knot tau reads its stored state, and an interior
+        tau its step's interpolant y0 + h * (q @ p), with th = (tau - t) / h
+        and p = (th, th^2, th^3, th^4): q is built once per touched step,
+        and the q @ p of all interior taus are one stacked matrix product.
+        Only an interior tau records the run.
 
         Raises:
             OutOfSpan: a tau lies outside [span lo, span hi].
         """
         lo, hi = self.span
         taus = [float(tau) for tau in taus]
+        n2 = 2 * self.dim
+        if {lo, hi}.issuperset(taus):
+            # the stored end rows; the run starts at its first knot
+            knots, states = self._ends
+            return [states[:n2].tolist() if tau == knots[0] else states[-n2:].tolist()
+                    for tau in taus]
         for tau in taus:
             if not lo <= tau <= hi:
                 raise OutOfSpan(
                     f"tau={tau!r} outside trajectory span [{lo!r}, {hi!r}]",
                     tau=tau, span=(lo, hi),
                 )
-        if all(tau == lo or tau == hi for tau in taus):
-            (knots, states), steps = self._ends, None
-        else:
-            knots, states, steps = self._knots, self._states, self._steps
-        n2 = 2 * self.dim
+        knots, states, steps = self._knots, self._states, self._steps
         rows = []
         # per interior tau: (its place in rows, h, y0), then its q and p
         inner, qs, ps = [], [], []
@@ -446,15 +452,16 @@ def integrate_ivp(ode: SecondOrderOde, start: StatePoint, tau_end: float,
     n = ode.dim
     if start.x.shape != (n,) or start.v.shape != (n,):
         raise ValueError(f"start state has wrong dimension for ode of dim {n}")
-    if not (all(map(math.isfinite, start.x.tolist())) and all(map(math.isfinite, start.v.tolist()))
-            and math.isfinite(start.tau)):
+    y0 = start.x.tolist() + start.v.tolist()
+    if not (all(map(math.isfinite, y0)) and math.isfinite(start.tau)):
         raise ValueError("start state must be finite")
     tau_end = float(tau_end)
     if not math.isfinite(tau_end):
         raise ValueError("tau_end must be finite")
 
     t0 = float(start.tau)
-    y0 = np.concatenate([start.x, start.v]).astype(float).tolist()
+    if start.x.dtype is not _FLOAT64 or start.v.dtype is not _FLOAT64:
+        y0 = np.concatenate([start.x, start.v]).astype(float).tolist()
     if tau_end == t0:
         return Trajectory(n, array("d", (t0,)), array("d", y0), 0, label=ode.label)
     if n == 1 and ode.rhs1 is not None:

@@ -9,10 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from febvp import bvp_shooting, functional_laws
+from febvp import bvp_shooting, functional_laws, ode_core
 from febvp.catalog import make_ode, numeric_evaluator
 from febvp.errors import FebvpError
-from febvp.functional_laws import SampleSpec, check_composition, check_lemma1_equivalence
+from febvp.functional_laws import (
+    SampleSpec,
+    check_composition,
+    check_extension,
+    check_lemma1_equivalence,
+)
 from febvp.bvp_shooting import (
     ConjugatePoint,
     DEFAULT_SHOOTING,
@@ -29,7 +34,7 @@ from febvp.bvp_shooting import (
     solve_integral,
     solve_neumann,
 )
-from febvp.ode_core import IntegratorConfig, SecondOrderOde, StatePoint
+from febvp.ode_core import IntegratorConfig, SecondOrderOde, StatePoint, integrate_ivp
 
 FREE_FALL = SecondOrderOde.from_scalar(lambda t, x, v: -9.8, label="ff")
 OSC = SecondOrderOde.from_scalar(lambda t, x, v: -x, label="osc")
@@ -494,3 +499,71 @@ def test_integral_and_endpoint_solves_agree_on_lemma1_samples(monkeypatch, famil
         for p, q in zip(by_integral.trajectory.eval_many(taus),
                         by_endpoint.trajectory.eval_many(taus)):
             assert (p.x.tobytes(), p.v.tobytes()) == (q.x.tobytes(), q.v.tobytes())
+
+
+# ------------------------------------------ every IVP on the traced path
+#
+# Tracing (bench/tracing.py) and the spies above wrap the module global
+# bvp_shooting.integrate_ivp, so every first run of a kernel must come from
+# one call of it; only a recording run may start elsewhere.
+
+def test_every_first_kernel_run_comes_from_one_integrate_ivp_call(monkeypatch):
+    ivps = []  # per integrate_ivp call, its kernel runs with record off
+    inside = []  # the integrate_ivp calls running now, by index into ivps
+    stray = []  # record-off runs outside any integrate_ivp call
+    real_ivp, real_kernel = bvp_shooting.integrate_ivp, ode_core._kernel
+
+    def traced_ivp(*args):
+        ivps.append(0)
+        inside.append(len(ivps) - 1)
+        try:
+            return real_ivp(*args)
+        finally:
+            inside.pop()
+
+    def counted_kernel(n, variant, f):
+        run = real_kernel(n, variant, f)
+
+        def counted(*args):
+            if not args[-1]:
+                if inside:
+                    ivps[inside[-1]] += 1
+                else:
+                    stray.append(args)
+            return run(*args)
+        return counted
+
+    monkeypatch.setattr(bvp_shooting, "integrate_ivp", traced_ivp)
+    monkeypatch.setattr(ode_core, "_kernel", counted_kernel)
+    clear_cache()
+    conic = numeric_evaluator("conic", {"k": 1.5, "g": 0.5})
+    assert check_composition(conic, SampleSpec(count=6, seed=5)).failures == 0
+    assert all(r.failures == 0 for r in check_extension(conic, SampleSpec(count=6, seed=5)))
+    assert all(r.failures == 0 for r in
+               check_lemma1_equivalence(_family("conic"), SampleSpec(count=6, seed=5)))
+    clear_cache()
+    assert len(ivps) > 50 and not stray
+    assert set(ivps) <= {0, 1} and ivps.count(1) > 50
+
+
+@pytest.mark.parametrize("ode, cond", [
+    (OSC, NeumannConditions(0.3, 1.7, 0.8, -0.4)),
+    (OSC, NeumannConditions(1.7, 0.3, -0.4, 0.8)),
+    (make_ode("conic", {"k": 1.5, "g": 0.5})[0], NeumannConditions(-0.5, 0.25, 0.2, -0.1)),
+    (SecondOrderOde(2, lambda t, x, v: np.array([-x[1], x[0] - 0.2 * v[1]])),
+     NeumannConditions(0.0, 0.9, [0.5, 1.0], [-0.3, 0.2])),
+], ids=["forward", "backward", "conic", "dim2"])
+def test_eval_state_continues_with_the_bits_of_an_ivp_from_the_end(ode, cond):
+    traj = solve_neumann(ode, cond).trajectory
+    lo, hi = traj.span
+    icfg = DEFAULT_SHOOTING.integrator
+
+    def state(point):
+        return point.tau.hex(), point.x.tobytes(), point.v.tobytes()
+
+    for tau in (hi + 0.25, hi + 1e-3, hi + 1.5, lo - 0.25, lo - 1e-3, lo - 1.5):
+        end = hi if tau > hi else lo
+        want = integrate_ivp(ode, traj.eval(end), tau, icfg).eval(tau)
+        got = eval_state(ode, traj, tau, icfg)
+        assert state(got) == state(want)
+        assert got.x.dtype == got.v.dtype == np.float64

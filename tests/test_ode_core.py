@@ -1522,3 +1522,65 @@ def test_lemma1_records_once_per_sample(kernel_records):
     assert all(r.failures == 0 for r in reports)
     assert kernel_records.count(True) == 12
     assert len(kernel_records) > 3 * 12
+
+
+# ------------------------------------------------------------ end reads
+#
+# A read whose taus are all span ends returns the stored end rows straight
+# from the trajectory's two ends: no bisect, and never a recording run.
+
+_ENDS = ["t0", "t1", "lo", "hi", "signed zero"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=hst.sampled_from([1, 2]), scalar=hst.booleans(), A=_unit_nine, B=_unit_nine,
+       c=_three, x0=_three, v0=_three, t0=hst.just(0.0) | hst.floats(-2.0, 2.0),
+       span=hst.just(0.0) | hst.floats(0.5, 3.0), backward=hst.booleans(),
+       recorded=hst.booleans(), ends=hst.lists(hst.sampled_from(_ENDS), max_size=8))
+def test_end_reads_return_the_general_paths_bits_and_never_record(
+        dim, scalar, A, B, c, x0, v0, t0, span, backward, recorded, ends):
+    t1 = t0 - span if backward else t0 + span
+    start = StatePoint.of(t0, x0[:dim], v0[:dim])
+    ode = linear_ode(dim, scalar, A, B, c)
+    eager = integrate_ivp(ode, start, t1, DEFAULT)
+    eager.knots  # recorded (a zero-width run has nothing to record)
+    traj = integrate_ivp(ode, start, t1, DEFAULT)
+    runs = []
+    if traj._run is not None:
+        traj._run = _counted(traj._run, runs)
+    if recorded:
+        traj.knots
+    before = len(runs)
+    lo, hi = traj.span
+    # an end given as -0.0 where it is 0.0 is the same tau
+    place = {"t0": t0, "t1": t1, "lo": lo, "hi": hi, "signed zero": -t0 if t0 == 0.0 else t0}
+    taus = [place[end] for end in ends]
+    expected = [eager_row(eager, None, tau) for tau in taus]
+    assert read_outcome(traj, taus) == expected
+    assert [read_outcome(traj, [tau])[0] for tau in taus] == expected
+    assert [list(bits(st)[1] + bits(st)[2]) for st in traj.eval_many(taus)] == expected
+    if span:
+        # the general path: the same taus batched with an interior one
+        assert read_outcome(eager, taus + [0.5 * (lo + hi)])[:len(taus)] == expected
+    assert len(runs) == before
+    assert ("_steps" in vars(traj)) == (recorded or not span)
+
+
+# ------------------------------------------------- start states and dtypes
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32], ids=["int64", "float32"])
+@pytest.mark.parametrize("ode, x0, v0", [
+    (SecondOrderOde.from_scalar(lambda t, x, v: -x + 0.3 * v), [2], [-1]),
+    (geodesics.geodesic_ode(geodesics.half_plane_connection()), [0, 1], [1, 2]),
+    (SecondOrderOde(2, COUPLED.rhs), [1, -2], [3, 1]),
+], ids=["dim1", "dim2-half-plane", "dim2-array-rhs"])
+def test_a_start_of_another_dtype_integrates_to_its_float64_copys_bits(ode, x0, v0, dtype):
+    # StatePoint itself takes any arrays; integrate_ivp reads them as float64.
+    start = StatePoint(0.0, np.array(x0, dtype=dtype), np.array(v0, dtype=dtype))
+    copy = StatePoint.of(0.0, start.x, start.v)
+    assert copy.x.dtype == copy.v.dtype == np.float64
+    for t1 in (0.0, 0.75, -0.5):
+        got, want = integrate_ivp(ode, start, t1), integrate_ivp(ode, copy, t1)
+        assert [bits(st) for st in got.eval_many([t1, 0.0, 0.5 * t1])] == \
+            [bits(st) for st in want.eval_many([t1, 0.0, 0.5 * t1])]
+        assert got.knots == want.knots
