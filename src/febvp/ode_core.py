@@ -460,7 +460,7 @@ def integrate_ivp(ode: SecondOrderOde, start: StatePoint, tau_end: float,
         raise ValueError("tau_end must be finite")
 
     t0 = float(start.tau)
-    if start.x.dtype is not _FLOAT64 or start.v.dtype is not _FLOAT64:
+    if start.x.dtype is not _FLOAT64 or start.v.dtype is not _FLOAT64:  # NumPy casts the rest
         y0 = np.concatenate([start.x, start.v]).astype(float).tolist()
     if tau_end == t0:
         return Trajectory(n, array("d", (t0,)), array("d", y0), 0, label=ode.label)
