@@ -27,6 +27,7 @@ the report's failure count and contributes nothing to the aggregates.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -47,6 +48,7 @@ from .bvp_shooting import (
 
 __all__ = [
     "Splitmix64",
+    "DRAW_BLOCK",
     "EvaluatorFailure",
     "EvalDomain",
     "DependenceEvaluator",
@@ -76,6 +78,14 @@ class EvaluatorFailure(FebvpError):
 
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+DRAW_BLOCK = 64  # draws that Splitmix64.uniform mixes at once
+# A block's counter steps gamma * (DRAW_BLOCK, ..., 1), reversed as list.pop
+# takes the last entry first, and the mix's constants as NumPy scalars, which
+# array operations take without a conversion.
+_BLOCK_STEPS = np.arange(DRAW_BLOCK, 0, -1, dtype=np.uint64) * np.uint64(_GAMMA)
+_S30, _M1, _S27, _M2, _S31, _S11 = map(
+    np.uint64, (30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31, 11))
 
 
 class Splitmix64:
@@ -85,12 +95,27 @@ class Splitmix64:
     state += 0x9E3779B97F4A7C15
     z = state; z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
     z = (z ^ z>>27) * 0x94D049BB133111EB; return z ^ z>>31
+
+    Output k mixes the counter seed + k * 0x9E3779B97F4A7C15 mod 2^64, so
+    uniform pops draws u = (z >> 11) * 2^-53 that _refill mixes DRAW_BLOCK at
+    a time in NumPy uint64 arrays (which wrap without a warning; z >> 11 <
+    2^53 converts exactly).  next_u64 runs the recurrence.  Both advance the
+    counter that state reads, and setting state drops the rest of the block.
     """
 
-    __slots__ = ("state",)
+    __slots__ = ("_end", "_block")
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK64
+        self.state = seed
+
+    @property
+    def state(self) -> int:
+        # _end is the counter of the block's last draw
+        return (self._end - _GAMMA * len(self._block)) & _MASK64
+
+    @state.setter
+    def state(self, value: int) -> None:
+        self._end, self._block = operator.index(value) & _MASK64, []
 
     def next_u64(self) -> int:
         self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
@@ -99,8 +124,16 @@ class Splitmix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
+    def _refill(self) -> list:
+        z = _BLOCK_STEPS + np.uint64(self._end)
+        self._end = (self._end + DRAW_BLOCK * _GAMMA) & _MASK64
+        z = (z ^ (z >> _S30)) * _M1
+        z = (z ^ (z >> _S27)) * _M2
+        self._block = (((z ^ (z >> _S31)) >> _S11).astype(np.float64) * 2.0 ** -53).tolist()
+        return self._block
+
     def uniform(self, lo: float, hi: float) -> float:
-        u = (self.next_u64() >> 11) * 2.0 ** -53
+        u = (self._block or self._refill()).pop()
         return lo + (hi - lo) * u
 
 
@@ -141,7 +174,8 @@ class DependenceEvaluator:
 @dataclass(frozen=True)
 class SampleSpec:
     """Sampling plan: how many tuples, from which seed, over which ranges.
-    Ranges are intersected with the evaluator's domain before drawing."""
+    Ranges are intersected with the evaluator's domain before drawing.
+    count and seed are integers, NumPy's too but not bool, kept as ints."""
 
     count: int
     seed: int
@@ -151,6 +185,11 @@ class SampleSpec:
     min_separation: float = 0.05
 
     def __post_init__(self):
+        for name in ("count", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if self.count < 1:
             raise ValueError("count must be >= 1")
         if not self.min_separation > 0:

@@ -7,6 +7,7 @@ published algorithm (Steele/Lea/Flood), frozen here as the PRNG oracle.
 import json
 import math
 import signal
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -73,6 +74,78 @@ def test_splitmix64_uniform_range_mapping():
     for _ in range(100):
         u = rng.uniform(-3.0, 5.0)
         assert -3.0 <= u < 5.0
+
+
+_GAMMA = 0x9E3779B97F4A7C15
+_MASK = (1 << 64) - 1
+
+
+def _reference_outputs(seed, n):
+    """The first n splitmix64 outputs of seed with the state after each,
+    from the published recurrence on plain ints."""
+    state, out = seed & _MASK, []
+    for _ in range(n):
+        state = (state + _GAMMA) & _MASK
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        out.append((z ^ (z >> 31), state))
+    return out
+
+
+_seeds = hst.one_of(
+    hst.sampled_from([0, 1, 2 ** 63, 2 ** 64 - 1, -1, -2 ** 63, 2 ** 64, 2 ** 64 + 5, 2 ** 130 + 7]),
+    hst.integers(0, 2 ** 64 - 1), hst.integers(-2 ** 70, -1), hst.integers(2 ** 64, 2 ** 80))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=_seeds, calls=hst.lists(hst.booleans(), max_size=300),
+       lo=hst.floats(-10.0, 10.0), width=hst.floats(0.0, 10.0))
+def test_block_draws_follow_the_plain_int_stream(seed, calls, lo, width):
+    # calls: True is a uniform draw, False a next_u64; runs longer than
+    # DRAW_BLOCK cross the 64/65 boundary of the block uniform pops from.
+    # The counter wraps past 2^64 every second draw or so, which the NumPy
+    # block must do without a warning.
+    rng = Splitmix64(seed)
+    hi = lo + width
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for uniform, (z, state) in zip(calls, _reference_outputs(seed, len(calls))):
+            if uniform:
+                assert rng.uniform(lo, hi) == lo + (hi - lo) * ((z >> 11) * 2.0 ** -53)
+            else:
+                assert rng.next_u64() == z
+            assert rng.state == state
+    assert rng.state == (seed + _GAMMA * len(calls)) & _MASK
+
+
+def test_setting_state_restarts_the_stream_there():
+    rng = Splitmix64(5)
+    [rng.uniform(0.0, 1.0) for _ in range(10)]
+    rng.state = 2 ** 64 + 3
+    assert rng.state == 3
+    z, _ = _reference_outputs(3, 1)[0]
+    assert rng.uniform(0.0, 1.0) == (z >> 11) * 2.0 ** -53
+
+
+def test_sample_spec_takes_numpy_integers_as_python_ints():
+    ev = ff_evaluator()
+    want = check_boundary(ev, SampleSpec(count=3, seed=5)).to_json()
+    for count, seed in ((3, np.int64(5)), (np.int64(3), 5), (np.uint8(3), np.uint64(5))):
+        spec = SampleSpec(count=count, seed=seed)
+        assert type(spec.count) is int and type(spec.seed) is int
+        doc = check_boundary(ev, spec).to_json()
+        assert doc == want
+        assert json.dumps(doc) == json.dumps(want)
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("count", 2.5), ("seed", 1.5), ("count", 3.0), ("seed", np.float64(5.0)),
+    ("count", True), ("seed", False), ("seed", np.bool_(True)), ("count", "3"),
+    ("seed", None)])
+def test_sample_spec_rejects_counts_and_seeds_that_are_not_integers(field, bad):
+    kwargs = {"count": 3, "seed": 5, field: bad}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SampleSpec(**kwargs)
 
 
 def test_sample_spec_validation():

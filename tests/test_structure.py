@@ -1,6 +1,7 @@
 """Source-level rules of the package layout: modules share helpers only
 through public names, import nothing they do not use, every sampled law
-runs through one loop, and generated code has one cache."""
+runs through one loop, generated code has one cache, and no module touches
+a global random state."""
 
 import ast
 import os
@@ -77,3 +78,20 @@ def test_no_cache_decorator_but_on_the_cli_parser():
               if ast.unparse(getattr(decorator, "func", decorator)).split(".")[-1]
               in ("cache", "lru_cache")]
     assert cached == [("cli.py", "build_parser")], cached
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_global_random_state(name):
+    # Every draw comes from a seeded functional_laws.Splitmix64: no module
+    # imports random or numpy.random, or reaches numpy.random as np.random.
+    names = []
+    for node in ast.walk(parse(name)):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names += [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Attribute):
+            names.append(ast.unparse(node))
+    found = [n for n in names if n.split(".")[0] == "random"
+             or n.split(".")[:2] in (["numpy", "random"], ["np", "random"])]
+    assert not found, found
