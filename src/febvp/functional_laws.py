@@ -161,8 +161,12 @@ class DependenceEvaluator:
     eval_s(tau, alpha, beta, a, v), and the domain it is defined on.
 
     Evaluators receive tau, alpha and beta as floats and a, b and v as
-    (dim,) float arrays.  They may return a float (dim 1) or a (dim,)
-    vector; any other shape fails the sample."""
+    (dim,) float64 arrays, but for the dim-1 wrappers of
+    evaluator_from_scalar and evaluator_from_ode, whose mark (fn.scalar)
+    the laws call with a, b and v as floats.  A wrapper put on a marked
+    function is another evaluator and receives (1,) arrays.  Evaluators may
+    return a float (dim 1) or a (dim,) vector; any other shape fails the
+    sample."""
 
     dim: int
     eval_f: Callable
@@ -298,10 +302,32 @@ def draw_vec(rng: Splitmix64, box: SampleBox, n: int) -> np.ndarray:
     return np.array([rng.uniform(lo, hi) for _ in range(n)])
 
 
-# Inside a law's residuals a value is a Python float in dim 1, which
-# rounds as the 1-element NumPy operations it replaces, and an (n,) array
-# in dim n.  Values that overflow to inf or NaN fail their sample, so
-# NumPy's warnings about them are silenced.
+# Inside a law a value is a Python float in dim 1, from the draw to the
+# closed form, which rounds as the 1-element NumPy operations it replaces,
+# and an (n,) array in dim n.  Values that overflow to inf or NaN fail
+# their sample, so NumPy's warnings about them are silenced.
+
+def _draw_value(rng: Splitmix64, box: SampleBox, dim: int):
+    """dim data components as a harness value."""
+    return rng.uniform(*box.values) if dim == 1 else draw_vec(rng, box, dim)
+
+
+def _evaluator_call(fn: Callable, dim: int) -> Callable:
+    """fn as the laws call it, on harness values: in dim 1 the float form
+    fn is marked with (DependenceEvaluator), or else fn on (1,) arrays.
+    functools.wraps copies the mark onto a wrapper, but also sets
+    __wrapped__, which keeps such a wrapper on arrays."""
+    if dim != 1:
+        return fn
+    form = getattr(fn, "scalar", None)
+    if form is not None and not hasattr(fn, "__wrapped__"):
+        return form
+
+    def arrays(tau, alpha, beta, x, y):
+        return fn(tau, alpha, beta, np.array([x]), np.array([y]))
+
+    return arrays
+
 
 def _as_value(raw, dim: int):
     """An evaluator's result as a harness value."""
@@ -312,16 +338,6 @@ def _as_value(raw, dim: int):
         raise EvaluatorFailure(
             f"evaluator returned shape {out.shape}, expected ({dim},)")
     return out.item() if dim == 1 else out
-
-
-def _value(vec: np.ndarray, dim: int):
-    """A sample's (dim,) array as a harness value."""
-    return vec.item() if dim == 1 else vec
-
-
-def _vector(value, dim: int) -> np.ndarray:
-    """A harness value as the (dim,) array an evaluator receives."""
-    return np.array([value]) if dim == 1 else value
 
 
 def _gap(x, y) -> float:
@@ -342,16 +358,20 @@ class SampledLaw:
     (residual, case), case being the named values a worst case reports,
     or None when the sample failed for that report.  Raising a
     SAMPLE_ERRORS error instead fails the sample in every report.
+    vectors names the case values that are data vectors, which a worst
+    case writes as lists, a dim-1 float as a one-element list.
     """
 
     reports: tuple[str, ...]
     draw: Callable[[Splitmix64, SampleBox], dict]
     residuals: Callable[[dict], Sequence[Optional[tuple[float, dict]]]]
+    vectors: tuple[str, ...] = ()
 
 
-def _jsonable(case: dict) -> dict:
+def _jsonable(case: dict, vectors: tuple[str, ...]) -> dict:
     return {key: [float(c) for c in val] if isinstance(val, np.ndarray)
-            else float(val) for key, val in case.items()}
+            else [float(val)] if key in vectors else float(val)
+            for key, val in case.items()}
 
 
 def run_law(law: SampledLaw, spec: SampleSpec,
@@ -381,7 +401,7 @@ def run_law(law: SampledLaw, spec: SampleSpec,
             totals[i] += residual
             if residual >= maxima[i]:
                 maxima[i] = residual
-                worst[i] = _jsonable(case)
+                worst[i] = _jsonable(case, law.vectors)
     reports = []
     for i, name in enumerate(law.reports):
         ok = spec.count - failures[i]
@@ -404,27 +424,26 @@ def check_composition(F: DependenceEvaluator, spec: SampleSpec) -> LawReport:
     Draw order per sample: tau; (alpha, beta) pair; (gamma, delta) pair;
     a components; b components.
     """
+    dim, f = F.dim, _evaluator_call(F.eval_f, F.dim)
 
     def draw(rng, box):
         tau = rng.uniform(*box.tau)
         alpha, beta = draw_pair(rng, box)
         gamma, delta = draw_pair(rng, box)
         return dict(tau=tau, alpha=alpha, beta=beta, gamma=gamma,
-                    delta=delta, a=draw_vec(rng, box, F.dim),
-                    b=draw_vec(rng, box, F.dim))
+                    delta=delta, a=_draw_value(rng, box, dim),
+                    b=_draw_value(rng, box, dim))
 
     def residuals(s):
         tau, alpha, beta = s["tau"], s["alpha"], s["beta"]
         gamma, delta, a, b = s["gamma"], s["delta"], s["a"], s["b"]
-        direct = _as_value(F.eval_f(tau, alpha, beta, a, b), F.dim)
-        at_gamma = _as_value(F.eval_f(gamma, alpha, beta, a, b), F.dim)
-        at_delta = _as_value(F.eval_f(delta, alpha, beta, a, b), F.dim)
-        rebased = _as_value(
-            F.eval_f(tau, gamma, delta, _vector(at_gamma, F.dim),
-                     _vector(at_delta, F.dim)), F.dim)
+        direct = _as_value(f(tau, alpha, beta, a, b), dim)
+        at_gamma = _as_value(f(gamma, alpha, beta, a, b), dim)
+        at_delta = _as_value(f(delta, alpha, beta, a, b), dim)
+        rebased = _as_value(f(tau, gamma, delta, at_gamma, at_delta), dim)
         return [(_gap(direct, rebased), s)]
 
-    law = SampledLaw(("composition",), draw, residuals)
+    law = SampledLaw(("composition",), draw, residuals, ("a", "b"))
     return run_law(law, spec, F.domain)[0]
 
 
@@ -434,20 +453,20 @@ def check_boundary(F: DependenceEvaluator, spec: SampleSpec) -> LawReport:
 
     Draw order per sample: (alpha, beta) pair; a components; b components.
     """
+    dim, f = F.dim, _evaluator_call(F.eval_f, F.dim)
 
     def draw(rng, box):
         alpha, beta = draw_pair(rng, box)
-        return dict(alpha=alpha, beta=beta, a=draw_vec(rng, box, F.dim),
-                    b=draw_vec(rng, box, F.dim))
+        return dict(alpha=alpha, beta=beta, a=_draw_value(rng, box, dim),
+                    b=_draw_value(rng, box, dim))
 
     def residuals(s):
         alpha, beta, a, b = s["alpha"], s["beta"], s["a"], s["b"]
-        at_alpha = _as_value(F.eval_f(alpha, alpha, beta, a, b), F.dim)
-        at_beta = _as_value(F.eval_f(beta, alpha, beta, a, b), F.dim)
-        return [(max(_gap(at_alpha, _value(a, F.dim)),
-                     _gap(at_beta, _value(b, F.dim))), s)]
+        at_alpha = _as_value(f(alpha, alpha, beta, a, b), dim)
+        at_beta = _as_value(f(beta, alpha, beta, a, b), dim)
+        return [(max(_gap(at_alpha, a), _gap(at_beta, b)), s)]
 
-    law = SampledLaw(("boundary",), draw, residuals)
+    law = SampledLaw(("boundary",), draw, residuals, ("a", "b"))
     return run_law(law, spec, F.domain)[0]
 
 
@@ -476,32 +495,33 @@ def check_extension(F: DependenceEvaluator,
     names = ("extension_offdiag",) + tuple(
         f"extension_diag_{eps:.0e}".replace("e-0", "e-")
         for eps in DIAG_EPSILONS)
+    dim = F.dim
+    f, s_map = _evaluator_call(F.eval_f, dim), _evaluator_call(F.eval_s, dim)
 
     def draw(rng, box):
         tau = rng.uniform(*box.tau)
         alpha, beta = draw_pair(rng, box)
         return dict(tau=tau, alpha=alpha, beta=beta,
-                    a=draw_vec(rng, box, F.dim), v=draw_vec(rng, box, F.dim))
+                    a=_draw_value(rng, box, dim), v=_draw_value(rng, box, dim))
 
     def residuals(s):
         tau, alpha, beta, a, v = s["tau"], s["alpha"], s["beta"], s["a"], s["v"]
         try:
-            s_val = _as_value(F.eval_s(tau, alpha, beta, a, v), F.dim)
-            f_val = _as_value(
-                F.eval_f(tau, alpha, beta, a,
-                         end_value(a, v, beta - alpha)), F.dim)
+            s_val = _as_value(s_map(tau, alpha, beta, a, v), dim)
+            b = (a + v * (beta - alpha) if dim == 1
+                 else end_value(a, v, beta - alpha))
+            f_val = _as_value(f(tau, alpha, beta, a, b), dim)
         except SAMPLE_ERRORS:
             outcomes = [None]
         else:
             outcomes = [(_gap(s_val, f_val), s)]
         try:
-            on_diag = _as_value(F.eval_s(tau, alpha, alpha, a, v), F.dim)
+            on_diag = _as_value(s_map(tau, alpha, alpha, a, v), dim)
         except SAMPLE_ERRORS:
             return outcomes + [None] * len(DIAG_EPSILONS)
         for eps in DIAG_EPSILONS:
             try:
-                near = _as_value(F.eval_s(tau, alpha, alpha + eps, a, v),
-                                 F.dim)
+                near = _as_value(s_map(tau, alpha, alpha + eps, a, v), dim)
             except SAMPLE_ERRORS:
                 outcomes.append(None)
                 continue
@@ -509,7 +529,8 @@ def check_extension(F: DependenceEvaluator,
                              dict(tau=tau, alpha=alpha, eps=eps, a=a, v=v)))
         return outcomes
 
-    return run_law(SampledLaw(names, draw, residuals), spec, F.domain)
+    return run_law(SampledLaw(names, draw, residuals, ("a", "v")), spec,
+                   F.domain)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -540,8 +561,8 @@ def check_lemma1_equivalence(ode: SecondOrderOde, spec: SampleSpec,
 
     def draw(rng, box):
         alpha, beta = draw_pair(rng, box)
-        return dict(alpha=alpha, beta=beta, a=draw_vec(rng, box, ode.dim),
-                    v=draw_vec(rng, box, ode.dim))
+        return dict(alpha=alpha, beta=beta, a=_draw_value(rng, box, ode.dim),
+                    v=_draw_value(rng, box, ode.dim))
 
     def residuals(s):
         alpha, beta, a, v = s["alpha"], s["beta"], s["a"], s["v"]
@@ -554,10 +575,10 @@ def check_lemma1_equivalence(ode: SecondOrderOde, spec: SampleSpec,
             for i, vi in enumerate(row[n:]):
                 mean_slope[i] += weight * vi
         slope = mean_slope[0] if n == 1 else np.array(mean_slope)
-        return [(0.0, s), (_gap(slope, _value(v, n)), s)]
+        return [(0.0, s), (_gap(slope, v), s)]
 
     law = SampledLaw(("lemma1_agreement", "lemma1_quadrature"), draw,
-                     residuals)
+                     residuals, ("a", "v"))
     return run_law(law, spec)
 
 
@@ -566,16 +587,20 @@ def evaluator_from_scalar(eval_f: Callable, eval_s: Optional[Callable] = None,
                           label: str = "") -> DependenceEvaluator:
     """Wrap scalar closed forms f(tau, alpha, beta, a, b) (and optionally
     s(tau, alpha, beta, a, v)) taking/returning plain floats.  The wrappers
-    take (1,) arrays and return the closed form's float as it is."""
+    take (1,) arrays and return the closed form's float as it is.  Each is
+    marked with its form (f_vec.scalar), which the laws call with floats
+    and no wrapper frame; a wrapper put on f_vec receives arrays."""
 
     def f_vec(tau, alpha, beta, a, b):
         return eval_f(tau, alpha, beta, float(a[0]), float(b[0]))
 
+    f_vec.scalar = eval_f
     s_vec = None
     if eval_s is not None:
         def s_vec(tau, alpha, beta, a, v):
             return eval_s(tau, alpha, beta, float(a[0]), float(v[0]))
 
+        s_vec.scalar = eval_s
     return DependenceEvaluator(dim=1, eval_f=f_vec, eval_s=s_vec,
                                domain=domain, label=label)
 
@@ -584,17 +609,16 @@ def evaluator_from_ode(ode: SecondOrderOde,
                        cfg: ShootingConfig = DEFAULT_SHOOTING,
                        domain: EvalDomain = EvalDomain(),
                        label: str = "") -> DependenceEvaluator:
-    """Wrap the numeric shooting solver on an ODE as a DependenceEvaluator."""
+    """Wrap the numeric shooting solver on an ODE as a DependenceEvaluator.
+    The conditions take a, b and v as floats or arrays, so each wrapper
+    marks itself as its float form (DependenceEvaluator)."""
 
     def f_vec(tau, alpha, beta, a, b):
-        cond = NeumannConditions(alpha, beta, np.asarray(a, dtype=float),
-                                 np.asarray(b, dtype=float))
-        return eval_F(ode, tau, cond, cfg)
+        return eval_F(ode, tau, NeumannConditions(alpha, beta, a, b), cfg)
 
     def s_vec(tau, alpha, beta, a, v):
-        cond = IntegralConditions(alpha, beta, np.asarray(a, dtype=float),
-                                  np.asarray(v, dtype=float))
-        return eval_S(ode, tau, cond, cfg)
+        return eval_S(ode, tau, IntegralConditions(alpha, beta, a, v), cfg)
 
+    f_vec.scalar, s_vec.scalar = f_vec, s_vec
     return DependenceEvaluator(dim=ode.dim, eval_f=f_vec, eval_s=s_vec,
                                domain=domain, label=label or ode.label)

@@ -4,6 +4,8 @@ The splitmix64 outputs for seed 0 are the reference values of the
 published algorithm (Steele/Lea/Flood), frozen here as the PRNG oracle.
 """
 
+import dataclasses
+import functools
 import json
 import math
 import signal
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as hst
 
-from febvp import catalog
+from febvp import catalog, functional_laws
 from febvp.bvp_shooting import DEFAULT_SHOOTING, ShootingConfig
 from febvp.errors import FebvpError
 from febvp.functional_laws import (
@@ -43,7 +45,9 @@ from febvp.closed_forms import (
     free_fall_S,
     linear_F,
 )
+from febvp.geodesics import GeodesicMap, check_klapka, flat_connection
 from febvp.ode_core import IntegratorConfig, SecondOrderOde
+from febvp.reconstruction import roundtrip_check
 
 SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
                     0x06C45D188009454F)
@@ -550,3 +554,141 @@ def test_float_harness_matches_the_numpy_path(maps, count, seed, ab_range):
             reports = reports if isinstance(reports, list) else [reports]
             docs.append(json.dumps([r.to_json() for r in reports]))
         assert docs[0] == docs[1]
+
+
+# ------------------------------------------- marked float forms
+
+def _receiving_floats(form):
+    """form, asserting that every call receives five Python floats."""
+    def call(*args):
+        assert len(args) == 5 and all(type(arg) is float for arg in args)
+        return form(*args)
+
+    return call
+
+
+def _array_evaluator(f, s):
+    """The dim-1 maps f and s as an unmarked evaluator on (1,) arrays."""
+    return DependenceEvaluator(
+        dim=1,
+        eval_f=lambda t, al, be, a, b: f(t, al, be, float(a[0]), float(b[0])),
+        eval_s=lambda t, al, be, a, v: s(t, al, be, float(a[0]), float(v[0])))
+
+
+def _docs(check, ev, spec):
+    reports = check(ev, spec)
+    reports = reports if isinstance(reports, list) else [reports]
+    return json.dumps([r.to_json() for r in reports])
+
+
+@settings(max_examples=60, deadline=None)
+@given(maps=_scalar_maps(), count=hst.integers(1, 25),
+       seed=hst.integers(0, 2 ** 64 - 1),
+       ab_range=hst.sampled_from([(-2.0, 2.0), (-1e3, 1e3), (-1e308, 1e308)]))
+def test_marked_float_forms_match_the_array_evaluator(maps, count, seed, ab_range):
+    # the laws call evaluator_from_scalar's forms themselves, on floats;
+    # an unmarked evaluator of the same maps receives (1,) arrays.  Every
+    # report must agree to the byte, faults (NaN, inf, raise) included.
+    f, s = (_receiving_floats(form) for form in maps)
+    floats = evaluator_from_scalar(f, s)
+    spec = SampleSpec(count=count, seed=seed, ab_range=ab_range)
+    for check in (check_composition, check_boundary, check_extension):
+        assert _docs(check, floats, spec) == _docs(check, _array_evaluator(f, s), spec)
+
+
+def _recording(fn, calls):
+    """fn, logging each call's name and checking it gets (1,) float64 arrays."""
+    def wrapper(t, al, be, a, x):
+        for arr in (a, x):
+            assert type(arr) is np.ndarray and arr.shape == (1,)
+            assert arr.dtype == np.float64
+        calls.append(fn.__name__)
+        return fn(t, al, be, a, x)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("wraps", [False, True])
+@pytest.mark.parametrize("make", [
+    lambda: catalog.closed_evaluator("conic", {"k": 2.0, "g": -2.0}),
+    lambda: catalog.numeric_evaluator("free_fall"),
+])
+@pytest.mark.parametrize("check, per_sample", [
+    (check_composition, ["f_vec"] * 4),
+    (check_boundary, ["f_vec"] * 2),
+    (check_extension, ["s_vec", "f_vec"] + ["s_vec"] * 4),
+])
+def test_a_wrapper_on_a_marked_evaluator_sees_every_call_on_arrays(
+        make, check, per_sample, wraps):
+    # a tracer or failure recorder puts its wrapper on eval_f and eval_s
+    # with dataclasses.replace; the laws must call the wrapper, with (1,)
+    # arrays, and report as they do on the marked evaluator's floats.
+    # functools.wraps copies the mark onto the wrapper too.
+    ev, calls = make(), []
+
+    def wrap(fn):
+        wrapper = _recording(fn, calls)
+        return functools.wraps(fn)(wrapper) if wraps else wrapper
+
+    wrapped = dataclasses.replace(ev, eval_f=wrap(ev.eval_f), eval_s=wrap(ev.eval_s))
+    spec = SampleSpec(count=6, seed=21)
+    assert _docs(check, wrapped, spec) == _docs(check, ev, spec)
+    assert calls == per_sample * 6
+
+
+@pytest.mark.parametrize("check", [check_composition, check_boundary, check_extension])
+def test_float_path_builds_no_array_per_sample(monkeypatch, check):
+    array, ev, counts = functional_laws.np.array, catalog.closed_evaluator("free_fall"), []
+    for count in (1, 50):
+        built = []
+        with monkeypatch.context() as m:
+            m.setattr(functional_laws.np, "array",
+                      lambda *args, **kwargs: built.append(args) or array(*args, **kwargs))
+            check(ev, SampleSpec(count=count, seed=22))
+        counts.append(len(built))
+    assert counts[0] == counts[1]
+
+
+def _shape(case):
+    """A worst case's JSON shape: the length of each list, "float" else."""
+    for value in case.values():
+        assert all(type(c) is float for c in (value if isinstance(value, list) else [value]))
+    return {key: len(value) if isinstance(value, list) else "float"
+            for key, value in case.items()}
+
+
+def _linear_2d():
+    """x'' = 0 in dim 2, as an evaluator on (2,) arrays."""
+    return DependenceEvaluator(
+        dim=2,
+        eval_f=lambda t, al, be, a, b: a + (b - a) * ((t - al) / (be - al)),
+        eval_s=lambda t, al, be, a, v: a + v * (t - al))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_worst_case_shapes(dim):
+    # data vectors are lists in every dimension, a dim-1 float as [x];
+    # every other value of a worst case is a float
+    ev = ff_evaluator() if dim == 1 else _linear_2d()
+    ode = (catalog.make_ode("free_fall")[0] if dim == 1
+           else SecondOrderOde(dim=2, rhs=lambda t, x, v: np.zeros(2)))
+    spec = SampleSpec(count=5, seed=23)
+    reports = [check_composition(ev, spec), check_boundary(ev, spec),
+               *check_extension(ev, spec), *check_lemma1_equivalence(ode, spec),
+               roundtrip_check(ode, spec=spec)]
+    want = [dict(tau="float", alpha="float", beta="float", gamma="float",
+                 delta="float", a=dim, b=dim),
+            dict(alpha="float", beta="float", a=dim, b=dim),
+            dict(tau="float", alpha="float", beta="float", a=dim, v=dim)]
+    want += [dict(tau="float", alpha="float", eps="float", a=dim, v=dim)] * 3
+    want += [dict(alpha="float", beta="float", a=dim, v=dim)] * 2
+    want += [dict(tau="float", x=dim, v=dim)]
+    assert [_shape(r.worst_case) for r in reports] == want
+    if dim == 1:
+        angelesco = catalog.check_angelesco(spec)
+        assert _shape(angelesco.worst_case) == dict.fromkeys(
+            ("k", "g", "alpha", "beta", "a", "b", "tau0", "delta"), "float")
+    else:
+        klapka = check_klapka(GeodesicMap(flat_connection()), spec)
+        assert _shape(klapka.worst_case) == dict(a=2, b=2, zeta="float",
+                                                 eta="float", rho="float")
