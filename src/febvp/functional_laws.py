@@ -161,12 +161,11 @@ class DependenceEvaluator:
     eval_s(tau, alpha, beta, a, v), and the domain it is defined on.
 
     Evaluators receive tau, alpha and beta as floats and a, b and v as
-    (dim,) float64 arrays, but for the dim-1 wrappers of
-    evaluator_from_scalar and evaluator_from_ode, whose mark (fn.scalar)
-    the laws call with a, b and v as floats.  A wrapper put on a marked
-    function is another evaluator and receives (1,) arrays.  Evaluators may
-    return a float (dim 1) or a (dim,) vector; any other shape fails the
-    sample."""
+    (dim,) float64 arrays.  In dim 1 the laws call the float function that
+    marks a wrapper of evaluator_from_scalar or evaluator_from_ode
+    (fn.scalar) with floats instead; a wrapper put on a marked function
+    receives arrays.  Evaluators may return a float (dim 1) or a (dim,)
+    vector; any other shape fails the sample."""
 
     dim: int
     eval_f: Callable
@@ -313,10 +312,10 @@ def _draw_value(rng: Splitmix64, box: SampleBox, dim: int):
 
 
 def _evaluator_call(fn: Callable, dim: int) -> Callable:
-    """fn as the laws call it, on harness values: in dim 1 the float form
-    fn is marked with (DependenceEvaluator), or else fn on (1,) arrays.
-    functools.wraps copies the mark onto a wrapper, but also sets
-    __wrapped__, which keeps such a wrapper on arrays."""
+    """fn as the laws call it, on harness values: in dim 1 the float
+    function fn is marked with (fn.scalar, see DependenceEvaluator), else
+    fn on (1,) arrays.  functools.wraps copies the mark onto a wrapper,
+    but also sets __wrapped__, which keeps such a wrapper on arrays."""
     if dim != 1:
         return fn
     form = getattr(fn, "scalar", None)
