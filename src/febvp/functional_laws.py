@@ -160,12 +160,10 @@ class DependenceEvaluator:
     """A dependence map under test: eval_f(tau, alpha, beta, a, b), optional
     eval_s(tau, alpha, beta, a, v), and the domain it is defined on.
 
-    Evaluators receive tau, alpha and beta as floats and a, b and v as
-    (dim,) float64 arrays.  In dim 1 the laws call the float function that
-    marks a wrapper of evaluator_from_scalar or evaluator_from_ode
-    (fn.scalar) with floats instead; a wrapper put on a marked function
-    receives arrays.  Evaluators may return a float (dim 1) or a (dim,)
-    vector; any other shape fails the sample."""
+    Evaluators receive tau, alpha and beta as floats, and a, b and v as
+    floats in dim 1 and (dim,) float64 arrays in dim n.  They may return
+    a float (dim 1) or a (dim,) vector; any other shape fails the
+    sample."""
 
     dim: int
     eval_f: Callable
@@ -311,23 +309,6 @@ def _draw_value(rng: Splitmix64, box: SampleBox, dim: int):
     return rng.uniform(*box.values) if dim == 1 else draw_vec(rng, box, dim)
 
 
-def _evaluator_call(fn: Callable, dim: int) -> Callable:
-    """fn as the laws call it, on harness values: in dim 1 the float
-    function fn is marked with (fn.scalar, see DependenceEvaluator), else
-    fn on (1,) arrays.  functools.wraps copies the mark onto a wrapper,
-    but also sets __wrapped__, which keeps such a wrapper on arrays."""
-    if dim != 1:
-        return fn
-    form = getattr(fn, "scalar", None)
-    if form is not None and not hasattr(fn, "__wrapped__"):
-        return form
-
-    def arrays(tau, alpha, beta, x, y):
-        return fn(tau, alpha, beta, np.array([x]), np.array([y]))
-
-    return arrays
-
-
 def _as_value(raw, dim: int):
     """An evaluator's result as a harness value."""
     if dim == 1 and type(raw) is float:
@@ -423,7 +404,7 @@ def check_composition(F: DependenceEvaluator, spec: SampleSpec) -> LawReport:
     Draw order per sample: tau; (alpha, beta) pair; (gamma, delta) pair;
     a components; b components.
     """
-    dim, f = F.dim, _evaluator_call(F.eval_f, F.dim)
+    dim, f = F.dim, F.eval_f
 
     def draw(rng, box):
         tau = rng.uniform(*box.tau)
@@ -452,7 +433,7 @@ def check_boundary(F: DependenceEvaluator, spec: SampleSpec) -> LawReport:
 
     Draw order per sample: (alpha, beta) pair; a components; b components.
     """
-    dim, f = F.dim, _evaluator_call(F.eval_f, F.dim)
+    dim, f = F.dim, F.eval_f
 
     def draw(rng, box):
         alpha, beta = draw_pair(rng, box)
@@ -494,8 +475,7 @@ def check_extension(F: DependenceEvaluator,
     names = ("extension_offdiag",) + tuple(
         f"extension_diag_{eps:.0e}".replace("e-0", "e-")
         for eps in DIAG_EPSILONS)
-    dim = F.dim
-    f, s_map = _evaluator_call(F.eval_f, dim), _evaluator_call(F.eval_s, dim)
+    dim, f, s_map = F.dim, F.eval_f, F.eval_s
 
     def draw(rng, box):
         tau = rng.uniform(*box.tau)
@@ -584,23 +564,9 @@ def check_lemma1_equivalence(ode: SecondOrderOde, spec: SampleSpec,
 def evaluator_from_scalar(eval_f: Callable, eval_s: Optional[Callable] = None,
                           domain: EvalDomain = EvalDomain(),
                           label: str = "") -> DependenceEvaluator:
-    """Wrap scalar closed forms f(tau, alpha, beta, a, b) (and optionally
-    s(tau, alpha, beta, a, v)) taking/returning plain floats.  The wrappers
-    take (1,) arrays and return the closed form's float as it is.  Each is
-    marked with its form (f_vec.scalar), which the laws call with floats
-    and no wrapper frame; a wrapper put on f_vec receives arrays."""
-
-    def f_vec(tau, alpha, beta, a, b):
-        return eval_f(tau, alpha, beta, float(a[0]), float(b[0]))
-
-    f_vec.scalar = eval_f
-    s_vec = None
-    if eval_s is not None:
-        def s_vec(tau, alpha, beta, a, v):
-            return eval_s(tau, alpha, beta, float(a[0]), float(v[0]))
-
-        s_vec.scalar = eval_s
-    return DependenceEvaluator(dim=1, eval_f=f_vec, eval_s=s_vec,
+    """Scalar closed forms f(tau, alpha, beta, a, b) (and optionally
+    s(tau, alpha, beta, a, v)) on plain floats as a dim-1 evaluator."""
+    return DependenceEvaluator(dim=1, eval_f=eval_f, eval_s=eval_s,
                                domain=domain, label=label)
 
 
@@ -609,8 +575,7 @@ def evaluator_from_ode(ode: SecondOrderOde,
                        domain: EvalDomain = EvalDomain(),
                        label: str = "") -> DependenceEvaluator:
     """Wrap the numeric shooting solver on an ODE as a DependenceEvaluator.
-    The conditions take a, b and v as floats or arrays, so each wrapper
-    marks itself as its float form (DependenceEvaluator)."""
+    The conditions take a, b and v as floats (dim 1) or arrays (dim n)."""
 
     def f_vec(tau, alpha, beta, a, b):
         return eval_F(ode, tau, NeumannConditions(alpha, beta, a, b), cfg)
@@ -618,6 +583,5 @@ def evaluator_from_ode(ode: SecondOrderOde,
     def s_vec(tau, alpha, beta, a, v):
         return eval_S(ode, tau, IntegralConditions(alpha, beta, a, v), cfg)
 
-    f_vec.scalar, s_vec.scalar = f_vec, s_vec
     return DependenceEvaluator(dim=ode.dim, eval_f=f_vec, eval_s=s_vec,
                                domain=domain, label=label or ode.label)

@@ -476,21 +476,6 @@ def integrate_ivp(ode: SecondOrderOde, start: StatePoint, tau_end: float,
                       run, q, label=ode.label)
 
 
-def _integrate_scalar(f, t0: float, x0: float, v0: float, t_end: float,
-                      cfg: IntegratorConfig):
-    """The dim-1 kernel on a float rhs f(tau, x, v) -> float, recording."""
-    return _kernel(1, "scalar", f)(f, t0, (x0, v0), t_end, cfg, True)
-
-
-def _integrate_vector(ode: SecondOrderOde, t0: float, start: StatePoint,
-                      t_end: float, cfg: IntegratorConfig):
-    """The dim-n kernel on ``ode.rhs1``, or on ``ode.rhs`` behind _float_rhs,
-    recording.  Both are looked up on every call."""
-    f = ode.rhs1 if ode.rhs1 is not None else _float_rhs(ode.rhs, ode.dim)
-    y0 = np.concatenate([start.x, start.v]).astype(float).tolist()
-    return _kernel(ode.dim, "vector", f)(f, t0, y0, t_end, cfg, True)
-
-
 def _float_rhs(rhs: Callable, n: int) -> Callable:
     """The float-level form f(tau, xs, vs) -> list of n floats of an array
     rhs, which gets fresh (n,) arrays.  A float64 (n,) result is read back

@@ -163,8 +163,8 @@ def test_closed_and_numeric_evaluators_agree(name, overrides):
         beta = rng.uniform(lo, hi)
         if abs(beta - alpha) < 0.3:
             continue
-        a = np.array([rng.uniform(-1.0, 1.0)])
-        b = np.array([rng.uniform(-1.0, 1.0)])
+        a = rng.uniform(-1.0, 1.0)
+        b = rng.uniform(-1.0, 1.0)
         tau = rng.uniform(tau_lo, tau_hi)
         want = closed.eval_f(tau, alpha, beta, a, b)
         got = numeric.eval_f(tau, alpha, beta, a, b)

@@ -333,7 +333,7 @@ def test_reports_are_deterministic():
 def test_numeric_evaluator_consistent_with_closed():
     ode = SecondOrderOde.from_scalar(lambda t, x, v: -9.8, label="ff")
     num = evaluator_from_ode(ode, DEFAULT_SHOOTING)
-    got = num.eval_f(0.3, 0.0, 1.0, np.array([0.2]), np.array([-0.4]))
+    got = num.eval_f(0.3, 0.0, 1.0, 0.2, -0.4)
     want = free_fall_F(-9.8, 0.3, 0.0, 1.0, 0.2, -0.4)
     assert abs(float(got[0]) - want) < 1e-9
 
@@ -342,8 +342,7 @@ def test_mean_of_equal_residuals_stays_at_their_max():
     # 0.1 three times sums to 0.30000000000000004, whose third lies above
     # 0.1: the mean must be clamped to the maximum, not rejected
     ev = DependenceEvaluator(
-        dim=1, eval_f=lambda t, al, be, a, b: (np.asarray(a) + 0.1 if t == al
-                                               else np.asarray(b) + 0.1))
+        dim=1, eval_f=lambda t, al, be, a, b: a + 0.1 if t == al else b + 0.1)
     rep = check_boundary(ev, SampleSpec(count=3, seed=0,
                                         ab_range=(0.0, 1e-20)))
     assert rep.failures == 0
@@ -357,15 +356,13 @@ def counting_evaluator(calls, fail_s=lambda al, be: False):
 
     def eval_f(t, al, be, a, b):
         calls.append("f")
-        return np.array([free_fall_F(-9.8, t, al, be, float(a[0]),
-                                     float(b[0]))])
+        return free_fall_F(-9.8, t, al, be, a, b)
 
     def eval_s(t, al, be, a, v):
         calls.append("s")
         if fail_s(al, be):
             raise EvaluatorFailure("synthetic")
-        return np.array([free_fall_S(-9.8, t, al, be, float(a[0]),
-                                     float(v[0]))])
+        return free_fall_S(-9.8, t, al, be, a, v)
 
     return DependenceEvaluator(dim=1, eval_f=eval_f, eval_s=eval_s)
 
@@ -510,15 +507,20 @@ def _faulty(form, fault, cut):
 
 
 def _checking_inputs(fn):
-    """fn, asserting that every call receives floats and (1,) float arrays."""
-    def call(t, al, be, a, x):
-        assert all(type(arg) is float for arg in (t, al, be))
-        for arr in (a, x):
-            assert type(arr) is np.ndarray and arr.shape == (1,)
-            assert arr.dtype == np.float64
-        return fn(t, al, be, a, x)
+    """fn, asserting that every call receives five Python floats."""
+    def call(*args):
+        assert len(args) == 5 and all(type(arg) is float for arg in args)
+        return fn(*args)
 
     return call
+
+
+def _array_evaluator(f, s):
+    """The dim-1 maps f and s as an evaluator returning (1,) arrays."""
+    return DependenceEvaluator(
+        dim=1,
+        eval_f=lambda t, al, be, a, b: np.array([f(t, al, be, a, b)]),
+        eval_s=lambda t, al, be, a, v: np.array([s(t, al, be, a, v)]))
 
 
 @hst.composite
@@ -528,51 +530,6 @@ def _scalar_maps(draw):
     cut = hst.floats(-2.0, 2.0)
     return (_faulty(f, draw(faults), draw(cut)),
             _faulty(s, draw(faults), draw(cut)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(maps=_scalar_maps(), count=hst.integers(1, 25),
-       seed=hst.integers(0, 2 ** 64 - 1),
-       ab_range=hst.sampled_from([(-2.0, 2.0), (-1e3, 1e3), (-1e308, 1e308)]))
-def test_float_harness_matches_the_numpy_path(maps, count, seed, ab_range):
-    # evaluator_from_scalar returns the map's floats, which the harness
-    # keeps as floats; the same map returning (1,) arrays goes through
-    # the NumPy conversion.  Every report must agree to the byte.
-    f, s = maps
-    floats = evaluator_from_scalar(f, s)
-    arrays = DependenceEvaluator(
-        dim=1,
-        eval_f=lambda t, al, be, a, b: np.array([f(t, al, be, float(a[0]), float(b[0]))]),
-        eval_s=lambda t, al, be, a, v: np.array([s(t, al, be, float(a[0]), float(v[0]))]))
-    spec = SampleSpec(count=count, seed=seed, ab_range=ab_range)
-    for check in (check_composition, check_boundary, check_extension):
-        docs = []
-        for ev in (floats, arrays):
-            checked = DependenceEvaluator(dim=1, eval_f=_checking_inputs(ev.eval_f),
-                                          eval_s=_checking_inputs(ev.eval_s))
-            reports = check(checked, spec)
-            reports = reports if isinstance(reports, list) else [reports]
-            docs.append(json.dumps([r.to_json() for r in reports]))
-        assert docs[0] == docs[1]
-
-
-# ------------------------------------------- marked float forms
-
-def _receiving_floats(form):
-    """form, asserting that every call receives five Python floats."""
-    def call(*args):
-        assert len(args) == 5 and all(type(arg) is float for arg in args)
-        return form(*args)
-
-    return call
-
-
-def _array_evaluator(f, s):
-    """The dim-1 maps f and s as an unmarked evaluator on (1,) arrays."""
-    return DependenceEvaluator(
-        dim=1,
-        eval_f=lambda t, al, be, a, b: f(t, al, be, float(a[0]), float(b[0])),
-        eval_s=lambda t, al, be, a, v: s(t, al, be, float(a[0]), float(v[0])))
 
 
 def _docs(check, ev, spec):
@@ -585,27 +542,34 @@ def _docs(check, ev, spec):
 @given(maps=_scalar_maps(), count=hst.integers(1, 25),
        seed=hst.integers(0, 2 ** 64 - 1),
        ab_range=hst.sampled_from([(-2.0, 2.0), (-1e3, 1e3), (-1e308, 1e308)]))
-def test_marked_float_forms_match_the_array_evaluator(maps, count, seed, ab_range):
-    # the laws call evaluator_from_scalar's forms themselves, on floats;
-    # an unmarked evaluator of the same maps receives (1,) arrays.  Every
-    # report must agree to the byte, faults (NaN, inf, raise) included.
-    f, s = (_receiving_floats(form) for form in maps)
-    floats = evaluator_from_scalar(f, s)
+def test_float_harness_matches_the_numpy_path(maps, count, seed, ab_range):
+    # evaluator_from_scalar returns the map's floats, which the harness
+    # keeps as floats; the same map returning (1,) arrays goes through
+    # the NumPy conversion.  Every report must agree to the byte, faults
+    # (NaN, inf, raise) included.
+    f, s = maps
     spec = SampleSpec(count=count, seed=seed, ab_range=ab_range)
     for check in (check_composition, check_boundary, check_extension):
-        assert _docs(check, floats, spec) == _docs(check, _array_evaluator(f, s), spec)
+        docs = []
+        for ev in (evaluator_from_scalar(f, s), _array_evaluator(f, s)):
+            checked = DependenceEvaluator(dim=1, eval_f=_checking_inputs(ev.eval_f),
+                                          eval_s=_checking_inputs(ev.eval_s))
+            docs.append(_docs(check, checked, spec))
+        assert docs[0] == docs[1]
 
 
-def _recording(fn, calls):
-    """fn, logging each call's name and checking it gets (1,) float64 arrays."""
-    def wrapper(t, al, be, a, x):
-        for arr in (a, x):
-            assert type(arr) is np.ndarray and arr.shape == (1,)
-            assert arr.dtype == np.float64
-        calls.append(fn.__name__)
-        return fn(t, al, be, a, x)
+# ------------------------------------------- wrapped evaluators
 
-    return wrapper
+def _spanned(ev):
+    """ev with eval_f and eval_s behind plain forwarding wrappers, as a
+    tracer's spans put them."""
+    def span(fn):
+        def wrapper(*args, **kwargs):
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    return dataclasses.replace(ev, eval_f=span(ev.eval_f), eval_s=span(ev.eval_s))
 
 
 @pytest.mark.parametrize("wraps", [False, True])
@@ -614,31 +578,39 @@ def _recording(fn, calls):
     lambda: catalog.numeric_evaluator("free_fall"),
 ])
 @pytest.mark.parametrize("check, per_sample", [
-    (check_composition, ["f_vec"] * 4),
-    (check_boundary, ["f_vec"] * 2),
-    (check_extension, ["s_vec", "f_vec"] + ["s_vec"] * 4),
+    (check_composition, "ffff"),
+    (check_boundary, "ff"),
+    (check_extension, "sfssss"),
 ])
-def test_a_wrapper_on_a_marked_evaluator_sees_every_call_on_arrays(
+def test_a_wrapper_on_an_evaluator_sees_every_call_on_floats(
         make, check, per_sample, wraps):
     # a tracer or failure recorder puts its wrapper on eval_f and eval_s
-    # with dataclasses.replace; the laws must call the wrapper, with (1,)
-    # arrays, and report as they do on the marked evaluator's floats.
-    # functools.wraps copies the mark onto the wrapper too.
+    # with dataclasses.replace; the laws must call the wrapper with five
+    # floats and report as they do on the bare evaluator.
     ev, calls = make(), []
 
-    def wrap(fn):
-        wrapper = _recording(fn, calls)
+    def wrap(fn, name):
+        checked = _checking_inputs(fn)
+
+        def wrapper(*args):
+            calls.append(name)
+            return checked(*args)
+
         return functools.wraps(fn)(wrapper) if wraps else wrapper
 
-    wrapped = dataclasses.replace(ev, eval_f=wrap(ev.eval_f), eval_s=wrap(ev.eval_s))
+    wrapped = dataclasses.replace(ev, eval_f=wrap(ev.eval_f, "f"), eval_s=wrap(ev.eval_s, "s"))
     spec = SampleSpec(count=6, seed=21)
     assert _docs(check, wrapped, spec) == _docs(check, ev, spec)
-    assert calls == per_sample * 6
+    assert "".join(calls) == per_sample * 6
 
 
+@pytest.mark.parametrize("make", [
+    lambda: catalog.closed_evaluator("free_fall"),
+    lambda: _spanned(catalog.closed_evaluator("conic", {"k": 2.0, "g": -2.0})),
+], ids=["bare", "wrapped"])
 @pytest.mark.parametrize("check", [check_composition, check_boundary, check_extension])
-def test_float_path_builds_no_array_per_sample(monkeypatch, check):
-    array, ev, counts = functional_laws.np.array, catalog.closed_evaluator("free_fall"), []
+def test_float_path_builds_no_array_per_sample(monkeypatch, check, make):
+    array, ev, counts = functional_laws.np.array, make(), []
     for count in (1, 50):
         built = []
         with monkeypatch.context() as m:

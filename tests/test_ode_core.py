@@ -35,8 +35,7 @@ from febvp.ode_core import (
     StepSizeUnderflow,
     _P,
     _P_ARR,
-    _integrate_scalar,
-    _integrate_vector,
+    _float_rhs,
     _kernel,
     _pi_factor,
     integrate_ivp,
@@ -283,6 +282,26 @@ def test_scalar_and_vector_kernels_agree_within_fixed_tolerance():
         a, b = scalar.eval(t), vector.eval(t)
         assert abs(float(a.x[0]) - float(b.x[0])) <= 1e-12
         assert abs(float(a.v[0]) - float(b.v[0])) <= 1e-12
+
+
+# ------------------------------------------------- kernel entry points
+#
+# The compiled kernels, called as the parity tests below call them: on the
+# start state directly, recording, outside integrate_ivp.
+
+def _integrate_scalar(f, t0: float, x0: float, v0: float, t_end: float,
+                      cfg: IntegratorConfig):
+    """The dim-1 kernel on a float rhs f(tau, x, v) -> float, recording."""
+    return _kernel(1, "scalar", f)(f, t0, (x0, v0), t_end, cfg, True)
+
+
+def _integrate_vector(ode: SecondOrderOde, t0: float, start: StatePoint,
+                      t_end: float, cfg: IntegratorConfig):
+    """The dim-n kernel on ``ode.rhs1``, or on ``ode.rhs`` behind _float_rhs,
+    recording.  Both are looked up on every call."""
+    f = ode.rhs1 if ode.rhs1 is not None else _float_rhs(ode.rhs, ode.dim)
+    y0 = np.concatenate([start.x, start.v]).astype(float).tolist()
+    return _kernel(ode.dim, "vector", f)(f, t0, y0, t_end, cfg, True)
 
 
 # ------------------------------------------------- scalar kernel bit parity
