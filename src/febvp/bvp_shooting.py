@@ -14,9 +14,13 @@ conjugate interval admits many solutions through the same endpoint data, and
 a converged residual alone cannot tell).
 
 One Newton loop serves every dimension, which picks how the residual is
-read, the Jacobian J formed, its singular values taken and the step solved:
-NumPy in dim n, and in dim 1 Python floats with LAPACK's 1x1 bits (-r / J
-as solve gives it, |J| as the SVD does; a NaN J does not decompose).
+read, the Jacobian J formed, its singular values taken and the step solved.
+All of it is Python float arithmetic, so no BLAS or LAPACK kernel, and no
+CPU it picks, decides a bit.  In dim 1 the step is -r / J and the singular
+value |J| (LAPACK's 1x1 bits; a NaN J does not decompose).  In dim n the
+residual and the Jacobian's columns are NumPy elementwise differences, the
+step is Gaussian elimination with partial pivoting, and the singular
+values come from a one-sided Jacobi SVD (_solve and _singular_values).
 """
 
 from __future__ import annotations
@@ -132,6 +136,98 @@ class IntegralConditions:
 _FD_STEP = 1e-6
 _MAX_HALVINGS = 20
 _COND_LIMIT = 1e12
+# The one-sided Jacobi SVD of an n x n matrix rotates a pair of columns
+# while the cosine of their angle exceeds n * _EPS (LAPACK dgesvj's
+# tolerance) and neither column's norm is below n * _EPS times the
+# matrix's, for at most _JACOBI_SWEEPS sweeps.
+_EPS = 2.0 ** -52
+_JACOBI_SWEEPS = 60
+
+
+def _solve(rows: list[list[float]], rhs: list[float]) -> list[float] | None:
+    """x with rows @ x = rhs, by Gaussian elimination with partial pivoting
+    (the first largest |pivot| of a column) and back substitution, in
+    floats.  A zero pivot means rows is singular: None."""
+    n = len(rhs)
+    m = [row + [b] for row, b in zip(rows, rhs)]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(m[i][k]))
+        if m[p][k] == 0.0:
+            return None
+        m[k], m[p] = m[p], m[k]
+        pivot = m[k]
+        for row in m[k + 1:]:
+            f = row[k] / pivot[k]
+            for j in range(k + 1, n + 1):
+                row[j] -= f * pivot[j]
+    x = [0.0] * n
+    for k in reversed(range(n)):
+        row, acc = m[k], m[k][n]
+        for j in range(k + 1, n):
+            acc -= row[j] * x[j]
+        x[k] = acc / row[k]
+    return x
+
+
+def _singular_values(columns: list[list[float]]) -> list[float] | None:
+    """The singular values, largest first, of the matrix with these columns,
+    by a one-sided Jacobi SVD (Hestenes; Demmel & Veselic 1992) in floats:
+    plane rotations make the columns orthogonal, and their norms are the
+    singular values.  The matrix is scaled by a power of two (exactly) so
+    that no square overflows.  A NaN entry, or no convergence, gives None
+    (it does not decompose); an infinite one gives infinite values."""
+    flat = [abs(a) for col in columns for a in col]
+    if any(a != a for a in flat):
+        return None
+    top = max(flat)
+    if math.isinf(top):
+        return [math.inf] * len(columns)
+    if top == 0.0:
+        return [0.0] * len(columns)
+    e = math.frexp(top)[1]
+    cols = [[math.ldexp(a, -e) for a in col] for col in columns]
+    tol = len(cols) * _EPS
+    # a column this small is rank-deficiency noise: its value is about 0
+    negligible = 0.0
+    for col in cols:
+        for a in col:
+            negligible += a * a
+    negligible *= tol * tol
+    for _ in range(_JACOBI_SWEEPS):
+        rotated = False
+        for i in range(len(cols) - 1):
+            for j in range(i + 1, len(cols)):
+                ci, cj = cols[i], cols[j]
+                alpha = beta = gamma = 0.0
+                for a, b in zip(ci, cj):
+                    alpha += a * a
+                    beta += b * b
+                    gamma += a * b
+                if (alpha <= negligible or beta <= negligible
+                        or abs(gamma) <= tol * math.sqrt(alpha) * math.sqrt(beta)):
+                    continue
+                rotated = True
+                # the rotation that zeroes gamma, by its smaller angle
+                zeta = (beta - alpha) / (2.0 * gamma)
+                if abs(zeta) > 1e150:
+                    t = 0.5 / zeta
+                else:
+                    t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = c * t
+                cols[i] = [c * a - s * b for a, b in zip(ci, cj)]
+                cols[j] = [s * a + c * b for a, b in zip(ci, cj)]
+        if not rotated:
+            break
+    else:
+        return None
+    norms = []
+    for col in cols:
+        ss = 0.0
+        for a in col:
+            ss += a * a
+        norms.append(math.ldexp(math.sqrt(ss), e))
+    return sorted(norms, reverse=True)
 
 
 @dataclass(frozen=True)
@@ -252,26 +348,22 @@ def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
             return r, float(np.max(np.abs(r)))
 
         def jacobian(u, r_base):
-            J = np.empty((n, n))
+            # J as its n columns
+            J = []
             for j in range(n):
                 dj = _FD_STEP * max(1.0, abs(float(u[j])))
                 up = u.copy()
                 up[j] += dj
-                J[:, j] = (residual(up)[0] - r_base) / dj
+                J.append(((residual(up)[0] - r_base) / dj).tolist())
             return J
 
-        def singular_values(J):
-            try:
-                return np.linalg.svd(J, compute_uv=False).tolist()
-            except np.linalg.LinAlgError:
-                return None
+        singular_values = _singular_values
 
         def newton_step(J, r):
-            try:
-                s = np.linalg.solve(J, -r)
-            except np.linalg.LinAlgError:
+            s = _solve([list(row) for row in zip(*J)], (-r).tolist())
+            if s is None:
                 raise ConjugatePoint("shooting Jacobian solve failed", interval=interval)
-            return s if np.all(np.isfinite(s)) else None
+            return np.array(s) if all(map(math.isfinite, s)) else None
 
         with np.errstate(over="ignore", invalid="ignore"):
             u = (b - a) / interval

@@ -20,7 +20,7 @@ one, and this module none), and the kernel runs that source inline, with
 its temporaries renamed per stage and its constants read from the
 function's globals once per run, so a new parameter value reuses the
 compiled kernel.  Any other callable, a wrapper around a generated one
-included, is called on every stage.  The two variants differ in three
+included, is called on every stage.  The two variants differ in two
 snippets:
 
 - the rhs call: the dim-1 variant's ``rhs1`` takes and returns floats,
@@ -30,20 +30,21 @@ snippets:
   the length and each value's finiteness as they come (an inline source
   has the variant's shape, and its values are checked in the same order);
 - the error scale: builtin max in dim 1, np.maximum's rule (a NaN wins)
-  in dim n;
-- the error norm: a plain sum in dim 1; in dim n the ratios are divided
-  in Python floats and summed by NumPy's dot, because OpenBLAS ``ddot``
-  rounds like a sequence of fused multiply-adds, which a Python sum does
-  not reproduce.  In both, a zero scale makes the division raise
-  ZeroDivisionError, which rejects the step; the dim-n norm also skips
-  the dot where its squares would overflow (and NumPy warn), since the
-  step is rejected then too.
+  in dim n.
 
-Each statement is the scalar form of a whole-array NumPy expression, in
-its operation order (NumPy's elementwise ops round as Python floats do),
-so the dim-n bits are those of the array version; the tests keep both an
-array reference kernel and a plain dim-1 one, and pin every result to
-theirs bit for bit.
+The error norm is the same in both: sqrt(ss / 2n), where ss sums the
+squared ratios left to right in Python floats, x components first, then
+v components.  (That is the order OpenBLAS's AVX2 ``ddot`` kernels sum a
+(2n,) vector in, but no BLAS call decides it, so no CPU does.)  A zero
+scale makes the division raise ZeroDivisionError, and an inf or NaN ss
+makes en inf or NaN; either rejects the step.
+
+Each other statement is the scalar form of a whole-array NumPy expression,
+in its operation order (NumPy's elementwise ops round as Python floats
+do), so the dim-n bits are those of the array version; the tests keep
+both an array reference kernel and a plain dim-1 one, and pin every
+result to theirs bit for bit.  With one norm, a dim-1 ode gives the same
+bits on either variant.
 
 The step loop records its accepted steps only when its ``record``
 argument is set.  integrate_ivp runs it with recording off, keeping the
@@ -63,12 +64,14 @@ Every evaluation is one batched read, Trajectory.read, which returns plain
 floats.  When every tau is a span end it returns the stored end rows, with
 no bisect (shooting residuals and extension starts read these).  Else a
 knot tau reads its stored state, and each step touched by an interior tau
-builds its q once (in dim 1 from straight-line float code generated once,
-in dim n as K.T @ P), after which all interior taus take one stacked
-matrix product, (m, 2n, 4) @ (m, 4, 1), and y0 + h * qp.  These are the
-per-tau operations of the quartic interpolant, batched, so every tau has
-the same bits alone or in a batch.  Only the public eval and eval_many
-build StatePoints from the rows.
+builds its q = K.T @ P once, as straight-line float code generated per
+dimension (_dense_q).  Then q @ p is, in dim 1, one stacked matrix
+product over all interior taus, (m, 2, 4) @ (m, 4, 1) (whose bits were
+the same on every OpenBLAS kernel tried), and in dim n each row's four
+terms summed left to right in floats; and the row is y0 + h * qp.  These
+are the per-tau operations of the quartic interpolant, batched, so every
+tau has the same bits alone or in a batch.  Only the public eval and
+eval_many build StatePoints from the rows.
 
 A step too small to move tau (t + h == t, far from 0) raises
 StepSizeUnderflow, as one below h_min does.
@@ -245,7 +248,6 @@ _P = (
     (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
-_P_ARR = np.array(_P)
 _FLOAT64 = np.dtype(float)
 # The nonzero entries (s, P[s][j]) of each column j of P, in stage order.
 _P_COLUMNS = tuple(tuple((s, row[j]) for s, row in enumerate(_P) if row[j] != 0.0)
@@ -266,29 +268,23 @@ _ERR_PREV_INIT = 1e-4
 _FLUSH_DOUBLES = 4096
 
 
-def _unrolled_q() -> Callable:
-    """The dim-1 q of a scalar-kernel step record, ``q(steps, base, n2)``:
-    the 8 floats (x row, then v row) of each column of P summed from 0.0
-    over its nonzero entries in stage order, as straight-line float code."""
-    terms = ", ".join(f"kx{s}, kv{s}" for s in range(7))
-    sums = ", ".join(" + ".join(["0.0"] + [f"{p!r} * k{c}{s}" for s, p in column])
-                     for c in "xv" for column in _P_COLUMNS)
-    source = (f"def q(steps, base, n2):\n"
-              f"    {terms} = steps[base + 4:base + 18]\n"
-              f"    return ({sums})\n")
-    scope: dict = {}
-    exec(compile(source, "<febvp.ode_core dense q, dim 1>", "exec"), {}, scope)
-    return scope["q"]
+def _dense_q(n: int) -> Callable:
+    """The q of a step record in dimension n, ``q(steps, base)``: the 8n
+    floats (row-major (2n, 4), x rows, then v rows) of K.T @ P, each
+    summed from 0.0 over its column of P's nonzero entries in stage order,
+    as straight-line float code compiled on first use into _DENSE_Q."""
 
+    def build() -> tuple[str, str]:
+        n2 = 2 * n
+        names = ", ".join(f"k{s}_{r}" for s in range(7) for r in range(n2))
+        sums = ", ".join(" + ".join(["0.0"] + [f"{p!r} * k{s}_{r}" for s, p in column])
+                         for r in range(n2) for column in _P_COLUMNS)
+        return (f"<febvp.ode_core dense q, dim {n}>",
+                f"def q(steps, base):\n"
+                f"    {names}, = steps[base + {2 + n2}:base + {2 + 8 * n2}]\n"
+                f"    return ({sums},)\n")
 
-_q_scalar = _unrolled_q()
-
-
-def _q_vector(steps: array, base: int, n2: int) -> np.ndarray:
-    """The (2n, 4) q of a vector-kernel step record: K.T @ P, as one matrix
-    product."""
-    K = np.frombuffer(steps, count=7 * n2, offset=8 * (base + 2 + n2)).reshape(7, n2)
-    return K.T @ _P_ARR
+    return _DENSE_Q.function(n, build, globals())
 
 
 class Trajectory:
@@ -308,21 +304,21 @@ class Trajectory:
 
     Every evaluation goes through read: exactly at a knot it returns the
     stored state; strictly inside a step it evaluates the step's quartic
-    interpolant, built from the record with the arithmetic of the kernel
-    that produced the run.  Nothing is kept between calls but the record,
-    so every query gives the same bits in any order and in any batch.
+    interpolant, built from the record (the same arithmetic whichever
+    kernel variant produced the run).  Nothing is kept between calls but
+    the record, so every query gives the same bits in any order and in any
+    batch.
     ``span``, ``n_segments`` and reads at the ends never record.
     """
 
     def __init__(self, dim: int, knots: array, states: array, n_segments: int,
-                 run: Callable | None = None, q: Callable = _q_vector, label: str = ""):
+                 run: Callable | None = None, label: str = ""):
         self.dim = dim
         self._ends = knots, states
         self.n_segments = n_segments  # accepted steps
         self._run = run
         if run is None:
             self._knots, self._states, self._steps = knots, states, array("d")
-        self._q = q
         self._backward = knots[-1] < knots[0]
         self.label = label
 
@@ -378,8 +374,9 @@ class Trajectory:
         they are.  Else a knot tau reads its stored state, and an interior
         tau its step's interpolant y0 + h * (q @ p), with th = (tau - t) / h
         and p = (th, th^2, th^3, th^4): q is built once per touched step,
-        and the q @ p of all interior taus are one stacked matrix product.
-        Only an interior tau records the run.
+        and in dim 1 the q @ p of all interior taus are one stacked matrix
+        product; in dim n each is summed left to right in floats.  Only an
+        interior tau records the run.
 
         Raises:
             OutOfSpan: a tau lies outside [span lo, span hi].
@@ -402,7 +399,7 @@ class Trajectory:
         rows = []
         # per interior tau: (its place in rows, h, y0), then its q and p
         inner, qs, ps = [], [], []
-        built = {}
+        built, q_of = {}, _dense_q(self.dim)
         for tau in taus:
             if self._backward:
                 i = bisect.bisect_left(knots, -tau, key=operator.neg)
@@ -414,19 +411,24 @@ class Trajectory:
             base = (i - 1) * (2 + 8 * n2)
             q = built.get(i)
             if q is None:
-                q = built[i] = self._q(steps, base, n2)
+                q = built[i] = q_of(steps, base)
             h = steps[base + 1]
             th = (tau - steps[base]) / h
             inner.append((len(rows), h, steps[base + 2:base + 2 + n2]))
             rows.append(None)
             qs.append(q)
             ps.append((th, th * th, th ** 3, th ** 4))
-        if inner:
+        if n2 == 2 and inner:
             m = len(inner)
-            qp = np.matmul(np.array(qs).reshape(m, n2, 4), np.array(ps).reshape(m, 4, 1))
-            # y0 + h * qp in plain floats, which round as NumPy's do
-            for (j, h, y0), hq in zip(inner, qp.reshape(m, n2).tolist()):
-                rows[j] = [y + h * c for y, c in zip(y0, hq)]
+            qp = np.matmul(np.array(qs).reshape(m, n2, 4),
+                           np.array(ps).reshape(m, 4, 1)).reshape(m, n2).tolist()
+        else:
+            # each row of q times p, summed left to right
+            qp = [[a * p1 + b * p2 + c * p3 + d * p4 for a, b, c, d in zip(*[iter(q)] * 4)]
+                  for q, (p1, p2, p3, p4) in zip(qs, ps)]
+        # y0 + h * qp in plain floats, which round as NumPy's do
+        for (j, h, y0), hq in zip(inner, qp):
+            rows[j] = [y + h * c for y, c in zip(y0, hq)]
         return rows
 
 
@@ -465,15 +467,15 @@ def integrate_ivp(ode: SecondOrderOde, start: StatePoint, tau_end: float,
     if tau_end == t0:
         return Trajectory(n, array("d", (t0,)), array("d", y0), 0, label=ode.label)
     if n == 1 and ode.rhs1 is not None:
-        f, variant, q = ode.rhs1, "scalar", _q_scalar
+        f, variant = ode.rhs1, "scalar"
     else:
         f = ode.rhs1 if ode.rhs1 is not None else _float_rhs(ode.rhs, n)
-        variant, q = "vector", _q_vector
+        variant = "vector"
     # The run is recorded only if it is read inside its span (Trajectory).
     run = functools.partial(_kernel(n, variant, f), f, t0, y0, tau_end, config)
     t_last, y_last, n_segments = run(False)
     return Trajectory(n, array("d", (t0, t_last)), array("d", y0 + y_last), n_segments,
-                      run, q, label=ode.label)
+                      run, label=ode.label)
 
 
 def _float_rhs(rhs: Callable, n: int) -> Callable:
@@ -506,8 +508,10 @@ def _float_rhs(rhs: Callable, n: int) -> Callable:
 #   variant's call of f, or, for an f that carries a KernelSource, that
 #   source inline (_inline_snippets); ``@load`` reads the inline source's
 #   globals from f (nothing for a call);
-# - ``@check`` and ``@norm`` become the variant's other statements and
-#   ``{scale}`` its max.
+# - ``@check`` becomes the variant's step check and ``{scale}`` its max;
+# - ``{ss}`` becomes the sum of the squared error ratios, left to right:
+#   ``ex0 * ex0 + ex1 * ex1 + ... + ev0 * ev0 + ...``;
+# - ``{n}`` becomes n, and ``{n2}`` the float 2n.
 #
 # Component i of stage s = 1..7 is x{i}_{s}, v{i}_{s} and k{i}_{s}, the rhs
 # value there; stage 1 is the step's start, stage 7 its end, and the stage
@@ -518,7 +522,7 @@ _TEMPLATE = '''\
 def kernel(f, t0, y0, t_end, cfg, record):
     @load
     # Locals are cheaper to read than module globals on every step.
-    isfinite, sqrt, inf, new_array, dot = math.isfinite, math.sqrt, math.inf, np.array, np.dot
+    isfinite, sqrt, inf = math.isfinite, math.sqrt, math.inf
     c2, c3, c4, c5 = _C2, _C3, _C4, _C5
     a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
     a51, a52, a53, a54 = _A51, _A52, _A53, _A54
@@ -604,7 +608,8 @@ def kernel(f, t0, y0, t_end, cfg, record):
             # A zero scale rejects the step, as a nan or inf norm does.
             en = inf
         else:
-            @norm
+            # RMS of the ratios; an inf or NaN sum rejects the step.
+            en = sqrt(({ss}) / {n2})
 
         if isfinite(en) and en <= 1.0:
             accepted += 1
@@ -653,12 +658,12 @@ def kernel(f, t0, y0, t_end, cfg, record):
 '''
 
 # What the two variants do differently: the rhs call of a stage (with its
-# checks, and the checks made once a step's seven calls are in), the error
-# scale's max and the error norm.  An inline source replaces the call and
-# load snippets, and keeps the checks.
+# checks, and the checks made once a step's seven calls are in) and the
+# error scale's max.  An inline source replaces the call and load
+# snippets, and keeps the checks.
 _VARIANTS = {
     # dim 1, f(tau, x, v) -> float; the rhs values are checked once all
-    # seven are in, and the norm is a plain sum.
+    # seven are in.
     "scalar": {
         "load": "",
         "call": "k{*}_{s} = f({t}, x{*}_{s}, v{*}_{s})",
@@ -666,7 +671,6 @@ _VARIANTS = {
                   " and isfinite(k0_5) and isfinite(k0_6) and isfinite(k0_7)):\n"
                   "    raise NonFiniteRhs(f\"rhs returned a non-finite value near tau={t!r}\", tau=t)"),
         "scale": "s1 if s1 > s0 else s0",
-        "norm": "en = sqrt(0.5 * (ex0 * ex0 + ev0 * ev0))",
     },
     # dim n, f(tau, xs, vs) -> n values, each checked as it comes.
     "vector": {
@@ -685,14 +689,6 @@ if not isfinite(k{i}_{s}): raise NonFiniteRhs(f"rhs returned a non-finite value 
         "check": "",
         # np.maximum(|y|, |y_new|): a NaN s1 wins, where builtin max keeps s0.
         "scale": "s1 if s1 > s0 or s1 != s1 else s0",
-        # NumPy's dot of the ratios: BLAS ddot rounds like fused
-        # multiply-adds, which a Python sum does not match.  The plain sum
-        # ss only guards it: where the squares overflow (and ddot would
-        # warn) or a ratio is nan, the step is rejected whatever en is.
-        "norm": """\
-ss = 0.0
-ss += ex{i} * ex{i} + ev{i} * ev{i}
-en = sqrt(float(dot(r := new_array((ex{*}, ev{*})), r)) / {n2}) if ss < 1e300 else inf""",
     },
 }
 
@@ -823,6 +819,8 @@ class CodeCache:
 # inline kernels, and a traced pass (whose rhs wrappers are called) the
 # 2 call kernels of dims 1 and 2.
 _KERNELS = CodeCache(16)
+# The dense-output q of the last few dimensions read (_dense_q).
+_DENSE_Q = CodeCache(4)
 
 
 def _kernel(n: int, variant: str, f: Callable) -> Callable:
@@ -848,8 +846,9 @@ def _kernel(n: int, variant: str, f: Callable) -> Callable:
             return "\n".join(m[1] + line for line in text.splitlines())
 
         text = re.sub(r"^( *)@(\w+) ?(\d?) ?(.*)$", directive, _TEMPLATE, flags=re.M)
-        text = (text.replace("{scale}", snippets["scale"])
-                .replace("{n}", str(n)).replace("{n2}", str(2 * n)))
+        squares = " + ".join(f"e{c}{i} * e{c}{i}" for c in "xv" for i in range(n))
+        text = (text.replace("{scale}", snippets["scale"]).replace("{ss}", squares)
+                .replace("{n}", str(n)).replace("{n2}", repr(2.0 * n)))
         text = re.sub(r"(\w*)\{\*\}(\w*)",
                       lambda m: ", ".join(f"{m[1]}{i}{m[2]}" for i in range(n)), text)
         lines = []

@@ -238,6 +238,64 @@ def test_vector_shooting():
     assert abs(float(mid.x[1]) - math.sin(0.5)) < 1e-9
 
 
+def test_vector_shooting_certifies_a_conjugate_point():
+    # x'' = -x in the plane over a length-pi interval: every solution
+    # through the origin returns to it, so the float SVD's certificate must
+    # find the Jacobian singular.
+    ode = SecondOrderOde(dim=2, rhs=lambda t, x, v: -x, label="rot")
+    with pytest.raises(ConjugatePoint, match="numerically singular"):
+        solve_neumann(ode, NeumannConditions(0.0, math.pi, [0.0, 0.0], [0.0, 0.0]))
+
+
+# entries of magnitude 1e-3 to 1e3 or exactly 0, so a well-conditioned
+# solve never overflows
+_entry = hst.floats(1e-3, 1e3) | hst.floats(-1e3, -1e-3) | hst.sampled_from([0.0, 1.0])
+_matrices = hst.integers(1, 5).flatmap(lambda n: hst.lists(
+    hst.lists(_entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_matrices, scale=hst.sampled_from([1e-200, 1e-8, 1.0, 1e8, 1e200]))
+def test_float_svd_matches_lapack(rows, scale):
+    # one-sided Jacobi in floats against LAPACK, to a few ulps of sigma_max
+    A = np.array(rows) * scale
+    want = np.linalg.svd(A, compute_uv=False)
+    got = bvp_shooting._singular_values(A.T.tolist())
+    assert got == sorted(got, reverse=True)
+    assert np.max(np.abs(np.array(got) - want)) <= 1e-14 * len(rows) * want[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_matrices, rhs=hst.lists(_entry, min_size=5, max_size=5))
+def test_float_gaussian_elimination_matches_lapack(rows, rhs):
+    # partial pivoting in floats against LAPACK's solve, within the
+    # condition number's bound; a singular matrix meets a zero pivot
+    A, b = np.array(rows), np.array(rhs[:len(rows)])
+    got = bvp_shooting._solve(rows, b.tolist())
+    cond = np.linalg.cond(A)
+    if got is None:
+        assert cond > 1e12
+        return
+    if cond < 1e8:
+        want = np.linalg.solve(A, b)
+        assert np.max(np.abs(np.array(got) - want)) <= 1e-12 * cond * max(1.0, np.max(np.abs(want)))
+
+
+def test_float_svd_and_solve_edge_cases():
+    svd, solve = bvp_shooting._singular_values, bvp_shooting._solve
+    assert svd([[math.nan, 0.0], [0.0, 1.0]]) is None  # does not decompose
+    assert svd([[math.inf, 0.0], [0.0, 1.0]]) == [math.inf, math.inf]
+    assert svd([[0.0, 0.0], [0.0, 0.0]]) == [0.0, 0.0]
+    assert svd([[1.0, 2.0], [2.0, 4.0]]) == [5.0, 0.0]
+    # squares of 1e300 would overflow; the power-of-two scaling avoids it
+    assert svd([[1e300, 1e300], [1e300, -1e300]]) == [math.sqrt(2) * 1e300] * 2
+    # dim 1: LAPACK's 1x1 bits, |J| and -r / J
+    for J in (3.0, -2.5, 5e-324, 1e308):
+        assert svd([[J]]) == [abs(J)] and solve([[J]], [-1.5]) == [-1.5 / J]
+    assert solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]) is None
+    assert solve([[0.0, 1.0], [1.0, 0.0]], [3.0, 4.0]) == [4.0, 3.0]
+
+
 @pytest.mark.parametrize("field", ["newton_tol", "singular_floor"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
 def test_shooting_config_rejects_bad_tolerances(field, value):

@@ -11,6 +11,8 @@ order or residual definition changes on purpose:
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -104,6 +106,61 @@ def golden():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_json_matches_golden(case, golden):
     assert report_json(case) == golden[case]
+
+
+# The dim-n cases and a 2-d --ode solve, printed by a child process: one
+# JSON document a line.
+DIM_N_CASES = ("jensen-flat", "klapka-flat", "klapka-half_plane")
+DIM_N_SCRIPT = f"""
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from febvp import cli
+from test_law_golden import report_json
+for case in {DIM_N_CASES!r}:
+    print(json.dumps(report_json(case)))
+cli.main(["solve", "--ode", "k^2*x1 + g", "--ode=-x2", "--param", "k=1.5",
+          "--param", "g=0.5", "--neumann", "0", "1", "0.2,1", "-0.4,0",
+          "--tau", "0.25", "--tau", "0.5", "--format", "json"])
+"""
+# OpenBLAS kernels of several x86 generations, and the CPU flags each needs.
+OPENBLAS_KERNELS = {
+    "SkylakeX": {"avx512f", "avx512bw", "avx512dq", "avx512vl"},
+    "Haswell": {"avx2", "fma"},
+    "Zen": {"avx2", "fma"},
+    "Sandybridge": {"avx"},
+    "Nehalem": {"sse4_2"},
+}
+
+
+def test_dim_n_output_is_the_same_on_every_openblas_kernel(golden):
+    # Nothing on the dim-n solve path goes through BLAS or LAPACK, so the
+    # OpenBLAS kernel (OPENBLAS_CORETYPE, one per child process) must not
+    # move a bit of the geodesic laws or a 2-d solve.
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            flags = {flag for line in fh if line.startswith("flags")
+                     for flag in line.split(":", 1)[1].split()}
+    except OSError:
+        pytest.skip("needs /proc/cpuinfo to tell which kernels the CPU runs")
+    kernels = [k for k, needs in OPENBLAS_KERNELS.items() if needs <= flags]
+    if len(kernels) < 2:
+        pytest.skip(f"the CPU runs {len(kernels)} of the OpenBLAS kernels compared")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(os.path.dirname(tests), "src"), env.get("PYTHONPATH")) if p)
+    outputs = {}
+    for kernel in kernels:
+        proc = subprocess.run([sys.executable, "-c", DIM_N_SCRIPT, tests],
+                              capture_output=True, text=True, timeout=300,
+                              env=dict(env, OPENBLAS_CORETYPE=kernel))
+        assert proc.returncode == 0, (kernel, proc.stderr)
+        outputs[kernel] = proc.stdout
+    first = outputs[kernels[0]]
+    assert all(out == first for out in outputs.values()), kernels
+    lines = first.splitlines()
+    assert [json.loads(line) for line in lines[:len(DIM_N_CASES)]] == [
+        golden[case] for case in DIM_N_CASES]
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ a global random state."""
 
 import ast
 import os
+import re
 
 import pytest
 
@@ -95,3 +96,40 @@ def test_no_global_random_state(name):
     found = [n for n in names if n.split(".")[0] == "random"
              or n.split(".")[:2] in (["numpy", "random"], ["np", "random"])]
     assert not found, found
+
+
+def _qualified_nodes(tree):
+    """(qualified name of the enclosing def or class, node) of every node."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            yield inner, child
+            yield from walk(child, inner)
+    return walk(tree, "")
+
+
+@pytest.mark.parametrize("name", ["ode_core.py", "bvp_shooting.py"])
+def test_no_blas_or_lapack_on_the_solve_path(name):
+    # BLAS and LAPACK round as the CPU's kernel does, so the integrator and
+    # the shooting solve compute in floats and NumPy elementwise operations:
+    # no dot product, no matrix product and no np.linalg, in the code or in
+    # the source it generates.  The one product left is dim-1
+    # Trajectory.read's stacked np.matmul, whose bits were the same on
+    # every OpenBLAS kernel tried.
+    allowed = {("ode_core.py", "Trajectory.read", "matmul")}
+    found = []
+    for scope, node in _qualified_nodes(parse(name)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((scope, "@", node.lineno))
+        elif (isinstance(node, ast.Attribute) and node.attr in ("dot", "matmul", "linalg")
+                and (name, scope, node.attr) not in allowed):
+            found.append((scope, node.attr, node.lineno))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and re.search(r"\bnp\.(dot|matmul|linalg)\b|\bdot\(", node.value)):
+            found.append((scope, "generated source", node.lineno))
+    matmuls = [scope for scope, node in _qualified_nodes(parse(name))
+               if isinstance(node, ast.Attribute) and node.attr == "matmul"]
+    assert not found, found
+    assert len(matmuls) == (name == "ode_core.py"), matmuls
