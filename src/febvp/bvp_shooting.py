@@ -13,19 +13,20 @@ Jacobian raises ConjugatePoint even when the residual already vanished (a
 conjugate interval admits many solutions through the same endpoint data, and
 a converged residual alone cannot tell).
 
-One Newton loop serves every dimension, which picks how the residual is
-read, the Jacobian J formed, its singular values taken and the step solved.
-All of it is Python float arithmetic, so no BLAS or LAPACK kernel, and no
-CPU it picks, decides a bit.  In dim 1 the step is -r / J and the singular
-value |J| (LAPACK's 1x1 bits; a NaN J does not decompose).  In dim n the
-residual and the Jacobian's columns are NumPy elementwise differences, the
-step is Gaussian elimination with partial pivoting, and the singular
-values come from a one-sided Jacobi SVD (_solve and _singular_values).
+One Newton loop serves every dimension, on lists of n Python floats: the
+residual is read from each IVP's stored end row, the Jacobian J is formed
+by forward-difference columns, the step is Gaussian elimination with
+partial pivoting and the certificate's singular values come from a
+one-sided Jacobi SVD (_solve and _singular_values).  No BLAS or LAPACK
+kernel, and no CPU it picks, decides a bit.  In dim 1 these give LAPACK's
+1x1 bits: the step -r / J and the singular value |J| (a NaN J does not
+decompose).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,7 +152,10 @@ def _solve(rows: list[list[float]], rhs: list[float]) -> list[float] | None:
     n = len(rhs)
     m = [row + [b] for row, b in zip(rows, rhs)]
     for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(m[i][k]))
+        p = k
+        for i in range(k + 1, n):
+            if abs(m[i][k]) > abs(m[p][k]):
+                p = i
         if m[p][k] == 0.0:
             return None
         m[k], m[p] = m[p], m[k]
@@ -177,13 +181,11 @@ def _singular_values(columns: list[list[float]]) -> list[float] | None:
     that no square overflows.  A NaN entry, or no convergence, gives None
     (it does not decompose); an infinite one gives infinite values."""
     flat = [abs(a) for col in columns for a in col]
-    if any(a != a for a in flat):
+    if any(map(math.isnan, flat)):
         return None
     top = max(flat)
-    if math.isinf(top):
-        return [math.inf] * len(columns)
-    if top == 0.0:
-        return [0.0] * len(columns)
+    if top == 0.0 or math.isinf(top):
+        return [top] * len(columns)
     e = math.frexp(top)[1]
     cols = [[math.ldexp(a, -e) for a in col] for col in columns]
     tol = len(cols) * _EPS
@@ -270,11 +272,12 @@ class ShootingResult:
     final_residual: float
 
 
-def _check_singular(sigma: list[float] | None, interval: float, cfg: ShootingConfig, u=None):
+def _check_singular(sigma: list[float] | None, interval: float, cfg: ShootingConfig,
+                    u: list[float] | None = None):
     """sigma: the Jacobian's singular values, largest first; None if it does not decompose.
     u: the Newton iterate it was formed at; None at the converged solution."""
     def where() -> str:
-        return "the converged solution" if u is None else f"u={np.atleast_1d(u).tolist()!r}"
+        return "the converged solution" if u is None else f"u={u!r}"
 
     if sigma is None:
         raise ConjugatePoint(
@@ -309,68 +312,30 @@ def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
         raise ValueError(f"conditions have dim {cond.dim}, ode has dim {ode.dim}")
     n = ode.dim
     alpha, beta = cond.alpha, cond.beta
-    a, b = cond.a, cond.b
+    a, b = cond.a.tolist(), cond.b.tolist()
     interval = beta - alpha
     tol = cfg.newton_tol
 
     def residual(u):
-        traj = integrate_ivp(ode, StatePoint(alpha, a, vec(u)), beta, cfg.integrator)
-        return (*read(traj), traj)
+        traj = integrate_ivp(ode, StatePoint(alpha, cond.a, np.array(u)), beta, cfg.integrator)
+        (row,) = traj.read((beta,))
+        r = list(map(operator.sub, row, b))  # row is x, then v: map stops after n
+        return r, max(map(abs, r)), traj
 
-    # vec(u) is u as the (n,) array an IVP starts from; None is a non-finite step
-    if n == 1:
-        b0 = float(b[0])
+    def jacobian(u, r_base):
+        # J as its n columns
+        J = []
+        for j in range(n):
+            dj = _FD_STEP * max(1.0, abs(u[j]))
+            up = u.copy()
+            up[j] += dj
+            J.append([(rp - rb) / dj for rp, rb in zip(residual(up)[0], r_base)])
+        return J
 
-        def vec(u):
-            return np.array((u,))
-
-        def read(traj):
-            r = traj.read((beta,))[0][0] - b0
-            return r, abs(r)
-
-        def jacobian(u, r_base):
-            du = _FD_STEP * max(1.0, abs(u))
-            return (residual(u + du)[0] - r_base) / du
-
-        def singular_values(J):
-            return None if J != J else [abs(J)]
-
-        def newton_step(J, r):
-            s = -r / J
-            return s if math.isfinite(s) else None
-
-        u = (b0 - float(a[0])) / interval
-    else:
-        vec = np.atleast_1d
-
-        def read(traj):
-            r = np.array(traj.read((beta,))[0][:n]) - b
-            return r, float(np.max(np.abs(r)))
-
-        def jacobian(u, r_base):
-            # J as its n columns
-            J = []
-            for j in range(n):
-                dj = _FD_STEP * max(1.0, abs(float(u[j])))
-                up = u.copy()
-                up[j] += dj
-                J.append(((residual(up)[0] - r_base) / dj).tolist())
-            return J
-
-        singular_values = _singular_values
-
-        def newton_step(J, r):
-            s = _solve([list(row) for row in zip(*J)], (-r).tolist())
-            if s is None:
-                raise ConjugatePoint("shooting Jacobian solve failed", interval=interval)
-            return np.array(s) if all(map(math.isfinite, s)) else None
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = (b - a) / interval
-
+    # u, the initial velocity, and r and s are lists of n floats
+    u = [(y - x) / interval for x, y in zip(a, b)]
     # finite data whose secant slope overflows leave Newton no finite start
-    if (not (math.isfinite(u) if n == 1 else np.isfinite(u).all())
-            and np.isfinite(a).all() and np.isfinite(b).all()):
+    if not all(map(math.isfinite, u)) and all(map(math.isfinite, a + b)):
         raise NoConvergence("the secant start (b - a)/(beta - alpha) is not finite",
                             interval=interval)
 
@@ -384,14 +349,16 @@ def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
                 f"Newton did not reach tol={tol!r} in {cfg.max_newton_iters} "
                 f"iterations (residual {rn!r})", residual=rn, iterations=iterations)
         J = jacobian(u, r)
-        _check_singular(singular_values(J), interval, cfg, u)
-        s = newton_step(J, r)
+        _check_singular(_singular_values(J), interval, cfg, u)
+        s = _solve([list(row) for row in zip(*J)], [-x for x in r])
         if s is None:
+            raise ConjugatePoint("shooting Jacobian solve failed", interval=interval)
+        if not all(map(math.isfinite, s)):
             raise ConjugatePoint("shooting Newton step is non-finite", interval=interval)
 
         lam = 1.0
         for _ in range(_MAX_HALVINGS + 1):
-            u_try = u + lam * s
+            u_try = [x + lam * y for x, y in zip(u, s)]
             r_try, rn_try, traj_try = residual(u_try)
             if rn_try < rn or rn_try <= tol:
                 break
@@ -403,24 +370,21 @@ def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
         u, r, rn, traj = u_try, r_try, rn_try, traj_try
         iterations += 1
 
-    # Certify local uniqueness at the solution.  When Newton accepted the
-    # initial guess outright no Jacobian was ever formed (the conjugate case
-    # with matching endpoint data lands here), so form one now.
+    # Certify local uniqueness at the solution.  Newton's last iteration
+    # already certified the last Jacobian it formed; when Newton accepted
+    # the initial guess outright no Jacobian was ever formed (the conjugate
+    # case with matching endpoint data lands here), so form one now.
     if J is None:
-        J = jacobian(u, r)
-    _check_singular(singular_values(J), interval, cfg)
-    return ShootingResult(u=vec(u), trajectory=traj, iterations=iterations, final_residual=rn)
+        _check_singular(_singular_values(jacobian(u, r)), interval, cfg)
+    return ShootingResult(u=np.array(u), trajectory=traj, iterations=iterations, final_residual=rn)
 
 
 def end_value(a: np.ndarray, v: np.ndarray, span: float) -> np.ndarray:
     """b = a + v * span, the endpoint value of average-slope data over an
-    interval of length span, in dim 1 on floats (with NumPy's bits).  Data
-    that overflow give inf or NaN, which the solve or the sampled law then
-    rejects, so NumPy's warnings about them are silenced."""
-    if a.shape == (1,):
-        return np.array([a.item() + v.item() * span])
-    with np.errstate(over="ignore", invalid="ignore"):
-        return a + v * span
+    interval of length span, in floats (with NumPy's elementwise bits).
+    Data that overflow give inf or NaN, which the solve or the sampled law
+    then rejects; float arithmetic does not warn about them."""
+    return np.array([x + y * span for x, y in zip(a.tolist(), v.tolist())])
 
 
 def solve_integral(ode: SecondOrderOde, cond: IntegralConditions,

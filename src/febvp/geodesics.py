@@ -151,8 +151,6 @@ class GeodesicMap:
         self.ode = geodesic_ode(self.connection)
 
     def eval(self, a, b, rho: float) -> np.ndarray:
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        b = np.atleast_1d(np.asarray(b, dtype=float))
         cond = NeumannConditions(0.0, 1.0, a, b)
         return eval_F(self.ode, float(rho), cond, self.shooting_cfg)
 

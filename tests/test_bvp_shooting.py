@@ -247,6 +247,42 @@ def test_vector_shooting_certifies_a_conjugate_point():
         solve_neumann(ode, NeumannConditions(0.0, math.pi, [0.0, 0.0], [0.0, 0.0]))
 
 
+def test_dim3_coupled_linear_shooting_matches_the_closed_form():
+    # x'' = R diag(-1, -4, 0.25) R^T x: in y = R^T x the components
+    # decouple, y_i'' = lam_i y_i, and the two-point solution of each is
+    # (y_a s(beta - tau) + y_b s(tau - alpha)) / s(beta - alpha), with
+    # s(t) = sin(w t) for lam = -w^2 and sinh(k t) for lam = k^2.
+    # R is a fixed rotation: turns about the z, y and x axes.
+    (cz, cy, cx), (sz, sy, sx) = np.cos([0.3, -0.7, 1.1]), np.sin([0.3, -0.7, 1.1])
+    R = (np.array([[cz, -sz, 0.0], [sz, cz, 0.0], [0.0, 0.0, 1.0]])
+         @ np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
+         @ np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]]))
+    lam = np.array([-1.0, -4.0, 0.25])
+    M = R @ np.diag(lam) @ R.T
+    assert np.allclose(np.linalg.eigvalsh(M), sorted(lam))
+    ode = SecondOrderOde(dim=3, rhs=lambda t, x, v: M @ x, label="coupled3")
+    alpha, beta = 0.2, 1.4
+    a, b = np.array([1.0, -0.5, 0.3]), np.array([0.2, 0.8, -1.1])
+    cond = NeumannConditions(alpha, beta, a, b)
+
+    def s(t):
+        w = np.sqrt(np.abs(lam))
+        return np.where(lam < 0, np.sin(w * t), np.sinh(w * t))
+
+    def closed(tau):
+        ya, yb = R.T @ a, R.T @ b
+        y = (ya * s(beta - tau) + yb * s(tau - alpha)) / s(beta - alpha)
+        return R @ y
+
+    res = solve_neumann(ode, cond)
+    assert res.u.dtype == np.float64 and res.u.shape == (3,)
+    for tau in (alpha, 0.5, 0.9, beta, -0.3, 2.0):
+        assert np.max(np.abs(eval_F(ode, tau, cond) - closed(tau))) < 1e-8
+    # pi/2 is the conjugate interval of the -4 mode: sin(2 (beta - alpha)) = 0
+    with pytest.raises(ConjugatePoint, match="numerically singular"):
+        solve_neumann(ode, NeumannConditions(alpha, alpha + math.pi / 2, a, b))
+
+
 # entries of magnitude 1e-3 to 1e3 or exactly 0, so a well-conditioned
 # solve never overflows
 _entry = hst.floats(1e-3, 1e3) | hst.floats(-1e3, -1e-3) | hst.sampled_from([0.0, 1.0])
@@ -307,13 +343,13 @@ def test_shooting_config_rejects_bad_tolerances(field, value):
         ShootingConfig(**{field: value})
 
 
-# ------------------------------------------ dim-1 floats against arrays
+# ------------------------------------------ floats against arrays
 #
 # _array_newton is solve_neumann as it was when every dimension ran through
 # NumPy: a (1,) residual, a 1x1 Jacobian, np.linalg.svd for the certificate
-# and np.linalg.solve for the step.  The dim-1 float path must give its
-# bits, counts and errors.  Its IVPs go through the module's integrate_ivp,
-# as solve_neumann's do.
+# and np.linalg.solve for the step.  solve_neumann's one float path, the
+# same for every dimension, must give its bits, counts and errors in dim 1.
+# Its IVPs go through the module's integrate_ivp, as solve_neumann's do.
 
 def _array_check_singular(J, interval, cfg, where):
     try:

@@ -69,6 +69,38 @@ def test_one_sample_loop_over_spec_count():
     assert [name for name, _ in loops] == ["functional_laws.py"], loops
 
 
+def _is_dimension(node):
+    # n, len(...), or a .dim, .ndim or .shape attribute
+    return ((isinstance(node, ast.Name) and node.id == "n")
+            or (isinstance(node, ast.Attribute) and node.attr in ("dim", "ndim", "shape"))
+            or (isinstance(node, ast.Call) and ast.unparse(node.func) == "len"))
+
+
+def _is_literal(node):
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return False
+    return True
+
+
+def test_one_newton_path_for_every_dimension():
+    # solve_neumann and end_value run the same float operations in every
+    # dimension: no comparison of a dimension with a literal (n == 1,
+    # cond.dim == 1, a.shape == (1,)) picks a path.  Comparing the
+    # conditions' dimension with the ode's is validation, not a fork.
+    tree = parse("bvp_shooting.py")
+    found = []
+    for scope, node in _qualified_nodes(tree):
+        if scope.split(".")[0] in ("solve_neumann", "end_value") and isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if any(map(_is_dimension, sides)) and any(map(_is_literal, sides)):
+                found.append((scope, ast.unparse(node), node.lineno))
+    assert not found, found
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert {"solve_neumann", "end_value"} <= defined
+
+
 def test_no_cache_decorator_but_on_the_cli_parser():
     # Generated functions have one home, ode_core.CodeCache; only the
     # argument parser, built once per process, is cached by functools.
