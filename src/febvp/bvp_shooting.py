@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import FebvpError
 from .ode_core import (
+    IntegrationError,
     IntegratorConfig,
     SecondOrderOde,
     StatePoint,
@@ -316,8 +317,11 @@ def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
     interval = beta - alpha
     tol = cfg.newton_tol
 
-    def residual(u):
-        traj = integrate_ivp(ode, StatePoint(alpha, cond.a, np.array(u)), beta, cfg.integrator)
+    def residual(u, record):
+        # record positionally: a wrapper of integrate_ivp (tracing) may
+        # forward only positional arguments
+        traj = integrate_ivp(ode, StatePoint(alpha, cond.a, np.array(u)), beta,
+                             cfg.integrator, record)
         (row,) = traj.read((beta,))
         r = list(map(operator.sub, row, b))  # row is x, then v: map stops after n
         return r, max(map(abs, r)), traj
@@ -329,7 +333,7 @@ def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
             dj = _FD_STEP * max(1.0, abs(u[j]))
             up = u.copy()
             up[j] += dj
-            J.append([(rp - rb) / dj for rp, rb in zip(residual(up)[0], r_base)])
+            J.append([(rp - rb) / dj for rp, rb in zip(residual(up, False)[0], r_base)])
         return J
 
     # u, the initial velocity, and r and s are lists of n floats
@@ -339,7 +343,9 @@ def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
         raise NoConvergence("the secant start (b - a)/(beta - alpha) is not finite",
                             interval=interval)
 
-    r, rn, traj = residual(u)
+    # Only a Newton trial records (its run is the solution if accepted);
+    # the secant start is recorded again if Newton accepts it outright.
+    r, rn, traj = residual(u, False)
     iterations = 0
     J = None
 
@@ -359,7 +365,7 @@ def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
         lam = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             u_try = [x + lam * y for x, y in zip(u, s)]
-            r_try, rn_try, traj_try = residual(u_try)
+            r_try, rn_try, traj_try = residual(u_try, True)
             if rn_try < rn or rn_try <= tol:
                 break
             lam *= 0.5
@@ -376,6 +382,12 @@ def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
     # case with matching endpoint data lands here), so form one now.
     if J is None:
         _check_singular(_singular_values(jacobian(u, r)), interval, cfg)
+        first = traj
+        traj = residual(u, True)[2]
+        if traj.read((beta,)) != first.read((beta,)) or traj.n_segments != first.n_segments:
+            raise IntegrationError(
+                "rhs is not deterministic: recording the run again did not end on "
+                "its end state", label=ode.label)
     return ShootingResult(u=np.array(u), trajectory=traj, iterations=iterations, final_residual=rn)
 
 
@@ -408,29 +420,32 @@ def solve_integral(ode: SecondOrderOde, cond: IntegralConditions,
     return solve_neumann(ode, ncond, cfg)
 
 
-# The last eval_F solve as (ode, key, result), keyed by the exact bits of
-# the conditions and the config's value.  The laws read one solve at several
-# taus in a row, so this one slot serves every repeat they make.
-_last: tuple = (None, None, None)
+# The last eval_F solve as (ode, key, result, read), keyed by the exact
+# bits of the conditions and the config's value, with read the last value
+# eval_F gave from it, (tau.hex(), x), or None.  The laws read one solve at
+# several taus in a row, and the extension law the same tau twice (an
+# extension IVP each time outside the span), so this one slot serves every
+# repeat they make.
+_last: tuple = (None, None, None, None)
 
 
 def clear_cache() -> None:
     """Drop the kept solve."""
     global _last
-    _last = (None, None, None)
+    _last = (None, None, None, None)
 
 
 def _cached_solve(ode: SecondOrderOde, cond: NeumannConditions,
                   cfg: ShootingConfig) -> ShootingResult:
     global _last
     key = (cond.alpha.hex(), cond.beta.hex(), cond.a.tobytes(), cond.b.tobytes(), cfg)
-    last_ode, last_key, result = _last
+    last_ode, last_key, result, _ = _last
     if last_ode is ode and last_key == key:
         return result
     # the module global, so that a wrapper installed on solve_neumann
     # (tracing, tests) sees every solve
     result = solve_neumann(ode, cond, cfg)
-    _last = (ode, key, result)
+    _last = (ode, key, result, None)
     return result
 
 
@@ -448,7 +463,8 @@ def eval_state(ode: SecondOrderOde, traj: Trajectory, tau: float,
         return traj.eval(tau)
     n, end = traj.dim, hi if tau > hi else lo
     (row,) = traj.read((end,))
-    ext = integrate_ivp(ode, StatePoint(end, np.array(row[:n]), np.array(row[n:])), tau, icfg)
+    ext = integrate_ivp(ode, StatePoint(end, np.array(row[:n]), np.array(row[n:])), tau,
+                        icfg, False)
     (row,) = ext.read((tau,))
     return StatePoint(float(tau), np.array(row[:n]), np.array(row[n:]))
 
@@ -458,11 +474,19 @@ def eval_F(ode: SecondOrderOde, tau: float, cond: NeumannConditions,
     """Value x(tau) of the endpoint-data solution, as a map of (tau, cond).
 
     The last solve is kept, so sweeping tau over one (cond, cfg) costs one
-    solve.  tau may lie outside [alpha, beta]; the solution is continued by
-    direct integration.
+    solve, and so is its last read, so asking for the same tau again costs
+    nothing.  tau may lie outside [alpha, beta]; the solution is continued
+    by direct integration.
     """
+    global _last
+    tau = float(tau)
     result = _cached_solve(ode, cond, cfg)
-    return eval_state(ode, result.trajectory, float(tau), cfg.integrator).x
+    read = _last[3]
+    if read is not None and read[0] == tau.hex():
+        return read[1].copy()
+    x = eval_state(ode, result.trajectory, tau, cfg.integrator).x
+    _last = (*_last[:3], (tau.hex(), x.copy()))
+    return x
 
 
 def diag_switch(alpha: float) -> float:
@@ -486,5 +510,5 @@ def eval_S(ode: SecondOrderOde, tau: float, cond: IntegralConditions,
         return eval_F(ode, tau, ncond, cfg)
     if tau == alpha:
         return cond.a.copy()
-    traj = integrate_ivp(ode, StatePoint(alpha, cond.a, cond.v), tau, cfg.integrator)
+    traj = integrate_ivp(ode, StatePoint(alpha, cond.a, cond.v), tau, cfg.integrator, False)
     return traj.eval(tau).x

@@ -46,19 +46,15 @@ both an array reference kernel and a plain dim-1 one, and pin every
 result to theirs bit for bit.  With one norm, a dim-1 ode gives the same
 bits on either variant.
 
-The step loop records its accepted steps only when its ``record``
-argument is set.  integrate_ivp runs it with recording off, keeping the
-end state and count of accepted steps; a Trajectory runs the same kernel
-again, recording, on its first read inside its span (same arithmetic,
-same bits, checked against the end state).  So runs read only at their
-ends (Jacobian columns, dropped Newton iterates, extensions) record
-nothing.  A recording run puts each accepted step's start time, width,
-start state and seven stage derivatives into one flat ``array('d')``, and
-the knot times and states into two more, through Python lists moved in
-with ``fromlist`` every _FLUSH_DOUBLES doubles and concatenated at the
-end, so it pays no per-step array call and holds a bounded number of
-pending floats.  A step's interpolant is built from its record when a
-tau inside it is evaluated, and never kept.
+integrate_ivp runs the step loop exactly once.  With its ``record``
+argument set (the default) the loop appends one tuple per accepted step
+to a list: start time, signed width, start state and the seven stage
+derivatives, ``(t, h, x, v, v1, k1, ..., v7, k7)``; without it the run
+keeps only its two ends and its count of accepted steps, so runs read
+only at their ends (Jacobian columns, dropped Newton iterates,
+extensions) pass record=False and record nothing.  A step's interpolant
+is built from its tuple when a tau inside it is evaluated, and never
+kept.
 
 Every evaluation is one batched read, Trajectory.read, which returns plain
 floats.  When every tau is a span end it returns the stored end rows, with
@@ -83,7 +79,6 @@ and a Trajectory returns the same bits for a tau whatever it was asked before.
 from __future__ import annotations
 
 import bisect
-import functools
 import gc
 import hashlib
 import itertools
@@ -92,7 +87,6 @@ import math
 import operator
 import re
 import weakref
-from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from types import CodeType, FunctionType
@@ -154,8 +148,7 @@ class SecondOrderOde:
             a KernelSource (rhs_parser.compile_rhs's) is run inline by the
             integrator and never called; any other rhs1, a wrapper put on
             a generated one included, is called once at the start and six
-            times per attempted step of each run, a Trajectory's recording
-            run included.
+            times per attempted step of each run.
     """
 
     dim: int
@@ -262,17 +255,12 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _ERR_PREV_INIT = 1e-4
 
-# The kernels move their pending step records from Python lists into the
-# flat arrays once they hold this many doubles, so a long run keeps about
-# this many floats as Python objects.
-_FLUSH_DOUBLES = 4096
-
 
 def _dense_q(n: int) -> Callable:
-    """The q of a step record in dimension n, ``q(steps, base)``: the 8n
-    floats (row-major (2n, 4), x rows, then v rows) of K.T @ P, each
-    summed from 0.0 over its column of P's nonzero entries in stage order,
-    as straight-line float code compiled on first use into _DENSE_Q."""
+    """The q of a step tuple in dimension n, ``q(step)``: the 8n floats
+    (row-major (2n, 4), x rows, then v rows) of K.T @ P, each summed from
+    0.0 over its column of P's nonzero entries in stage order, as
+    straight-line float code compiled on first use into _DENSE_Q."""
 
     def build() -> tuple[str, str]:
         n2 = 2 * n
@@ -280,71 +268,66 @@ def _dense_q(n: int) -> Callable:
         sums = ", ".join(" + ".join(["0.0"] + [f"{p!r} * k{s}_{r}" for s, p in column])
                          for r in range(n2) for column in _P_COLUMNS)
         return (f"<febvp.ode_core dense q, dim {n}>",
-                f"def q(steps, base):\n"
-                f"    {names}, = steps[base + {2 + n2}:base + {2 + 8 * n2}]\n"
+                f"def q(step):\n"
+                f"    {names}, = step[{2 + n2}:]\n"
                 f"    return ({sums},)\n")
 
     return _DENSE_Q.function(n, build, globals())
 
 
 class Trajectory:
-    """Piecewise dense solution of one integration run, stored flat.
+    """Piecewise dense solution of one integration run.
 
-    It is recorded only when read inside its span: until then it holds
-    its two ends (``_ends``), and ``_run(True)`` runs its kernel again,
-    recording.  Three ``array('d')`` buffers then hold the run in
-    integration order, so a backward run keeps decreasing tau and is
-    indexed in reverse, never copied:
-
-    - ``_knots``: the accepted step boundaries, one double each;
-    - ``_states``: the (2n,) state ``(x, v)`` at each knot;
-    - ``_steps``: one record of ``2 + 16 n`` doubles per accepted step,
-      ``t, h, y (2n), K (7 x 2n, stage-major)``: start time, signed width,
-      start state and the seven stage derivatives.
+    It holds the run's two ends, ``_ends`` (the start and end taus) and
+    ``_rows`` (the (2n,) states ``x, v`` there, as lists of floats), its
+    count of accepted steps, and, when the run recorded, ``_steps``: one
+    tuple of ``2 + 16 n`` floats per accepted step, in integration order,
+    ``t, h, y (2n), K (7 x 2n, stage-major)``: start time, signed width,
+    start state and the seven stage derivatives.  A run that did not
+    record has ``_steps`` None: it reads its two ends and nothing else.
+    The knot list, each step's start time and the end tau, is built on
+    the first read that needs it; a backward run keeps decreasing tau and
+    is searched in reverse, never copied.
 
     Every evaluation goes through read: exactly at a knot it returns the
     stored state; strictly inside a step it evaluates the step's quartic
-    interpolant, built from the record (the same arithmetic whichever
+    interpolant, built from its tuple (the same arithmetic whichever
     kernel variant produced the run).  Nothing is kept between calls but
-    the record, so every query gives the same bits in any order and in any
-    batch.
-    ``span``, ``n_segments`` and reads at the ends never record.
+    the steps and the knot list, so every query gives the same bits in
+    any order and in any batch.
     """
 
-    def __init__(self, dim: int, knots: array, states: array, n_segments: int,
-                 run: Callable | None = None, label: str = ""):
+    def __init__(self, dim: int, ends: tuple[float, float], rows: tuple[list, list],
+                 n_segments: int, steps: list[tuple] | None, label: str = ""):
         self.dim = dim
-        self._ends = knots, states
+        self._ends, self._rows = ends, rows
         self.n_segments = n_segments  # accepted steps
-        self._run = run
-        if run is None:
-            self._knots, self._states, self._steps = knots, states, array("d")
-        self._backward = knots[-1] < knots[0]
+        self._steps = steps
+        self._knots: list[float] | None = None
+        self._backward = ends[1] < ends[0]
         self.label = label
 
-    def __getattr__(self, name: str):
-        # _knots, _states and _steps are recorded on first use.
-        if name not in ("_knots", "_states", "_steps"):
-            raise AttributeError(name)
-        knots, states, steps = self._run(True)
-        ends, n2 = self._ends, 2 * self.dim
-        if (knots[-1] != ends[0][-1] or states[-n2:].tobytes() != ends[1][-n2:].tobytes()
-                or len(knots) - 1 != self.n_segments):
-            raise IntegrationError(
-                "rhs is not deterministic: recording the run again did not end on "
-                "its end state", label=self.label)
-        self._knots, self._states, self._steps = knots, states, steps
-        return getattr(self, name)
+    def _knot_list(self) -> list[float]:
+        if self._steps is None:
+            raise ValueError("the run was not recorded: only its two ends can be read")
+        if self._knots is None:
+            self._knots = [step[0] for step in self._steps] + [self._ends[1]]
+        return self._knots
 
     @property
     def knots(self) -> list[float]:
-        """Step boundaries in increasing tau."""
-        return list(reversed(self._knots) if self._backward else self._knots)
+        """Step boundaries in increasing tau.
+
+        Raises:
+            ValueError: the run was not recorded.
+        """
+        knots = self._knot_list()
+        return knots[::-1] if self._backward else list(knots)
 
     @property
     def span(self) -> tuple[float, float]:
-        k = self._ends[0]
-        return (k[-1], k[0]) if self._backward else (k[0], k[-1])
+        t0, t1 = self._ends
+        return (t1, t0) if self._backward else (t0, t1)
 
     def eval(self, tau: float) -> StatePoint:
         """Evaluate the trajectory at tau.
@@ -375,27 +358,29 @@ class Trajectory:
         tau its step's interpolant y0 + h * (q @ p), with th = (tau - t) / h
         and p = (th, th^2, th^3, th^4): q is built once per touched step,
         and in dim 1 the q @ p of all interior taus are one stacked matrix
-        product; in dim n each is summed left to right in floats.  Only an
-        interior tau records the run.
+        product; in dim n each is summed left to right in floats.  A run
+        that did not record reads only its ends.
 
         Raises:
             OutOfSpan: a tau lies outside [span lo, span hi].
+            ValueError: a tau lies strictly inside the span of a run that
+                did not record.
         """
         lo, hi = self.span
         taus = [float(tau) for tau in taus]
         n2 = 2 * self.dim
         if {lo, hi}.issuperset(taus):
-            # the stored end rows; the run starts at its first knot
-            knots, states = self._ends
-            return [states[:n2].tolist() if tau == knots[0] else states[-n2:].tolist()
-                    for tau in taus]
+            # the stored end rows
+            t0 = self._ends[0]
+            start, end = self._rows
+            return [start[:] if tau == t0 else end[:] for tau in taus]
         for tau in taus:
             if not lo <= tau <= hi:
                 raise OutOfSpan(
                     f"tau={tau!r} outside trajectory span [{lo!r}, {hi!r}]",
                     tau=tau, span=(lo, hi),
                 )
-        knots, states, steps = self._knots, self._states, self._steps
+        knots, steps = self._knot_list(), self._steps
         rows = []
         # per interior tau: (its place in rows, h, y0), then its q and p
         inner, qs, ps = [], [], []
@@ -406,15 +391,15 @@ class Trajectory:
             else:
                 i = bisect.bisect_left(knots, tau)
             if knots[i] == tau:
-                rows.append(states[n2 * i:n2 * i + n2].tolist())
+                rows.append(list(steps[i][2:2 + n2]) if i < len(steps) else self._rows[1][:])
                 continue
-            base = (i - 1) * (2 + 8 * n2)
+            step = steps[i - 1]
             q = built.get(i)
             if q is None:
-                q = built[i] = q_of(steps, base)
-            h = steps[base + 1]
-            th = (tau - steps[base]) / h
-            inner.append((len(rows), h, steps[base + 2:base + 2 + n2]))
+                q = built[i] = q_of(step)
+            h = step[1]
+            th = (tau - step[0]) / h
+            inner.append((len(rows), h, step[2:2 + n2]))
             rows.append(None)
             qs.append(q)
             ps.append((th, th * th, th ** 3, th ** 4))
@@ -440,11 +425,13 @@ def _pi_factor(err_norm: float, err_prev: float) -> float:
 
 
 def integrate_ivp(ode: SecondOrderOde, start: StatePoint, tau_end: float,
-                  config: IntegratorConfig = IntegratorConfig()) -> Trajectory:
+                  config: IntegratorConfig = IntegratorConfig(),
+                  record: bool = True) -> Trajectory:
     """Integrate the first-order system y = (x, v) from start.tau to tau_end.
 
     tau_end may be below start.tau (backward integration).  A zero-width call
-    (tau_end == start.tau) yields a trajectory with a single knot.
+    (tau_end == start.tau) yields a trajectory with a single knot.  With
+    record False the trajectory reads only its two ends (Trajectory.read).
 
     Raises:
         StepSizeUnderflow: required step fell below config.h_min.
@@ -465,17 +452,14 @@ def integrate_ivp(ode: SecondOrderOde, start: StatePoint, tau_end: float,
     if start.x.dtype is not _FLOAT64 or start.v.dtype is not _FLOAT64:  # NumPy casts the rest
         y0 = np.concatenate([start.x, start.v]).astype(float).tolist()
     if tau_end == t0:
-        return Trajectory(n, array("d", (t0,)), array("d", y0), 0, label=ode.label)
+        return Trajectory(n, (t0, t0), (y0, y0), 0, [], label=ode.label)
     if n == 1 and ode.rhs1 is not None:
         f, variant = ode.rhs1, "scalar"
     else:
         f = ode.rhs1 if ode.rhs1 is not None else _float_rhs(ode.rhs, n)
         variant = "vector"
-    # The run is recorded only if it is read inside its span (Trajectory).
-    run = functools.partial(_kernel(n, variant, f), f, t0, y0, tau_end, config)
-    t_last, y_last, n_segments = run(False)
-    return Trajectory(n, array("d", (t0, t_last)), array("d", y0 + y_last), n_segments,
-                      run, label=ode.label)
+    t_last, y_last, n_segments, steps = _kernel(n, variant, f)(f, t0, y0, tau_end, config, record)
+    return Trajectory(n, (t0, t_last), (y0, y_last), n_segments, steps, label=ode.label)
 
 
 def _float_rhs(rhs: Callable, n: int) -> Callable:
@@ -546,14 +530,9 @@ def kernel(f, t0, y0, t_end, cfg, record):
     attempts = 0
     accepted = 0
 
+    steps = [] if record else None
     if record:
-        knots = array("d", (t0,))
-        states = array("d", y0)
-        steps = array("d")
-        # Accepted steps collect in lists, moved into the arrays in batches.
-        pending_knots = []
-        pending_states = []
-        pending_steps = []
+        append = steps.append
 
     remaining = t_end - t
     while remaining * direction > 0.0:
@@ -614,17 +593,8 @@ def kernel(f, t0, y0, t_end, cfg, record):
         if isfinite(en) and en <= 1.0:
             accepted += 1
             if record:
-                pending_steps += (t, hs, x{*}_1, v{*}_1, v{*}_1, k{*}_1, v{*}_2, k{*}_2, v{*}_3, k{*}_3,
-                                  v{*}_4, k{*}_4, v{*}_5, k{*}_5, v{*}_6, k{*}_6, v{*}_7, k{*}_7)
-                pending_knots.append(t_new)
-                pending_states += (x{*}_7, v{*}_7)
-                if len(pending_steps) >= _FLUSH_DOUBLES:
-                    steps.fromlist(pending_steps)
-                    knots.fromlist(pending_knots)
-                    states.fromlist(pending_states)
-                    pending_steps.clear()
-                    pending_knots.clear()
-                    pending_states.clear()
+                append((t, hs, x{*}_1, v{*}_1, v{*}_1, k{*}_1, v{*}_2, k{*}_2, v{*}_3, k{*}_3,
+                        v{*}_4, k{*}_4, v{*}_5, k{*}_5, v{*}_6, k{*}_6, v{*}_7, k{*}_7))
             # _pi_factor(en, err_prev), then max(en, _ERR_PREV_INIT).
             if en == 0.0:
                 fac = max_factor
@@ -648,13 +618,7 @@ def kernel(f, t0, y0, t_end, cfg, record):
                 raise StepSizeUnderflow(
                     f"step size {abs(h)!r} fell below h_min={h_min!r} at tau={t!r}",
                     tau=t, h=abs(h))
-    if not record:
-        return t, [x{*}_1, v{*}_1], accepted
-    # Concatenation allocates each buffer at its exact size (fromlist would
-    # over-allocate by about 1/16, and cached trajectories keep that).
-    return (knots + array("d", pending_knots),
-            states + array("d", pending_states),
-            steps + array("d", pending_steps))
+    return t, [x{*}_1, v{*}_1], accepted, steps
 '''
 
 # What the two variants do differently: the rhs call of a stage (with its

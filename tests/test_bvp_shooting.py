@@ -1,7 +1,9 @@
 """Shooting solver tests: closed-form targets, conjugate detection, the
 kept last solve, and the smooth extension."""
 
+import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -598,20 +600,21 @@ def test_integral_and_endpoint_solves_agree_on_lemma1_samples(monkeypatch, famil
 # ------------------------------------------ every IVP on the traced path
 #
 # Tracing (bench/tracing.py) and the spies above wrap the module global
-# bvp_shooting.integrate_ivp, so every first run of a kernel must come from
-# one call of it; only a recording run may start elsewhere.
+# bvp_shooting.integrate_ivp, so every kernel run, recording or not, must
+# come from one call of it: one run per call, none for a zero-width call,
+# and none outside a call.
 
-def test_every_first_kernel_run_comes_from_one_integrate_ivp_call(monkeypatch):
-    ivps = []  # per integrate_ivp call, its kernel runs with record off
+def test_every_kernel_run_comes_from_one_integrate_ivp_call(monkeypatch):
+    ivps = []  # per integrate_ivp call: [kernel runs, runs it must make]
     inside = []  # the integrate_ivp calls running now, by index into ivps
-    stray = []  # record-off runs outside any integrate_ivp call
+    stray = []  # runs outside any integrate_ivp call
     real_ivp, real_kernel = bvp_shooting.integrate_ivp, ode_core._kernel
 
-    def traced_ivp(*args):
-        ivps.append(0)
+    def traced_ivp(ode, start, tau_end, *rest):
+        ivps.append([0, int(float(tau_end) != float(start.tau))])
         inside.append(len(ivps) - 1)
         try:
-            return real_ivp(*args)
+            return real_ivp(ode, start, tau_end, *rest)
         finally:
             inside.pop()
 
@@ -619,11 +622,10 @@ def test_every_first_kernel_run_comes_from_one_integrate_ivp_call(monkeypatch):
         run = real_kernel(n, variant, f)
 
         def counted(*args):
-            if not args[-1]:
-                if inside:
-                    ivps[inside[-1]] += 1
-                else:
-                    stray.append(args)
+            if inside:
+                ivps[inside[-1]][0] += 1
+            else:
+                stray.append(args)
             return run(*args)
         return counted
 
@@ -635,9 +637,150 @@ def test_every_first_kernel_run_comes_from_one_integrate_ivp_call(monkeypatch):
     assert all(r.failures == 0 for r in check_extension(conic, SampleSpec(count=6, seed=5)))
     assert all(r.failures == 0 for r in
                check_lemma1_equivalence(_family("conic"), SampleSpec(count=6, seed=5)))
+    for cond in (NeumannConditions(0.0, 1.0, 0.3, -0.2), NeumannConditions(0.5, -0.5, 1.0, 2.0)):
+        traj = solve_neumann(_family("linear_zero"), cond).trajectory  # the accepted-secant rerun
+        traj.eval_many(np.linspace(cond.alpha, cond.beta, 9))
     clear_cache()
     assert len(ivps) > 50 and not stray
-    assert set(ivps) <= {0, 1} and ivps.count(1) > 50
+    assert all(runs == due for runs, due in ivps)
+
+
+# ------------------------------------------ which runs record
+#
+# Only Newton's trial runs, u + lam * s, record: one of them is the
+# solution.  The secant start, the forward-difference columns, extensions
+# and Cauchy runs do not.  When Newton accepts the secant start outright,
+# solve_neumann runs it once more, recording.
+
+def _solve_with_record_flags(monkeypatch, ode, cond):
+    """The result of solve_neumann and, per integrate_ivp call it made,
+    "T" if it recorded and "F" if not."""
+    flags = []
+    real = bvp_shooting.integrate_ivp
+
+    def spy(ode, start, tau_end, *rest):
+        traj = real(ode, start, tau_end, *rest)
+        flags.append("T" if traj._steps is not None else "F")
+        return traj
+
+    with monkeypatch.context() as m:
+        m.setattr(bvp_shooting, "integrate_ivp", spy)
+        result = solve_neumann(ode, cond)
+    return result, "".join(flags)
+
+
+# (ode, conditions, whether the secant start is exact)
+_RECORD_CASES = {
+    "conic": (make_ode("conic", {"k": 1.5, "g": 0.5})[0],
+              NeumannConditions(0.0, 1.0, 0.2, -0.4), False),
+    "oscillator-backward": (OSC, NeumannConditions(1.7, 0.3, -0.4, 0.8), False),
+    "linear_zero": (make_ode("linear_zero")[0], NeumannConditions(0.0, 1.0, 0.3, -0.2), True),
+    "dim2": (SecondOrderOde(2, lambda t, x, v: np.array([-x[1], x[0] - 0.2 * v[1]])),
+             NeumannConditions(0.0, 0.9, [0.5, 1.0], [-0.3, 0.2]), False),
+    "dim2-zero": (SecondOrderOde(2, lambda t, x, v: np.zeros(2)),
+                  NeumannConditions(0.0, 2.0, [0.5, 1.0], [-0.3, 0.2]), True),
+}
+
+
+@pytest.mark.parametrize("ode, cond, exact", _RECORD_CASES.values(), ids=_RECORD_CASES)
+def test_only_newton_trials_and_an_accepted_secant_rerun_record(monkeypatch, ode, cond, exact):
+    result, flags = _solve_with_record_flags(monkeypatch, ode, cond)
+    n, k = ode.dim, result.iterations
+    assert (k == 0) == exact
+    # the secant start, then per Newton iteration n columns and its trials;
+    # with no iteration, the certificate's n columns and the rerun
+    pattern = f"F(?:F{{{n}}}T+){{{k}}}" if k else f"FF{{{n}}}T"
+    assert re.fullmatch(pattern, flags), (pattern, flags)
+
+
+@pytest.mark.parametrize("ode, cond, exact", _RECORD_CASES.values(), ids=_RECORD_CASES)
+def test_solve_neumann_returns_the_recorded_run_of_its_solution(ode, cond, exact):
+    result = solve_neumann(ode, cond)
+    assert (result.iterations == 0) == exact
+    traj = result.trajectory
+    assert traj._steps is not None and len(traj.knots) == traj.n_segments + 1
+    # the bits of a recording run from the same start
+    fresh = integrate_ivp(ode, StatePoint(cond.alpha, cond.a, result.u), cond.beta,
+                          DEFAULT_SHOOTING.integrator)
+    taus = np.linspace(cond.alpha, cond.beta, 13).tolist() + fresh.knots[1::3]
+    assert ([[c.hex() for c in row] for row in traj.read(taus)]
+            == [[c.hex() for c in row] for row in fresh.read(taus)])
+    assert traj.knots == fresh.knots
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_recording_an_accepted_secant_start_whose_rhs_changes_raises(monkeypatch, dim):
+    # x'' = 0 makes the secant start exact, so Newton accepts it outright,
+    # and the rhs changes once the rerun that records it starts.
+    drift = [0.0]
+    if dim == 1:
+        ode = SecondOrderOde.from_scalar(lambda t, x, v: drift[0])
+    else:
+        ode = SecondOrderOde(2, lambda t, x, v: np.full(2, drift[0]))
+    real = bvp_shooting.integrate_ivp
+
+    def drifting_when_recording(ode, start, tau_end, config, record):
+        drift[0] = 1e-12 if record else 0.0
+        return real(ode, start, tau_end, config, record)
+
+    monkeypatch.setattr(bvp_shooting, "integrate_ivp", drifting_when_recording)
+    cond = NeumannConditions(0.0, 2.0, [0.5] * dim, [-0.3] * dim)
+    with pytest.raises(ode_core.IntegrationError, match="rhs is not deterministic"):
+        solve_neumann(ode, cond)
+    # with a steady rhs the rerun ends where the first run did
+    monkeypatch.setattr(bvp_shooting, "integrate_ivp", real)
+    drift[0] = 0.0
+    assert solve_neumann(ode, cond).iterations == 0
+
+
+# ------------------------------------------ the kept read
+
+def test_a_repeated_read_has_the_bits_of_a_fresh_one(monkeypatch):
+    ode = _family("conic", {"k": 1.5, "g": 0.5})
+    cond = NeumannConditions(0.0, 1.0, 0.2, -0.4)
+    icfg = DEFAULT_SHOOTING.integrator
+    clear_cache()
+    traj = solve_neumann(ode, cond).trajectory
+    reads = []
+    monkeypatch.setattr(bvp_shooting, "eval_state", lambda *args: reads.append(args) or eval_state(*args))
+    taus = (1.5, 0.5, -0.75, 1.0, 0.0, -0.0, 1.5)
+    for tau in taus:
+        first = eval_F(ode, tau, cond)
+        first[0] = 99.0  # a caller's edit does not reach the kept read
+        again = eval_F(ode, tau, cond)
+        assert again.tobytes() == eval_state(ode, traj, tau, icfg).x.tobytes()
+    # one read per tau; 0.0 and -0.0 are two
+    assert len(reads) == len(taus)
+    clear_cache()
+
+
+def test_the_extension_law_reads_a_repeated_tau_once(monkeypatch):
+    def run(read_slot):
+        calls, real, real_F = [], bvp_shooting.integrate_ivp, bvp_shooting.eval_F
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        def without_read_slot(*args):
+            bvp_shooting._last = bvp_shooting._last[:3] + (None,)
+            return real_F(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(bvp_shooting, "integrate_ivp", counted)
+            if not read_slot:
+                m.setattr(bvp_shooting, "eval_F", without_read_slot)
+                m.setattr(functional_laws, "eval_F", without_read_slot)
+            clear_cache()
+            reports = check_extension(numeric_evaluator("conic", {"k": 1.5, "g": 0.5}),
+                                      SampleSpec(count=40, seed=5))
+            clear_cache()
+        return json.dumps([r.to_json() for r in reports]), len(calls)
+
+    kept, kept_ivps = run(True)
+    fresh, fresh_ivps = run(False)
+    assert kept == fresh
+    assert kept_ivps < fresh_ivps
 
 
 @pytest.mark.parametrize("ode, cond", [

@@ -16,14 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from febvp import catalog, cli, geodesics, ode_core
+from febvp import bvp_shooting, catalog, cli, geodesics, ode_core
 from febvp.functional_laws import SampleSpec, check_boundary, check_lemma1_equivalence, evaluator_from_ode
 from febvp.rhs_parser import EvaluationError, ParseError, bind, eval_expr, parse
 from febvp.ode_core import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
     _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
     _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7,
-    _ERR_PREV_INIT, _FLUSH_DOUBLES, _KERNELS, _MIN_FACTOR, _SAFETY,
+    _ERR_PREV_INIT, _KERNELS, _MIN_FACTOR, _SAFETY,
     CodeCache,
     IntegrationError,
     IntegratorConfig,
@@ -150,8 +150,8 @@ def test_zero_width_target():
 
 # ------------------------------------------------- lazy dense output (pinned)
 #
-# A Trajectory keeps each accepted step as a raw record, t, h, y (2n) and
-# the stage derivatives K (7 x 2n, stage-major), and builds the quartic
+# A Trajectory keeps each accepted step as a tuple, t, h, y (2n) and the
+# stage derivatives K (7 x 2n, stage-major), and builds the quartic
 # interpolant only when a tau inside the step is evaluated.  The reference
 # below is the eager formula the integrator used to apply at every accepted
 # step; evaluation must reproduce it bit for bit.
@@ -194,11 +194,16 @@ def eager_interpolant(y0, h, q, th):
 
 
 def step_records(traj):
-    """(t, h, y0, K) of each accepted step, in integration order."""
+    """(t, h, y0, K) of each accepted step's tuple, in integration order."""
     n2 = 2 * traj.dim
-    rec = np.array(traj._steps).reshape(-1, 2 + 8 * n2)
-    return [(float(r[0]), float(r[1]), r[2:2 + n2].copy(),
-             r[2 + n2:].reshape(7, n2)) for r in rec]
+    return [(step[0], step[1], np.array(step[2:2 + n2]), np.array(step[2 + n2:]).reshape(7, n2))
+            for step in traj._steps]
+
+
+def buffers(traj):
+    """The bytes of a recorded trajectory's two end rows and step tuples."""
+    return ([array("d", row).tobytes() for row in traj._rows]
+            + [array("d", step).tobytes() for step in traj._steps])
 
 
 def bits(state):
@@ -280,7 +285,7 @@ def test_scalar_and_vector_kernels_agree_bit_for_bit(t0, t1):
     vector = integrate_ivp(DAMPED_VEC1, start, t1, IntegratorConfig())
     assert scalar.span == vector.span
     assert scalar.knots == vector.knots
-    assert scalar._states.tobytes() == vector._states.tobytes()
+    assert buffers(scalar) == buffers(vector)
     taus = np.linspace(t0, t1, 401).tolist()
     assert ([[c.hex() for c in row] for row in scalar.read(taus)]
             == [[c.hex() for c in row] for row in vector.read(taus)])
@@ -289,7 +294,9 @@ def test_scalar_and_vector_kernels_agree_bit_for_bit(t0, t1):
 # ------------------------------------------------- kernel entry points
 #
 # The compiled kernels, called as the parity tests below call them: on the
-# start state directly, recording, outside integrate_ivp.
+# start state directly, recording, outside integrate_ivp.  A run returns
+# its end tau, its end row, its count of accepted steps and one tuple per
+# accepted step.
 
 def _integrate_scalar(f, t0: float, x0: float, v0: float, t_end: float,
                       cfg: IntegratorConfig):
@@ -309,10 +316,9 @@ def _integrate_vector(ode: SecondOrderOde, t0: float, start: StatePoint,
 # ------------------------------------------------- scalar kernel bit parity
 #
 # The scalar kernel is written for few interpreter operations per step
-# (locals for the tableau, the PI controller and max/min inline, steps
-# collected in lists and moved into the arrays in batches).  The plain
-# version below, with a module-global lookup and an array call per step, is
-# the reference: the kernel must give the same bits and the same errors.
+# (locals for the tableau, the PI controller and max/min inline).  The
+# plain version below, with module-global lookups and helper calls, is the
+# reference: the kernel must give the same bits and the same errors.
 
 def reference_integrate_scalar(f, t0: float, x0: float, v0: float, t_end: float,
                                cfg: IntegratorConfig):
@@ -328,9 +334,7 @@ def reference_integrate_scalar(f, t0: float, x0: float, v0: float, t_end: float,
     err_prev = _ERR_PREV_INIT
     attempts = 0
 
-    knots = array("d", (t0,))
-    states = array("d", (x0, v0))
-    steps = array("d")
+    steps = []
 
     while (t_end - t) * direction > 0.0:
         remaining = t_end - t
@@ -384,10 +388,8 @@ def reference_integrate_scalar(f, t0: float, x0: float, v0: float, t_end: float,
         en = math.sqrt(0.5 * (ex * ex + ev * ev))
 
         if math.isfinite(en) and en <= 1.0:
-            steps.extend((t, hs, x, v, kx1, kv1, v2, kv2, v3, kv3, v4, kv4,
+            steps.append((t, hs, x, v, kx1, kv1, v2, kv2, v3, kv3, v4, kv4,
                           v5, kv5, v6, kv6, v_new, kv7))
-            knots.append(t_new)
-            states.extend((x_new, v_new))
             h = hs * _pi_factor(en, err_prev)
             err_prev = max(en, _ERR_PREV_INIT)
             t, x, v = t_new, x_new, v_new
@@ -399,14 +401,20 @@ def reference_integrate_scalar(f, t0: float, x0: float, v0: float, t_end: float,
                 raise StepSizeUnderflow(
                     f"step size {abs(h)!r} fell below h_min={cfg.h_min!r} at tau={t!r}",
                     tau=t, h=abs(h))
-    return knots, states, steps
+    return t, [x, v], len(steps), steps
 
+
+def run_bytes(run):
+    """A kernel run's end tau, end row, accepted count and step tuples, as
+    hex and bytes."""
+    t, y, accepted, steps = run
+    return t.hex(), array("d", y).tobytes(), accepted, [array("d", step).tobytes() for step in steps]
 
 
 def kernel_outcome(kernel, *args):
-    """The three buffers' bytes, or the error's class, message and context."""
+    """run_bytes of the run, or the error's class, message and context."""
     try:
-        return tuple(buf.tobytes() for buf in kernel(*args))
+        return run_bytes(kernel(*args))
     except (IntegrationError, ValueError) as exc:
         return type(exc), str(exc), getattr(exc, "context", None)
 
@@ -468,17 +476,13 @@ def test_scalar_kernel_matches_reference_bits(f, t0, x0, v0, t1, cfg):
                                  f, t0, x0, v0, t1, cfg)
 
 
-def test_parity_cases_cover_every_error_and_the_flush():
+def test_parity_cases_cover_every_error():
     errors = set()
-    longest = 0
     for case in PARITY_CASES:
         got = kernel_outcome(_integrate_scalar, *case.values)
         if isinstance(got[0], type):
             errors.add(got[0])
-        else:
-            longest = max(longest, len(got[2]) // 8)
     assert errors == {NonFiniteRhs, StepSizeUnderflow, MaxStepsExceeded}
-    assert longest > 4 * _FLUSH_DOUBLES
 
 
 # ------------------------------------------------- vector kernel bit parity
@@ -513,9 +517,7 @@ def reference_integrate_vector(ode: SecondOrderOde, t0: float, start: StatePoint
     err_prev = _ERR_PREV_INIT
     attempts = 0
 
-    knots = array("d", (t0,))
-    states = array("d", y.tobytes())
-    steps = array("d")
+    steps = []
     K = np.empty((7, 2 * n))
 
     while (t_end - t) * direction > 0.0:
@@ -558,11 +560,7 @@ def reference_integrate_vector(ode: SecondOrderOde, t0: float, start: StatePoint
         en = math.sqrt(ss / (2 * n))
 
         if math.isfinite(en) and en <= 1.0:
-            steps.extend((t, hs))
-            steps.frombytes(y.tobytes())
-            steps.frombytes(K.tobytes())
-            knots.append(t_new)
-            states.frombytes(y_new.tobytes())
+            steps.append((t, hs, *y.tolist(), *K.ravel().tolist()))
             h = hs * _pi_factor(en, err_prev)
             err_prev = max(en, _ERR_PREV_INIT)
             t, y, k1 = t_new, y_new, K[6].copy()
@@ -573,7 +571,7 @@ def reference_integrate_vector(ode: SecondOrderOde, t0: float, start: StatePoint
                 raise StepSizeUnderflow(
                     f"step size {abs(h)!r} fell below h_min={cfg.h_min!r} at tau={t!r}",
                     tau=t, h=abs(h))
-    return knots, states, steps
+    return t, y.tolist(), len(steps), steps
 
 
 HALF_PLANE = geodesics.geodesic_ode(geodesics.half_plane_connection())
@@ -645,9 +643,8 @@ def test_vector_kernel_matches_reference_bits(ode, t0, start, t1, cfg):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_vector_parity_cases_cover_every_error_rejection_and_the_flush():
+def test_vector_parity_cases_cover_every_error_and_rejection():
     errors = set()
-    longest = 0
     rejecting = 0
     for case in VECTOR_PARITY_CASES:
         ode, t0, start, t1, cfg = case.values
@@ -662,12 +659,9 @@ def test_vector_parity_cases_cover_every_error_rejection_and_the_flush():
         if isinstance(got[0], type):
             errors.add(got[0])
         else:
-            longest = max(longest, len(got[2]) // 8)
-            accepted = len(got[0]) // 8 - 1
-            rejecting += len(calls) > 1 + 6 * accepted
+            rejecting += len(calls) > 1 + 6 * got[2]
     assert errors == {NonFiniteRhs, StepSizeUnderflow, MaxStepsExceeded,
                       ValueError}
-    assert longest > 4 * _FLUSH_DOUBLES
     assert rejecting
 
 
@@ -831,9 +825,9 @@ def test_dim3_kernel_matches_reference_bits(ode, t0, start, t1, cfg):
                                  reference, t0, start, t1, cfg)
 
 
-def test_dim3_cases_cover_errors_rejections_and_the_flush():
+def test_dim3_cases_cover_errors_and_rejections():
     errors = set()
-    longest = rejecting = 0
+    rejecting = 0
     for case in DIM3_CASES:
         ode, t0, start, t1, cfg = case.values
         calls = []
@@ -842,10 +836,8 @@ def test_dim3_cases_cover_errors_rejections_and_the_flush():
         if isinstance(got[0], type):
             errors.add(got[0])
         else:
-            longest = max(longest, len(got[2]) // 8)
-            rejecting += len(calls) > 1 + 6 * (len(got[0]) // 8 - 1)
+            rejecting += len(calls) > 1 + 6 * got[2]
     assert errors == {NonFiniteRhs, MaxStepsExceeded, ValueError}
-    assert longest > 4 * _FLUSH_DOUBLES
     assert rejecting
 
 
@@ -1032,13 +1024,13 @@ def test_eval_many_rejects_out_of_span():
 def eager_row(traj, tau):
     """The eager reference at tau, as the hex of its 2n floats: a knot's
     stored state, or the interpolant of the step strictly around tau."""
-    n2 = 2 * traj.dim
-    knots = list(traj._knots)
-    states = np.array(traj._states).reshape(-1, n2)
+    records = step_records(traj)
+    knots = [t for t, _, _, _ in records] + [traj._ends[1]]
+    states = [y0 for _, _, y0, _ in records] + [np.array(traj._rows[1])]
     if tau in knots:
         y = states[knots.index(tau)]
     else:
-        (t, h, y0, K), = [record for k, record in enumerate(step_records(traj))
+        (t, h, y0, K), = [record for k, record in enumerate(records)
                           if min(knots[k], knots[k + 1]) < tau < max(knots[k], knots[k + 1])]
         y = eager_interpolant(y0, h, eager_q(K), (tau - t) / h)
     return [float(c).hex() for c in y]
@@ -1143,7 +1135,7 @@ def test_integrator_config_accepts_zero_tolerances_and_floor():
 def run_outcome(kernel, *args):
     """kernel_outcome, with any exception as its class, message and context."""
     try:
-        return tuple(buf.tobytes() for buf in kernel(*args))
+        return run_bytes(kernel(*args))
     except Exception as exc:
         return type(exc), str(exc), getattr(exc, "context", None)
 
@@ -1318,10 +1310,6 @@ def test_half_plane_inlined_kernel_matches_the_old_accel_and_einsum(x0, v0, t1, 
     assert got == run_outcome(reference_integrate_vector, HALF_PLANE, 0.0, start, t1, cfg)
 
 
-def buffers(traj):
-    return [buf.tobytes() for buf in (traj._knots, traj._states, traj._steps)]
-
-
 def _plain_counter(fn, calls):
     def wrapper(*args):
         calls.append(args[0])
@@ -1358,10 +1346,10 @@ def test_a_wrapper_on_rhs1_sees_every_call(make, start, wrap):
     ode.rhs1 = wrap(ode.rhs1, calls)
     got = integrate_ivp(ode, start, 2.0)
     assert len(calls) == 1 + 6 * got.n_segments
-    # recording the run for its buffers calls the wrapper again, call for call
-    run_calls = list(calls)
+    # the run recorded as it ran: reading its steps calls nothing more
     assert buffers(got) == buffers(inline)
-    assert calls == run_calls + run_calls
+    assert got.read([0.5, 1.0]) == inline.read([0.5, 1.0])
+    assert len(calls) == 1 + 6 * got.n_segments
 
 
 def _request_kinds(p, q):
@@ -1432,12 +1420,13 @@ def test_a_step_that_does_not_move_tau_raises_step_underflow_at_once():
         integrate_ivp(ff, StatePoint.of(1e20, [0.3], [-0.2]), 1e20 + 1e6)
 
 
-# ------------------------------------------------------ recording on demand
+# ------------------------------------------------------------- recording
 #
-# integrate_ivp runs its kernel with recording off and keeps the run's two
-# ends; the first read strictly inside the span (or of knots) runs the same
-# kernel again with recording on.  A recorded trajectory is the eager
-# reference: every read must give its bits, or its error.
+# integrate_ivp runs its kernel once.  A recording run (the default) keeps
+# one tuple per accepted step and is the eager reference; a run with
+# record False keeps its two ends and its count of accepted steps, reads
+# its ends with the recording run's bits, and raises ValueError for any
+# tau strictly inside its span.
 
 def counting(ode):
     """ode with the rhs its kernel calls counting its calls, and the calls."""
@@ -1450,11 +1439,12 @@ def counting(ode):
 
 
 def read_outcome(traj, taus):
-    """The hex of each row traj reads at taus, or the error's message and context."""
+    """The hex of each row traj reads at taus, or the error's class,
+    message and context."""
     try:
         return [[c.hex() for c in row] for row in traj.read(taus)]
-    except OutOfSpan as exc:
-        return str(exc), exc.context
+    except (OutOfSpan, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "context", None)
 
 
 _READS = ["start", "end", "inside", "before", "after"]
@@ -1466,52 +1456,34 @@ _READS = ["start", "end", "inside", "before", "after"]
        backward=hst.booleans(),
        reads=hst.lists(hst.tuples(hst.sampled_from(_READS), hst.floats(0.0, 1.0)),
                        min_size=1, max_size=12))
-def test_lazy_trajectory_reads_the_bits_of_a_recorded_one(dim, scalar, A, B, c, x0, v0,
-                                                          t0, span, backward, reads):
+def test_an_unrecorded_run_reads_only_the_ends_of_a_recorded_one(dim, scalar, A, B, c, x0, v0,
+                                                                 t0, span, backward, reads):
     t1 = t0 - span if backward else t0 + span
     start = StatePoint.of(t0, x0[:dim], v0[:dim])
-    eager = integrate_ivp(linear_ode(dim, scalar, A, B, c), start, t1, DEFAULT)
-    assert len(eager._steps) > 0  # recorded now
     ode, calls = counting(linear_ode(dim, scalar, A, B, c))
-    lazy = integrate_ivp(ode, start, t1, DEFAULT)
+    recorded = integrate_ivp(ode, start, t1, DEFAULT)
     run = len(calls)
-    assert (lazy.span, lazy.n_segments) == (eager.span, eager.n_segments)
-    assert len(calls) == run
-    lo, hi = eager.span
+    bare = integrate_ivp(ode, start, t1, DEFAULT, False)
+    # the same run, once each
+    assert calls == calls[:run] * 2
+    assert bare._steps is None and len(recorded._steps) == recorded.n_segments > 0
+    assert (bare.span, bare.n_segments) == (recorded.span, recorded.n_segments)
+    assert [array("d", row).tobytes() for row in bare._rows] == buffers(recorded)[:2]
+    lo, hi = recorded.span
     where = {"start": lambda f: t0, "end": lambda f: t1, "inside": lambda f: lo + f * (hi - lo),
              "before": lambda f: lo - 1.0 - f, "after": lambda f: hi + 1.0 + f}
     taus = [where[kind](frac) for kind, frac in reads]
-    recorded = False
+    unrecorded = (ValueError, "the run was not recorded: only its two ends can be read", None)
     for tau in taus:
-        assert read_outcome(lazy, [tau]) == read_outcome(eager, [tau])
-        recorded = recorded or lo < tau < hi
-        # recorded once, on the first interior read, with the first run's calls
-        assert calls == (calls[:run] * 2 if recorded else calls[:run])
-    inside = [tau for tau in taus if lo <= tau <= hi]
-    assert read_outcome(lazy, inside) == read_outcome(eager, inside)
-    assert lazy.knots == eager.knots
-
-
-@pytest.mark.parametrize("ode, start", [
-    (SecondOrderOde.from_scalar(lambda t, x, v: -x), StatePoint.of(0.0, [0.5], [-0.3])),
-    (SecondOrderOde(2, COUPLED.rhs, rhs1=lambda t, x, v: [-x[1], x[0]]),
-     StatePoint.of(0.0, [0.5, 1.0], [-0.3, 0.2])),
-], ids=["dim1", "dim2"])
-def test_recording_a_run_whose_rhs_changes_raises(ode, start):
-    # The rhs drifts with every call, so the run recorded on the first
-    # interior read does not end where the first run did.
-    rhs1, calls = ode.rhs1, []
-
-    def drifting(t, x, v):
-        calls.append(t)
-        fx = rhs1(t, x, v)
-        return fx + 1e-6 * len(calls) if ode.dim == 1 else [c + 1e-6 * len(calls) for c in fx]
-
-    ode.rhs1 = drifting
-    traj = integrate_ivp(ode, start, 2.0)
-    traj.read([0.0, 2.0])  # the ends need no recording
-    with pytest.raises(IntegrationError, match="rhs is not deterministic"):
-        traj.read([1.0])
+        got = read_outcome(bare, [tau])
+        assert got == (unrecorded if lo < tau < hi else read_outcome(recorded, [tau]))
+    ends = [tau for tau in taus if tau in (lo, hi)]
+    assert read_outcome(bare, ends) == read_outcome(recorded, ends)
+    if len(ends) < len(taus) and all(lo <= tau <= hi for tau in taus):
+        assert read_outcome(bare, taus) == unrecorded
+    with pytest.raises(ValueError, match="not recorded"):
+        bare.knots
+    assert len(calls) == 2 * run  # reading runs nothing
 
 
 @pytest.fixture
@@ -1531,30 +1503,48 @@ def kernel_records(monkeypatch):
     return records
 
 
-def test_reads_at_the_ends_record_nothing(kernel_records, capsys):
+def test_extension_and_cauchy_runs_record_nothing(kernel_records, capsys):
     conic = catalog.make_ode("conic", {"k": 1.5, "g": 0.5})[0]
-    report = check_boundary(evaluator_from_ode(conic), SampleSpec(count=20, seed=3))
-    assert report.failures == 0
-    base = ["solve", "--catalog", "conic", "--param", "k=1.5", "--param", "g=0.5",
-            "--neumann", "0", "1", "0.2", "-0.4", "--tau", "0", "--tau", "1"]
-    for taus in ([], ["--tau", "1.5"], ["--tau", "-0.5"]):
-        assert cli.main(base + taus + ["--format", "json"]) == 0
+    cfg = bvp_shooting.DEFAULT_SHOOTING
+    traj = bvp_shooting.solve_neumann(conic, bvp_shooting.NeumannConditions(0.0, 1.0, 0.2, -0.4),
+                                      cfg).trajectory
+    assert any(kernel_records)  # Newton's trials record
+    del kernel_records[:]
+    for tau in (1.5, -0.5, 1.0 + 1e-9):
+        bvp_shooting.eval_state(conic, traj, tau, cfg.integrator)
+    for tau in (0.5, -0.25):
+        bvp_shooting.eval_S(conic, tau, bvp_shooting.IntegralConditions(0.0, 0.0, 0.2, -0.4), cfg)
+    cauchy = ["solve", "--catalog", "conic", "--param", "k=1.5", "--param", "g=0.5",
+              "--cauchy", "0", "0.2", "-0.4", "--tau", "0.5", "--tau", "-1", "--format", "json"]
+    assert cli.main(cauchy) == 0
     capsys.readouterr()
-    assert len(kernel_records) > 20 and not any(kernel_records)
+    assert len(kernel_records) == 7 and not any(kernel_records)
 
 
-def test_lemma1_records_once_per_sample(kernel_records):
+def test_lemma1_records_only_its_newton_trials(kernel_records, monkeypatch):
+    # These linear solves halve no Newton step, so each iteration runs one
+    # trial, and each trial records.
+    iterations, solve = [], bvp_shooting.solve_neumann
+
+    def counted(*args):
+        result = solve(*args)
+        iterations.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(bvp_shooting, "solve_neumann", counted)
     conic = catalog.make_ode("conic", {"k": 1.5, "g": 0.5})[0]
     reports = check_lemma1_equivalence(conic, SampleSpec(count=12, seed=3))
     assert all(r.failures == 0 for r in reports)
-    assert kernel_records.count(True) == 12
+    assert len(iterations) == 12 and min(iterations) > 0
+    assert kernel_records.count(True) == sum(iterations)
     assert len(kernel_records) > 3 * 12
 
 
 # ------------------------------------------------------------ end reads
 #
 # A read whose taus are all span ends returns the stored end rows straight
-# from the trajectory's two ends: no bisect, and never a recording run.
+# from the trajectory's two ends: no bisect, and no knot list, recorded or
+# not.
 
 _ENDS = ["t0", "t1", "lo", "hi", "signed zero"]
 
@@ -1564,20 +1554,13 @@ _ENDS = ["t0", "t1", "lo", "hi", "signed zero"]
        c=_three, x0=_three, v0=_three, t0=hst.just(0.0) | hst.floats(-2.0, 2.0),
        span=hst.just(0.0) | hst.floats(0.5, 3.0), backward=hst.booleans(),
        recorded=hst.booleans(), ends=hst.lists(hst.sampled_from(_ENDS), max_size=8))
-def test_end_reads_return_the_general_paths_bits_and_never_record(
+def test_end_reads_return_the_general_paths_bits_with_no_knot_list(
         dim, scalar, A, B, c, x0, v0, t0, span, backward, recorded, ends):
     t1 = t0 - span if backward else t0 + span
     start = StatePoint.of(t0, x0[:dim], v0[:dim])
     ode = linear_ode(dim, scalar, A, B, c)
     eager = integrate_ivp(ode, start, t1, DEFAULT)
-    eager.knots  # recorded (a zero-width run has nothing to record)
-    traj = integrate_ivp(ode, start, t1, DEFAULT)
-    runs = []
-    if traj._run is not None:
-        traj._run = _counted(traj._run, runs)
-    if recorded:
-        traj.knots
-    before = len(runs)
+    traj = integrate_ivp(ode, start, t1, DEFAULT, recorded)
     lo, hi = traj.span
     # an end given as -0.0 where it is 0.0 is the same tau
     place = {"t0": t0, "t1": t1, "lo": lo, "hi": hi, "signed zero": -t0 if t0 == 0.0 else t0}
@@ -1589,8 +1572,7 @@ def test_end_reads_return_the_general_paths_bits_and_never_record(
     if span:
         # the general path: the same taus batched with an interior one
         assert read_outcome(eager, taus + [0.5 * (lo + hi)])[:len(taus)] == expected
-    assert len(runs) == before
-    assert ("_steps" in vars(traj)) == (recorded or not span)
+    assert traj._knots is None
 
 
 # ------------------------------------------------- start states and dtypes

@@ -1,7 +1,8 @@
 """Source-level rules of the package layout: modules share helpers only
 through public names, import nothing they do not use, every sampled law
-runs through one loop, generated code has one cache, and no module touches
-a global random state."""
+runs through one loop, generated code has one cache, integrate_ivp is
+called with positional arguments only, and no module touches a global
+random state."""
 
 import ast
 import os
@@ -164,3 +165,19 @@ def test_no_blas_or_lapack_on_the_solve_path(name):
             found.append((scope, "generated source", node.lineno))
     assert not found, found
     assert len(matmuls) == (name == "ode_core.py"), matmuls
+
+
+def test_integrate_ivp_takes_only_positional_arguments():
+    # The benchmark's tracer wraps bvp_shooting.integrate_ivp as
+    # integrate_ivp(ode, start, tau_end, *rest), so a keyword argument
+    # (record=...) would break every traced run.
+    calls, keywords = [], []
+    for name in MODULES:
+        for node in ast.walk(parse(name)):
+            if (isinstance(node, ast.Call)
+                    and ast.unparse(node.func).split(".")[-1] == "integrate_ivp"):
+                calls.append((name, node.lineno))
+                if node.keywords:
+                    keywords.append((name, ast.unparse(node), node.lineno))
+    assert not keywords, keywords
+    assert len(calls) >= 4, calls
