@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from febvp import bvp_shooting, catalog, cli, geodesics, ode_core
-from febvp.functional_laws import SampleSpec, check_boundary, check_lemma1_equivalence, evaluator_from_ode
+from febvp.functional_laws import SampleSpec, check_lemma1_equivalence
 from febvp.rhs_parser import EvaluationError, ParseError, bind, eval_expr, parse
 from febvp.ode_core import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
