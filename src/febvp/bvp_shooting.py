@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import FebvpError
 from .ode_core import (
-    IntegrationError,
     IntegratorConfig,
     SecondOrderOde,
     StatePoint,
@@ -343,9 +342,9 @@ def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
         raise NoConvergence("the secant start (b - a)/(beta - alpha) is not finite",
                             interval=interval)
 
-    # Only a Newton trial records (its run is the solution if accepted);
-    # the secant start is recorded again if Newton accepts it outright.
-    r, rn, traj = residual(u, False)
+    # The secant start and Newton's trials record: whichever run Newton
+    # accepts last is the solution.  The Jacobian columns do not.
+    r, rn, traj = residual(u, True)
     iterations = 0
     J = None
 
@@ -362,9 +361,12 @@ def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
         if not all(map(math.isfinite, s)):
             raise ConjugatePoint("shooting Newton step is non-finite", interval=interval)
 
+        # only a trial can be the solution now: hold one recorded run at a time
+        traj = None
         lam = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             u_try = [x + lam * y for x, y in zip(u, s)]
+            traj_try = None
             r_try, rn_try, traj_try = residual(u_try, True)
             if rn_try < rn or rn_try <= tol:
                 break
@@ -382,12 +384,6 @@ def solve_neumann(ode: SecondOrderOde, cond: NeumannConditions,
     # case with matching endpoint data lands here), so form one now.
     if J is None:
         _check_singular(_singular_values(jacobian(u, r)), interval, cfg)
-        first = traj
-        traj = residual(u, True)[2]
-        if traj.read((beta,)) != first.read((beta,)) or traj.n_segments != first.n_segments:
-            raise IntegrationError(
-                "rhs is not deterministic: recording the run again did not end on "
-                "its end state", label=ode.label)
     return ShootingResult(u=np.array(u), trajectory=traj, iterations=iterations, final_residual=rn)
 
 
@@ -420,32 +416,30 @@ def solve_integral(ode: SecondOrderOde, cond: IntegralConditions,
     return solve_neumann(ode, ncond, cfg)
 
 
-# The last eval_F solve as (ode, key, result, read), keyed by the exact
-# bits of the conditions and the config's value, with read the last value
-# eval_F gave from it, (tau.hex(), x), or None.  The laws read one solve at
-# several taus in a row, and the extension law the same tau twice (an
-# extension IVP each time outside the span), so this one slot serves every
-# repeat they make.
-_last: tuple = (None, None, None, None)
+# The last eval_F solve as (ode, key, result), keyed by the exact bits of
+# the conditions and the config's value.  The laws read one solve at several
+# taus in a row, so this one slot serves every repeat they make.
+_last: tuple = (None, None, None)
 
 
 def clear_cache() -> None:
     """Drop the kept solve."""
     global _last
-    _last = (None, None, None, None)
+    _last = (None, None, None)
 
 
 def _cached_solve(ode: SecondOrderOde, cond: NeumannConditions,
                   cfg: ShootingConfig) -> ShootingResult:
     global _last
     key = (cond.alpha.hex(), cond.beta.hex(), cond.a.tobytes(), cond.b.tobytes(), cfg)
-    last_ode, last_key, result, _ = _last
-    if last_ode is ode and last_key == key:
-        return result
-    # the module global, so that a wrapper installed on solve_neumann
-    # (tracing, tests) sees every solve
+    if _last[0] is ode and _last[1] == key:
+        return _last[2]
+    # drop the kept solve first, so that its record is not held while the
+    # next one runs; the module global, so that a wrapper installed on
+    # solve_neumann (tracing, tests) sees every solve
+    _last = (None, None, None)
     result = solve_neumann(ode, cond, cfg)
-    _last = (ode, key, result, None)
+    _last = (ode, key, result)
     return result
 
 
@@ -474,19 +468,11 @@ def eval_F(ode: SecondOrderOde, tau: float, cond: NeumannConditions,
     """Value x(tau) of the endpoint-data solution, as a map of (tau, cond).
 
     The last solve is kept, so sweeping tau over one (cond, cfg) costs one
-    solve, and so is its last read, so asking for the same tau again costs
-    nothing.  tau may lie outside [alpha, beta]; the solution is continued
-    by direct integration.
+    solve.  tau may lie outside [alpha, beta]; the solution is continued by
+    direct integration.
     """
-    global _last
-    tau = float(tau)
     result = _cached_solve(ode, cond, cfg)
-    read = _last[3]
-    if read is not None and read[0] == tau.hex():
-        return read[1].copy()
-    x = eval_state(ode, result.trajectory, tau, cfg.integrator).x
-    _last = (*_last[:3], (tau.hex(), x.copy()))
-    return x
+    return eval_state(ode, result.trajectory, float(tau), cfg.integrator).x
 
 
 def diag_switch(alpha: float) -> float:

@@ -51,8 +51,8 @@ argument set (the default) the loop appends one tuple per accepted step
 to a list: start time, signed width, start state and the seven stage
 derivatives, ``(t, h, x, v, v1, k1, ..., v7, k7)``; without it the run
 keeps only its two ends and its count of accepted steps, so runs read
-only at their ends (Jacobian columns, dropped Newton iterates,
-extensions) pass record=False and record nothing.  A step's interpolant
+only at their ends (Jacobian columns, extensions, Cauchy runs) pass
+record=False and record nothing.  A step's interpolant
 is built from its tuple when a tau inside it is evaluated, and never
 kept.
 

@@ -1,9 +1,9 @@
 """Shooting solver tests: closed-form targets, conjugate detection, the
 kept last solve, and the smooth extension."""
 
-import json
 import math
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -638,7 +638,7 @@ def test_every_kernel_run_comes_from_one_integrate_ivp_call(monkeypatch):
     assert all(r.failures == 0 for r in
                check_lemma1_equivalence(_family("conic"), SampleSpec(count=6, seed=5)))
     for cond in (NeumannConditions(0.0, 1.0, 0.3, -0.2), NeumannConditions(0.5, -0.5, 1.0, 2.0)):
-        traj = solve_neumann(_family("linear_zero"), cond).trajectory  # the accepted-secant rerun
+        traj = solve_neumann(_family("linear_zero"), cond).trajectory  # an accepted secant start
         traj.eval_many(np.linspace(cond.alpha, cond.beta, 9))
     clear_cache()
     assert len(ivps) > 50 and not stray
@@ -647,10 +647,10 @@ def test_every_kernel_run_comes_from_one_integrate_ivp_call(monkeypatch):
 
 # ------------------------------------------ which runs record
 #
-# Only Newton's trial runs, u + lam * s, record: one of them is the
-# solution.  The secant start, the forward-difference columns, extensions
-# and Cauchy runs do not.  When Newton accepts the secant start outright,
-# solve_neumann runs it once more, recording.
+# The secant start and Newton's trial runs, u + lam * s, record: the last
+# one Newton accepts is the solution.  The forward-difference columns,
+# extensions and Cauchy runs do not.  So a solve whose secant start is exact
+# makes its two IVPs, the start and the certificate's column, and no more.
 
 def _solve_with_record_flags(monkeypatch, ode, cond):
     """The result of solve_neumann and, per integrate_ivp call it made,
@@ -683,13 +683,13 @@ _RECORD_CASES = {
 
 
 @pytest.mark.parametrize("ode, cond, exact", _RECORD_CASES.values(), ids=_RECORD_CASES)
-def test_only_newton_trials_and_an_accepted_secant_rerun_record(monkeypatch, ode, cond, exact):
+def test_only_the_secant_start_and_newton_trials_record(monkeypatch, ode, cond, exact):
     result, flags = _solve_with_record_flags(monkeypatch, ode, cond)
     n, k = ode.dim, result.iterations
     assert (k == 0) == exact
     # the secant start, then per Newton iteration n columns and its trials;
-    # with no iteration, the certificate's n columns and the rerun
-    pattern = f"F(?:F{{{n}}}T+){{{k}}}" if k else f"FF{{{n}}}T"
+    # with no iteration, the certificate's n columns
+    pattern = f"T(?:F{{{n}}}T+){{{k}}}" if k else f"TF{{{n}}}"
     assert re.fullmatch(pattern, flags), (pattern, flags)
 
 
@@ -708,79 +708,32 @@ def test_solve_neumann_returns_the_recorded_run_of_its_solution(ode, cond, exact
     assert traj.knots == fresh.knots
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_recording_an_accepted_secant_start_whose_rhs_changes_raises(monkeypatch, dim):
-    # x'' = 0 makes the secant start exact, so Newton accepts it outright,
-    # and the rhs changes once the rerun that records it starts.
-    drift = [0.0]
-    if dim == 1:
-        ode = SecondOrderOde.from_scalar(lambda t, x, v: drift[0])
-    else:
-        ode = SecondOrderOde(2, lambda t, x, v: np.full(2, drift[0]))
+def test_solves_hold_one_recorded_run_at_a_time(monkeypatch):
+    # A recorded step takes hundreds of bytes, so no recording run may start
+    # while an earlier one is still held: not the iterate Newton steps away
+    # from, not a trial the line search rejected, and not the solve eval_F
+    # kept, which the next solve replaces.
+    recorded = []  # weak references to the recorded runs so far
     real = bvp_shooting.integrate_ivp
 
-    def drifting_when_recording(ode, start, tau_end, config, record):
-        drift[0] = 1e-12 if record else 0.0
-        return real(ode, start, tau_end, config, record)
+    def spy(ode, start, tau_end, config, record):
+        if record:
+            assert all(ref() is None for ref in recorded)
+        traj = real(ode, start, tau_end, config, record)
+        if record:
+            recorded.append(weakref.ref(traj))
+        return traj
 
-    monkeypatch.setattr(bvp_shooting, "integrate_ivp", drifting_when_recording)
-    cond = NeumannConditions(0.0, 2.0, [0.5] * dim, [-0.3] * dim)
-    with pytest.raises(ode_core.IntegrationError, match="rhs is not deterministic"):
-        solve_neumann(ode, cond)
-    # with a steady rhs the rerun ends where the first run did
-    monkeypatch.setattr(bvp_shooting, "integrate_ivp", real)
-    drift[0] = 0.0
-    assert solve_neumann(ode, cond).iterations == 0
-
-
-# ------------------------------------------ the kept read
-
-def test_a_repeated_read_has_the_bits_of_a_fresh_one(monkeypatch):
-    ode = _family("conic", {"k": 1.5, "g": 0.5})
-    cond = NeumannConditions(0.0, 1.0, 0.2, -0.4)
-    icfg = DEFAULT_SHOOTING.integrator
+    monkeypatch.setattr(bvp_shooting, "integrate_ivp", spy)
     clear_cache()
-    traj = solve_neumann(ode, cond).trajectory
-    reads = []
-    monkeypatch.setattr(bvp_shooting, "eval_state", lambda *args: reads.append(args) or eval_state(*args))
-    taus = (1.5, 0.5, -0.75, 1.0, 0.0, -0.0, 1.5)
-    for tau in taus:
-        first = eval_F(ode, tau, cond)
-        first[0] = 99.0  # a caller's edit does not reach the kept read
-        again = eval_F(ode, tau, cond)
-        assert again.tobytes() == eval_state(ode, traj, tau, icfg).x.tobytes()
-    # one read per tau; 0.0 and -0.0 are two
-    assert len(reads) == len(taus)
+    # the pendulum case halves a Newton step; the oscillator takes steps
+    for cond, ode in [(NeumannConditions(0.0, 2.82, 2.14, 2.95), PENDULUM),
+                      (NeumannConditions(0.0, 2.82, 2.1, 2.9), PENDULUM),
+                      (NeumannConditions(0.0, math.pi - 0.1, 0.3, 0.7), OSC)]:
+        for tau in (0.5, 1.0, 3.5):
+            eval_F(ode, tau, cond)
     clear_cache()
-
-
-def test_the_extension_law_reads_a_repeated_tau_once(monkeypatch):
-    def run(read_slot):
-        calls, real, real_F = [], bvp_shooting.integrate_ivp, bvp_shooting.eval_F
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        def without_read_slot(*args):
-            bvp_shooting._last = bvp_shooting._last[:3] + (None,)
-            return real_F(*args)
-
-        with monkeypatch.context() as m:
-            m.setattr(bvp_shooting, "integrate_ivp", counted)
-            if not read_slot:
-                m.setattr(bvp_shooting, "eval_F", without_read_slot)
-                m.setattr(functional_laws, "eval_F", without_read_slot)
-            clear_cache()
-            reports = check_extension(numeric_evaluator("conic", {"k": 1.5, "g": 0.5}),
-                                      SampleSpec(count=40, seed=5))
-            clear_cache()
-        return json.dumps([r.to_json() for r in reports]), len(calls)
-
-    kept, kept_ivps = run(True)
-    fresh, fresh_ivps = run(False)
-    assert kept == fresh
-    assert kept_ivps < fresh_ivps
+    assert len(recorded) > 6
 
 
 @pytest.mark.parametrize("ode, cond", [

@@ -1521,9 +1521,9 @@ def test_extension_and_cauchy_runs_record_nothing(kernel_records, capsys):
     assert len(kernel_records) == 7 and not any(kernel_records)
 
 
-def test_lemma1_records_only_its_newton_trials(kernel_records, monkeypatch):
+def test_lemma1_records_only_its_secant_starts_and_newton_trials(kernel_records, monkeypatch):
     # These linear solves halve no Newton step, so each iteration runs one
-    # trial, and each trial records.
+    # trial; each trial and each solve's secant start record.
     iterations, solve = [], bvp_shooting.solve_neumann
 
     def counted(*args):
@@ -1536,7 +1536,7 @@ def test_lemma1_records_only_its_newton_trials(kernel_records, monkeypatch):
     reports = check_lemma1_equivalence(conic, SampleSpec(count=12, seed=3))
     assert all(r.failures == 0 for r in reports)
     assert len(iterations) == 12 and min(iterations) > 0
-    assert kernel_records.count(True) == sum(iterations)
+    assert kernel_records.count(True) == len(iterations) + sum(iterations)
     assert len(kernel_records) > 3 * 12
 
 
