@@ -168,26 +168,6 @@ def _snc(z: float) -> float:
     return math.sin(z) / z
 
 
-def _conic_F_sinh(k: float, g: float, u: float, w: float, s: float,
-                  a: float, b: float) -> float:
-    # The quotient
-    #   [(k^2 a + g) sinh(ku) + (k^2 b + g) sinh(kw) - g sinh(ks)]
-    #   / (k^2 sinh(ks)),   s = u + w,
-    # evaluated through sinh(A) + sinh(B) - sinh(A+B)
-    #   = -2 [sinh(A) sinh^2(B/2) + sinh(B) sinh^2(A/2)],
-    # which removes the three-way cancellation that otherwise eats half the
-    # mantissa for small |ks|.
-    den = s * _shc(k * s)
-    shu = _shc(k * u)
-    shw = _shc(k * w)
-    term_ab = (a * u * shu + b * w * shw) / den
-    hu = _shc(0.5 * k * u)
-    hw = _shc(0.5 * k * w)
-    bracket = w * shu * hw * hw + u * shw * hu * hu
-    term_g = -0.5 * g * u * w * bracket / den
-    return term_ab + term_g
-
-
 def _conic_F_series(k: float, g: float, u: float, w: float, s: float,
                     a: float, b: float) -> float:
     # Expansion of the same quotient in powers of k^2 through k^4; the k^0
@@ -220,12 +200,37 @@ def conic_F(p: ConicParams, tau: float, alpha: float, beta: float,
     """
     if alpha == beta:
         raise ValueError("conic_F requires alpha != beta")
+    k = p.k
     u = tau - beta
     w = alpha - tau
     s = alpha - beta
-    if abs(p.k * s) >= SERIES_SWITCH:
-        return _conic_F_sinh(p.k, p.g, u, w, s, a, b)
-    return _conic_F_series(p.k, p.g, u, w, s, a, b)
+    ks = k * s
+    if abs(ks) < SERIES_SWITCH:
+        return _conic_F_series(k, p.g, u, w, s, a, b)
+    # The quotient
+    #   [(k^2 a + g) sinh(ku) + (k^2 b + g) sinh(kw) - g sinh(ks)]
+    #   / (k^2 sinh(ks)),   s = u + w,
+    # evaluated through sinh(A) + sinh(B) - sinh(A+B)
+    #   = -2 [sinh(A) sinh^2(B/2) + sinh(B) sinh^2(A/2)],
+    # which removes the three-way cancellation that otherwise eats half the
+    # mantissa for small |ks|.  Each sinh(z)/z is _shc(z): when no half
+    # argument is below _shc's switch, no whole one is (|0.5 k| <= |k| and
+    # |ks| >= SERIES_SWITCH = 1e-4), so all five take its sinh branch inline.
+    ku = k * u
+    kw = k * w
+    ku2 = 0.5 * k * u
+    kw2 = 0.5 * k * w
+    if abs(ku2) >= 1e-4 and abs(kw2) >= 1e-4:
+        sinh = math.sinh
+        shs, shu, shw = sinh(ks) / ks, sinh(ku) / ku, sinh(kw) / kw
+        hu, hw = sinh(ku2) / ku2, sinh(kw2) / kw2
+    else:
+        shs, shu, shw, hu, hw = _shc(ks), _shc(ku), _shc(kw), _shc(ku2), _shc(kw2)
+    den = s * shs
+    term_ab = (a * u * shu + b * w * shw) / den
+    bracket = w * shu * hw * hw + u * shw * hu * hu
+    term_g = -0.5 * p.g * u * w * bracket / den
+    return term_ab + term_g
 
 
 def conic_S(p: ConicParams, tau: float, alpha: float, beta: float,
@@ -240,13 +245,22 @@ def conic_S(p: ConicParams, tau: float, alpha: float, beta: float,
     k, g = p.k, p.g
     sp = beta - alpha
     tp = tau - alpha
-    sh_sp = _shc(k * sp)
-    h_sp = _shc(0.5 * k * sp)
+    ksp = k * sp
+    ktp = k * tp
+    ksp2 = 0.5 * k * sp
+    ktp2 = 0.5 * k * tp
+    # each sinh(z)/z is _shc(z), inline when no half argument is below its
+    # switch (then, as |0.5 k| <= |k|, no whole one is)
+    if abs(ksp2) >= 1e-4 and abs(ktp2) >= 1e-4:
+        sinh = math.sinh
+        sh_sp, sh_tp = sinh(ksp) / ksp, sinh(ktp) / ktp
+        h_sp, h_tp = sinh(ksp2) / ksp2, sinh(ktp2) / ktp2
+    else:
+        sh_sp, sh_tp, h_sp, h_tp = _shc(ksp), _shc(ktp), _shc(ksp2), _shc(ktp2)
     u0 = (-0.5 * sp * (k * k * a + g) * h_sp * h_sp + v) / sh_sp
-    h_tp = _shc(0.5 * k * tp)
-    return (a * math.cosh(k * tp)
+    return (a * math.cosh(ktp)
             + 0.5 * g * tp * tp * h_tp * h_tp
-            + u0 * tp * _shc(k * tp))
+            + u0 * tp * sh_tp)
 
 
 def cos_sin_S(tau: float, alpha: float, beta: float,

@@ -79,7 +79,7 @@ class EvaluatorFailure(FebvpError):
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-DRAW_BLOCK = 64  # draws that Splitmix64.uniform mixes at once
+DRAW_BLOCK = 512  # draws that Splitmix64.uniform mixes at once
 # A block's counter steps gamma * (DRAW_BLOCK, ..., 1), reversed as list.pop
 # takes the last entry first, and the mix's constants as NumPy scalars, which
 # array operations take without a conversion.

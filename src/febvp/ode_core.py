@@ -61,12 +61,13 @@ floats.  When every tau is a span end it returns the stored end rows, with
 no bisect (shooting residuals and extension starts read these).  Else a
 knot tau reads its stored state, and each step touched by an interior tau
 builds its q = K.T @ P once, as straight-line float code generated per
-dimension (_dense_q).  Then q @ p is, in dim 1, one stacked matrix
-product over all interior taus, (m, 2, 4) @ (m, 4, 1) (whose bits were
-the same on every OpenBLAS kernel tried), and in dim n each row's four
-terms summed left to right in floats; and the row is y0 + h * qp.  These
-are the per-tau operations of the quartic interpolant, batched, so every
-tau has the same bits alone or in a batch.  Only the public eval and
+dimension (_dense_q).  Then each row of q @ p is its four terms summed
+in floats, with p = (th, th^2, th^3, th^4): in dim 1 in pairs,
+(q0 p1 + q2 p3) + (q1 p2 + q3 p4), the order of NumPy's stacked
+(m, 2, 4) @ (m, 4, 1) product that dim-1 reads once made, so their bits
+did not move; in dim n left to right.  The row is y0 + h * qp.  These
+are the per-tau operations of the quartic interpolant, so every tau has
+the same bits alone or in a batch.  Only the public eval and
 eval_many build StatePoints from the rows.
 
 A step too small to move tau (t + h == t, far from 0) raises
@@ -357,8 +358,8 @@ class Trajectory:
         they are.  Else a knot tau reads its stored state, and an interior
         tau its step's interpolant y0 + h * (q @ p), with th = (tau - t) / h
         and p = (th, th^2, th^3, th^4): q is built once per touched step,
-        and in dim 1 the q @ p of all interior taus are one stacked matrix
-        product; in dim n each is summed left to right in floats.  A run
+        and each row of q @ p is summed in floats, in dim 1 in pairs,
+        (q0 p1 + q2 p3) + (q1 p2 + q3 p4), in dim n left to right.  A run
         that did not record reads only its ends.
 
         Raises:
@@ -403,10 +404,12 @@ class Trajectory:
             rows.append(None)
             qs.append(q)
             ps.append((th, th * th, th ** 3, th ** 4))
-        if n2 == 2 and inner:
-            m = len(inner)
-            qp = np.matmul(np.array(qs).reshape(m, n2, 4),
-                           np.array(ps).reshape(m, 4, 1)).reshape(m, n2).tolist()
+        if n2 == 2:
+            # each row of q times p, summed in pairs in the order of the
+            # stacked NumPy product (m, 2, 4) @ (m, 4, 1) dim-1 reads once made
+            qp = [[(q0 * p1 + q2 * p3) + (q1 * p2 + q3 * p4),
+                   (q4 * p1 + q6 * p3) + (q5 * p2 + q7 * p4)]
+                  for (q0, q1, q2, q3, q4, q5, q6, q7), (p1, p2, p3, p4) in zip(qs, ps)]
         else:
             # each row of q times p, summed left to right
             qp = [[a * p1 + b * p2 + c * p3 + d * p4 for a, b, c, d in zip(*[iter(q)] * 4)]

@@ -10,7 +10,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from febvp import closed_forms
 from febvp.closed_forms import (
     AFFINE_BASIS,
     COS_SIN_BASIS,
@@ -304,3 +307,118 @@ def test_linear_basis_frozen():
 
 def test_conic_params_K():
     assert ConicParams(2.0, 1.0).K == 4.0
+
+
+# ------------------------------------------------- bits of the sinh branches
+#
+# Reference copies of conic_F's sinh branch and of conic_S as they read with
+# one _shc call per sinh(z)/z; conic_F and conic_S must keep their bits.
+
+def _ref_shc(z):
+    if abs(z) < 1e-4:
+        z2 = z * z
+        return 1.0 + z2 / 6.0 + z2 * z2 / 120.0
+    return math.sinh(z) / z
+
+
+def _ref_conic_F(p, tau, alpha, beta, a, b):
+    if alpha == beta:
+        raise ValueError("conic_F requires alpha != beta")
+    k, g = p.k, p.g
+    u = tau - beta
+    w = alpha - tau
+    s = alpha - beta
+    if abs(k * s) < SERIES_SWITCH:
+        return closed_forms._conic_F_series(k, g, u, w, s, a, b)
+    den = s * _ref_shc(k * s)
+    shu = _ref_shc(k * u)
+    shw = _ref_shc(k * w)
+    term_ab = (a * u * shu + b * w * shw) / den
+    hu = _ref_shc(0.5 * k * u)
+    hw = _ref_shc(0.5 * k * w)
+    bracket = w * shu * hw * hw + u * shw * hu * hu
+    term_g = -0.5 * g * u * w * bracket / den
+    return term_ab + term_g
+
+
+def _ref_conic_S(p, tau, alpha, beta, a, v):
+    k, g = p.k, p.g
+    sp = beta - alpha
+    tp = tau - alpha
+    sh_sp = _ref_shc(k * sp)
+    h_sp = _ref_shc(0.5 * k * sp)
+    u0 = (-0.5 * sp * (k * k * a + g) * h_sp * h_sp + v) / sh_sp
+    h_tp = _ref_shc(0.5 * k * tp)
+    return (a * math.cosh(k * tp)
+            + 0.5 * g * tp * tp * h_tp * h_tp
+            + u0 * tp * _ref_shc(k * tp))
+
+
+def _bits(fn, *args):
+    try:
+        return fn(*args).hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _nudged(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@hst.composite
+def _conic_cases(draw):
+    """(k, g, origin, two offsets from it, two data values): each offset
+    is 0, a plain float, or one that puts k * offset or 0.5 * k * offset
+    within a few ulps of _shc's 1e-4 switch (SERIES_SWITCH, for the span)."""
+    k = draw(hst.one_of(hst.sampled_from([0.5, 1.0, 2.0, 1e-5]),
+                        hst.floats(-5.0, 5.0)))
+    origin = draw(hst.one_of(hst.just(0.0), hst.floats(-3.0, 3.0)))
+
+    def offset():
+        kind = draw(hst.sampled_from(["zero", "plain", "whole", "half"]))
+        if kind == "zero" or k == 0.0:
+            return 0.0
+        if kind == "plain":
+            return draw(hst.floats(-3.0, 3.0))
+        z = 1e-4 / k if kind == "whole" else 2e-4 / k
+        z = _nudged(z, draw(hst.integers(-3, 3)))
+        return z if draw(hst.booleans()) else -z
+
+    offsets = (offset(), offset())
+    g, x, y = (draw(hst.floats(-5.0, 5.0)) for _ in range(3))
+    return k, g, origin, offsets, x, y
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=_conic_cases(), tau_at=hst.sampled_from([None, "alpha", "beta"]))
+def test_conic_closed_forms_keep_the_shc_bits(case, tau_at):
+    # F: beta at the origin, u = tau - beta and s = alpha - beta are the
+    # offsets (exactly so at origin 0); S: alpha at the origin, with
+    # tp = tau - alpha and sp = beta - alpha.  tau may sit on an end.
+    k, g, origin, (d_tau, d_other), x, y = case
+    p = ConicParams(k, g)
+    tau, end = origin + d_tau, origin + d_other
+    if tau_at is not None:
+        tau = origin if tau_at == "beta" else end
+    assert _bits(conic_F, p, tau, end, origin, x, y) == _bits(_ref_conic_F, p, tau, end, origin, x, y)
+    if tau_at is not None:
+        tau = origin if tau_at == "alpha" else end
+    assert _bits(conic_S, p, tau, origin, end, x, y) == _bits(_ref_conic_S, p, tau, origin, end, x, y)
+    assert _bits(conic_S, p, tau, origin, origin, x, y) == _bits(_ref_conic_S, p, tau, origin, origin, x, y)
+
+
+def test_conic_closed_forms_keep_the_shc_bits_at_the_switch():
+    # every argument just below, at and just above 1e-4, at k in
+    # {0.5, 1, 2, 1e-5}, with tau on either end or the span at the switch
+    for k in (0.5, 1.0, 2.0, 1e-5):
+        p = ConicParams(k, -1.5)
+        for scale in (1e-4, 2e-4):
+            for ulps in (-1, 0, 1):
+                d = _nudged(scale / k, ulps)
+                for tau, other in ((d, 1.0), (0.0, d), (d, d), (1.0, 0.0), (-d, 2.0 * d)):
+                    args = (p, tau, other, 0.0, 0.7, -0.4)
+                    assert _bits(conic_F, *args) == _bits(_ref_conic_F, *args)
+                    args = (p, tau, 0.0, other, 0.7, -0.4)
+                    assert _bits(conic_S, *args) == _bits(_ref_conic_S, *args)

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as hst
 
 from febvp import catalog, functional_laws
@@ -22,6 +22,7 @@ from febvp.bvp_shooting import DEFAULT_SHOOTING, ShootingConfig
 from febvp.errors import FebvpError
 from febvp.functional_laws import (
     DIAG_EPSILONS,
+    DRAW_BLOCK,
     DependenceEvaluator,
     EvalDomain,
     EvaluatorFailure,
@@ -102,11 +103,14 @@ _seeds = hst.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=_seeds, calls=hst.lists(hst.booleans(), max_size=300),
+@example(seed=2 ** 64 - 1, calls=[True] * (2 * DRAW_BLOCK + 2), lo=-1.0, width=2.0)
+@example(seed=7, calls=[True] * (DRAW_BLOCK - 1) + [False] + [True] * (DRAW_BLOCK + 2), lo=0.0, width=1.0)
+@given(seed=_seeds, calls=hst.lists(hst.booleans(), max_size=2 * DRAW_BLOCK + 2),
        lo=hst.floats(-10.0, 10.0), width=hst.floats(0.0, 10.0))
 def test_block_draws_follow_the_plain_int_stream(seed, calls, lo, width):
     # calls: True is a uniform draw, False a next_u64; runs longer than
-    # DRAW_BLOCK cross the 64/65 boundary of the block uniform pops from.
+    # DRAW_BLOCK cross the boundary between the block uniform pops from and
+    # the next one (draws DRAW_BLOCK and DRAW_BLOCK + 1).
     # The counter wraps past 2^64 every second draw or so, which the NumPy
     # block must do without a warning.
     rng = Splitmix64(seed)

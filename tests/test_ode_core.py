@@ -1098,14 +1098,30 @@ def test_backward_run_from_the_end_state_returns_to_the_start(dim, scalar, A, B,
     assert np.max(np.abs(back.v - start.v)) <= 1e-8
 
 
-def test_stacked_product_matches_per_tau_product():
-    # read's one stacked (m, 2n, 4) @ (m, 4, 1) against the per-tau q @ p
+def test_dim1_read_sums_in_the_order_of_the_stacked_product():
+    # dim-1 read sums each row of q @ p in floats, in pairs; its rows must
+    # keep the bits of y0 + h * NumPy's stacked (m, 2, 4) @ (m, 4, 1), the
+    # product dim-1 reads once made, on random steps whose stage
+    # derivatives span sixteen decades
     rng = np.random.default_rng(12)
-    for n2 in (2, 4, 6):
-        q = rng.standard_normal((500, n2, 4)) * 10.0 ** rng.integers(-8, 8, (500, 1, 1))
-        p = rng.uniform(-1.0, 2.0, (500, 4))
-        stacked = np.matmul(q, p.reshape(500, 4, 1)).reshape(500, n2)
-        assert all(stacked[j].tobytes() == (q[j] @ p[j]).tobytes() for j in range(500))
+    m = 4000
+    knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.5, m))]).tolist()
+    steps = [(t, t1 - t, *(rng.standard_normal(16) * 10.0 ** rng.integers(-8, 8)).tolist())
+             for t, t1 in zip(knots, knots[1:])]
+    traj = ode_core.Trajectory(1, (0.0, knots[-1]), (list(steps[0][2:4]), [0.0, 0.0]), m, steps)
+    picked = [(step, step[0] + f * step[1]) for step, f in zip(steps, rng.uniform(0.0, 1.0, m))]
+    picked = [(step, tau) for step, tau in picked if step[0] < tau < step[0] + step[1]
+              and tau not in knots]
+    # p in floats, as read builds it (NumPy's th ** 3 may round otherwise)
+    ths = [(tau - step[0]) / step[1] for step, tau in picked]
+    p = np.array([(th, th * th, th ** 3, th ** 4) for th in ths]).reshape(-1, 4, 1)
+    q = np.array([ode_core._dense_q(1)(step) for step, _ in picked]).reshape(-1, 2, 4)
+    y0 = np.array([step[2:4] for step, _ in picked])
+    h = np.array([[step[1]] for step, _ in picked])
+    expected = (y0 + h * np.matmul(q, p).reshape(-1, 2)).tolist()
+    assert len(picked) > 3900
+    assert ([[c.hex() for c in row] for row in traj.read([tau for _, tau in picked])]
+            == [[c.hex() for c in row] for row in expected])
 
 
 @pytest.mark.parametrize("field, value", [

@@ -148,23 +148,19 @@ def test_no_blas_or_lapack_on_the_solve_path(name):
     # BLAS and LAPACK round as the CPU's kernel does, so the integrator and
     # the shooting solve compute in floats and NumPy elementwise operations:
     # no dot product, no matrix product and no np.linalg, in the code or in
-    # the source it generates.  The one product left is dim-1
-    # Trajectory.read's stacked np.matmul, whose bits were the same on
-    # every OpenBLAS kernel tried.
-    found, matmuls = [], []
+    # the source it generates.
+    found = []
     for scope, node in _qualified_nodes(parse(name)):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
             found.append((scope, "@", node.lineno))
         elif isinstance(node, ast.Attribute) and node.attr in ("dot", "matmul", "linalg"):
-            if (name, scope, node.attr) == ("ode_core.py", "Trajectory.read", "matmul"):
-                matmuls.append(node.lineno)
-            else:
-                found.append((scope, node.attr, node.lineno))
+            found.append((scope, node.attr, node.lineno))
+        elif isinstance(node, ast.alias) and node.name.split(".")[-1] in ("dot", "matmul", "linalg"):
+            found.append((scope, node.name, node.lineno))
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
                 and re.search(r"\bnp\.(dot|matmul|linalg)\b|\bdot\(", node.value)):
             found.append((scope, "generated source", node.lineno))
     assert not found, found
-    assert len(matmuls) == (name == "ode_core.py"), matmuls
 
 
 def test_integrate_ivp_takes_only_positional_arguments():
