@@ -86,6 +86,20 @@ CASES.update({
         spec=SampleSpec(count=5, seed=39, tau_range=(-1.0, 1.0),
                         ab_range=(-1.0, 1.0))),
 })
+# Streams of more than two draw blocks (over 1024 draws each), so that a
+# sample whose draws straddle a block boundary is pinned too.
+LONG_COUNTS = {"composition": 200, "boundary": 300, "extension": 250}
+CASES.update({
+    f"{law}-closed-conic-blocks": (lambda law, count: lambda: F_LAWS[law](
+        closed_evaluator("conic", FAMILIES["conic"]),
+        SampleSpec(count=count, seed=51)))(law, count)
+    for law, count in LONG_COUNTS.items()})
+CASES.update({
+    "klapka-flat-blocks": lambda: check_klapka(
+        GeodesicMap(flat_connection()), SampleSpec(count=160, seed=52)),
+    "angelesco-drawn-blocks": lambda: check_angelesco(
+        SampleSpec(count=200, seed=53)),
+})
 
 
 def report_json(case: str) -> list:
