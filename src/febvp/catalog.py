@@ -253,21 +253,21 @@ def check_angelesco(spec: SampleSpec,
     fixed_k = params.get("k") if params else None
     fixed_g = params.get("g") if params else None
 
-    def draw(rng, box):
-        k = float(fixed_k) if fixed_k is not None else rng.uniform(0.25, 2.0)
-        g = float(fixed_g) if fixed_g is not None else rng.uniform(
-            *box.values)
-        alpha, beta = draw_pair(rng, box)
-        sample = dict(k=k, g=g, alpha=alpha, beta=beta,
-                      a=rng.uniform(*box.values), b=rng.uniform(*box.values),
-                      tau0=rng.uniform(*box.tau), delta=rng.uniform(0.1, 0.5))
+    def draw(u, box):
+        k = float(fixed_k) if fixed_k is not None else 0.25 + (2.0 - 0.25) * next(u)
+        lo, hi = box.values
+        g = float(fixed_g) if fixed_g is not None else lo + (hi - lo) * next(u)
+        alpha, beta = draw_pair(u, box)
+        a = lo + (hi - lo) * next(u)
+        b = lo + (hi - lo) * next(u)
+        tau_lo, tau_hi = box.tau
+        tau0 = tau_lo + (tau_hi - tau_lo) * next(u)
+        delta = 0.1 + (0.5 - 0.1) * next(u)
         ConicParams(k, g)  # a non-finite member is a configuration error
-        return sample
+        return (k, g, alpha, beta, a, b, tau0, delta)
 
-    def residuals(s):
-        p = ConicParams(s["k"], s["g"])
-        alpha, beta, a, b = s["alpha"], s["beta"], s["a"], s["b"]
-        tau0, delta = s["tau0"], s["delta"]
+    def residuals(k, g, alpha, beta, a, b, tau0, delta):
+        p = ConicParams(k, g)
         values = []
 
         def member(t: float) -> float:
@@ -278,6 +278,7 @@ def check_angelesco(spec: SampleSpec,
         x0, x1, x2, x3, x4 = values
         scale = max(abs((x4 - x1) * (x2 - x1)), abs((x3 - x0) * (x3 - x2)),
                     1e-30)
-        return [(abs(residual) / scale, s)]
+        return (abs(residual) / scale,)
 
-    return run_law(SampledLaw(("angelesco",), draw, residuals), spec)[0]
+    names = ("k", "g", "alpha", "beta", "a", "b", "tau0", "delta")
+    return run_law(SampledLaw(("angelesco",), names, draw, residuals), spec)[0]

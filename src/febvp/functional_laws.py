@@ -2,13 +2,15 @@
 satisfy: composition, boundary behavior, smooth extension across the
 diagonal, and the equivalence of endpoint data with average-slope data.
 
-Each law is a SampledLaw record: the names of its reports, a draw(rng, box)
-function that draws one sample in the law's documented order, and a
-residuals(sample) function that returns one outcome per report.  run_law
-owns everything else: the sampling box, the seeded stream, the loop over
-spec.count samples, per-sample failures and the aggregation into
-LawReports.  The laws of catalog, geodesics and reconstruction are records
-over the same runner.
+Each law is a SampledLaw record: the names of its reports, the names of a
+sample's values, a draw(u, box) function that draws one sample as a
+positional tuple in the law's documented order, and a residuals(*sample)
+function that returns one bare residual per report.  run_law owns
+everything else: the sampling box, one seeded draw stream per law call,
+the loop over spec.count samples, per-sample failures, and the
+aggregation into LawReports, whose worst cases it builds once, after the
+loop.  The laws of catalog, geodesics and reconstruction are records over
+the same runner.
 
 Every check draws its samples from a seeded splitmix64 stream so that any
 implementation, in any language, can reproduce the exact sample tuples.  The
@@ -29,7 +31,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from itertools import chain, islice
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -79,11 +82,11 @@ class EvaluatorFailure(FebvpError):
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-DRAW_BLOCK = 512  # draws that Splitmix64.uniform mixes at once
-# A block's counter steps gamma * (DRAW_BLOCK, ..., 1), reversed as list.pop
-# takes the last entry first, and the mix's constants as NumPy scalars, which
-# array operations take without a conversion.
-_BLOCK_STEPS = np.arange(DRAW_BLOCK, 0, -1, dtype=np.uint64) * np.uint64(_GAMMA)
+DRAW_BLOCK = 512  # draws that Splitmix64 mixes at once
+# A block's counter steps gamma * (1, ..., DRAW_BLOCK), and the mix's
+# constants as NumPy scalars, which array operations take without a
+# conversion.
+_BLOCK_STEPS = np.arange(1, DRAW_BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
 _S30, _M1, _S27, _M2, _S31, _S11 = map(
     np.uint64, (30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31, 11))
 
@@ -97,10 +100,11 @@ class Splitmix64:
     z = (z ^ z>>27) * 0x94D049BB133111EB; return z ^ z>>31
 
     Output k mixes the counter seed + k * 0x9E3779B97F4A7C15 mod 2^64, so
-    uniform pops draws u = (z >> 11) * 2^-53 that _refill mixes DRAW_BLOCK at
-    a time in NumPy uint64 arrays (which wrap without a warning; z >> 11 <
-    2^53 converts exactly).  next_u64 runs the recurrence.  Both advance the
-    counter that state reads, and setting state drops the rest of the block.
+    the draws u = (z >> 11) * 2^-53 are mixed DRAW_BLOCK at a time in NumPy
+    uint64 arrays (which wrap without a warning; z >> 11 < 2^53 converts
+    exactly).  uniform pops them one at a time, uniforms iterates over
+    them, and next_u64 runs the recurrence.  All three advance the counter
+    that state reads, and setting state drops the rest of the block.
     """
 
     __slots__ = ("_end", "_block")
@@ -110,7 +114,8 @@ class Splitmix64:
 
     @property
     def state(self) -> int:
-        # _end is the counter of the block's last draw
+        # _end is the counter of the last draw mixed; _block holds the
+        # draws mixed but not yet taken, the next one last
         return (self._end - _GAMMA * len(self._block)) & _MASK64
 
     @state.setter
@@ -124,17 +129,29 @@ class Splitmix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
-    def _refill(self) -> list:
+    def _mix(self) -> list:
+        """The u of the DRAW_BLOCK draws after the counter _end, in draw
+        order; _end moves to the last of them."""
         z = _BLOCK_STEPS + np.uint64(self._end)
         self._end = (self._end + DRAW_BLOCK * _GAMMA) & _MASK64
         z = (z ^ (z >> _S30)) * _M1
         z = (z ^ (z >> _S27)) * _M2
-        self._block = (((z ^ (z >> _S31)) >> _S11).astype(np.float64) * 2.0 ** -53).tolist()
-        return self._block
+        return (((z ^ (z >> _S31)) >> _S11).astype(np.float64) * 2.0 ** -53).tolist()
 
     def uniform(self, lo: float, hi: float) -> float:
-        u = (self._block or self._refill()).pop()
-        return lo + (hi - lo) * u
+        if not self._block:
+            self._block = self._mix()[::-1]
+        return lo + (hi - lo) * self._block.pop()
+
+    def uniforms(self) -> Iterator[float]:
+        """An endless iterator over the draws u from the current state on,
+        with the bits of successive uniform(0.0, 1.0) calls; a law maps
+        each to its range as lo + (hi - lo) * u.  It takes the rest of the
+        current block, then mixes each block as it reaches it, so state
+        reads the counter of the last draw mixed: take no other draws from
+        the generator while the iterator is in use."""
+        rest, self._block = self._block[::-1], []
+        return chain(rest, chain.from_iterable(iter(self._mix, None)))
 
 
 @dataclass(frozen=True)
@@ -229,6 +246,7 @@ class LawReport:
 DIAG_EPSILONS = (1e-2, 1e-3, 1e-4)
 
 _MAX_PAIR_TRIES = 1000
+_PAIR_TRIES = range(_MAX_PAIR_TRIES)
 
 # Errors that mark a sample as failed rather than aborting the whole check.
 SAMPLE_ERRORS = (FebvpError, ValueError, ZeroDivisionError,
@@ -275,16 +293,16 @@ class SampleBox:
         )
 
 
-def draw_pair(rng: Splitmix64, box: SampleBox) -> tuple[float, float]:
-    """An endpoint pair by whole-pair rejection (module docstring)."""
+def draw_pair(u: Iterator[float], box: SampleBox) -> tuple[float, float]:
+    """An endpoint pair by whole-pair rejection (module docstring), drawn
+    from u, an iterator over uniforms (Splitmix64.uniforms)."""
     lo, hi = box.endpoints
-    for _ in range(_MAX_PAIR_TRIES):
-        p = rng.uniform(lo, hi)
-        q = rng.uniform(lo, hi)
+    width, min_sep, cap = hi - lo, box.min_sep, box.max_interval
+    for _ in _PAIR_TRIES:
+        p = lo + width * next(u)
+        q = lo + width * next(u)
         sep = abs(q - p)
-        if sep < box.min_sep:
-            continue
-        if box.max_interval is not None and sep > box.max_interval:
+        if sep < min_sep or (cap is not None and sep > cap):
             continue
         return p, q
     raise ValueError(
@@ -293,10 +311,11 @@ def draw_pair(rng: Splitmix64, box: SampleBox) -> tuple[float, float]:
         f"min_separation {box.min_sep}, max_interval {box.max_interval})")
 
 
-def draw_vec(rng: Splitmix64, box: SampleBox, n: int) -> np.ndarray:
-    """n data components, each from the box's value range."""
+def draw_vec(u: Iterator[float], box: SampleBox, n: int) -> np.ndarray:
+    """n data components, each from the box's value range, drawn from u,
+    an iterator over uniforms (Splitmix64.uniforms)."""
     lo, hi = box.values
-    return np.array([rng.uniform(lo, hi) for _ in range(n)])
+    return np.array([lo + (hi - lo) * x for x in islice(u, n)])
 
 
 # Inside a law a value is a Python float in dim 1, from the draw to the
@@ -304,15 +323,22 @@ def draw_vec(rng: Splitmix64, box: SampleBox, n: int) -> np.ndarray:
 # and an (n,) array in dim n.  Values that overflow to inf or NaN fail
 # their sample, so NumPy's warnings about them are silenced.
 
-def _draw_value(rng: Splitmix64, box: SampleBox, dim: int):
+def _draw_value(u: Iterator[float], box: SampleBox, dim: int):
     """dim data components as a harness value."""
-    return rng.uniform(*box.values) if dim == 1 else draw_vec(rng, box, dim)
+    if dim == 1:
+        lo, hi = box.values
+        return lo + (hi - lo) * next(u)
+    return draw_vec(u, box, dim)
+
+
+def _exact_type(dim: int):
+    """The result type a law keeps as it is: float in dim 1.  Every other
+    result goes through _as_value."""
+    return float if dim == 1 else None
 
 
 def _as_value(raw, dim: int):
     """An evaluator's result as a harness value."""
-    if dim == 1 and type(raw) is float:
-        return raw
     out = np.atleast_1d(np.asarray(raw, dtype=float))
     if out.shape != (dim,):
         raise EvaluatorFailure(
@@ -332,65 +358,77 @@ def _gap(x, y) -> float:
 class SampledLaw:
     """A law checked over a seeded sample stream.
 
-    reports names the law's reports.  draw(rng, box) draws one sample in
-    the law's documented order and returns its named values, in that
-    order.  residuals(sample) returns one outcome per report: a pair
-    (residual, case), case being the named values a worst case reports,
-    or None when the sample failed for that report.  Raising a
-    SAMPLE_ERRORS error instead fails the sample in every report.
-    vectors names the case values that are data vectors, which a worst
-    case writes as lists, a dim-1 float as a one-element list.
+    reports names the law's reports, and names the values of a sample.
+    draw(u, box) draws one sample from u, an iterator over uniforms that
+    is the law call's one draw stream, and returns its values as a tuple
+    in the law's documented draw order.  residuals(*sample) returns one
+    bare float per report, its residual, or None when the sample failed
+    for that report; raising a SAMPLE_ERRORS error fails the sample in
+    every report.  A report's worst case is built once, after the loop,
+    from the sample that reached its maximum: case(i, sample) gives report
+    i's named values, by default the sample's.  vectors names the case
+    values that are data vectors, which a worst case writes as lists, a
+    dim-1 float as a one-element list.
     """
 
     reports: tuple[str, ...]
-    draw: Callable[[Splitmix64, SampleBox], dict]
-    residuals: Callable[[dict], Sequence[Optional[tuple[float, dict]]]]
+    names: tuple[str, ...]
+    draw: Callable[[Iterator[float], SampleBox], tuple]
+    residuals: Callable[..., Sequence[Optional[float]]]
     vectors: tuple[str, ...] = ()
+    case: Optional[Callable[[int, tuple], dict]] = None
 
 
-def _jsonable(case: dict, vectors: tuple[str, ...]) -> dict:
+def _worst_case(law: SampledLaw, i: int, sample: tuple) -> dict:
+    """Report i's worst case as JSON values: an array as a list of floats,
+    a dim-1 data vector as [x], every other value as a float."""
+    case = law.case(i, sample) if law.case else dict(zip(law.names, sample))
     return {key: [float(c) for c in val] if isinstance(val, np.ndarray)
-            else [float(val)] if key in vectors else float(val)
+            else [float(val)] if key in law.vectors else float(val)
             for key, val in case.items()}
 
 
 def run_law(law: SampledLaw, spec: SampleSpec,
             domain: EvalDomain = EvalDomain()) -> list[LawReport]:
-    """Draw spec.count samples from a splitmix64 stream seeded with
+    """Draw spec.count samples from one splitmix64 stream seeded with
     spec.seed over the box of spec and domain, and aggregate each report's
-    residuals: a failed or non-finite outcome counts as a failure, and the
-    worst case is the last sample to reach the maximum residual."""
+    residuals: a failed or non-finite residual counts as a failure, and
+    the worst case is the last sample to reach the maximum residual.  The
+    loop keeps that sample per report, and each worst case is built from
+    it once, after the loop."""
     box = SampleBox.of(spec, domain)
-    rng = Splitmix64(spec.seed)
+    u = Splitmix64(spec.seed).uniforms()
+    draw, residuals, isfinite = law.draw, law.residuals, math.isfinite
     n = len(law.reports)
+    failed = (None,) * n
     failures = [0] * n
     totals = [0.0] * n
     maxima = [0.0] * n
-    worst: list[Optional[dict]] = [None] * n
+    worst: list[Optional[tuple]] = [None] * n
     for _ in range(spec.count):
-        sample = law.draw(rng, box)
+        sample = draw(u, box)
         try:
-            outcomes = law.residuals(sample)
+            outcomes = residuals(*sample)
         except SAMPLE_ERRORS:
-            outcomes = (None,) * n
-        for i, outcome in enumerate(outcomes):
-            if outcome is None or not math.isfinite(outcome[0]):
+            outcomes = failed
+        for i, residual in enumerate(outcomes):
+            if residual is None or not isfinite(residual):
                 failures[i] += 1
                 continue
-            residual, case = outcome
             totals[i] += residual
             if residual >= maxima[i]:
                 maxima[i] = residual
-                worst[i] = _jsonable(case, law.vectors)
+                worst[i] = sample
     reports = []
     for i, name in enumerate(law.reports):
         ok = spec.count - failures[i]
         # rounding in the sum can lift the mean of equal residuals above
         # their maximum
         mean = min(totals[i] / ok, maxima[i]) if ok else 0.0
+        case = None if worst[i] is None else _worst_case(law, i, worst[i])
         reports.append(LawReport(law_name=name, samples=spec.count,
                                  max_residual=maxima[i], mean_residual=mean,
-                                 worst_case=worst[i], failures=failures[i]))
+                                 worst_case=case, failures=failures[i]))
     return reports
 
 
@@ -404,26 +442,30 @@ def check_composition(F: DependenceEvaluator, spec: SampleSpec) -> LawReport:
     Draw order per sample: tau; (alpha, beta) pair; (gamma, delta) pair;
     a components; b components.
     """
-    dim, f = F.dim, F.eval_f
+    dim, f, exact = F.dim, F.eval_f, _exact_type(F.dim)
 
-    def draw(rng, box):
-        tau = rng.uniform(*box.tau)
-        alpha, beta = draw_pair(rng, box)
-        gamma, delta = draw_pair(rng, box)
-        return dict(tau=tau, alpha=alpha, beta=beta, gamma=gamma,
-                    delta=delta, a=_draw_value(rng, box, dim),
-                    b=_draw_value(rng, box, dim))
+    def draw(u, box):
+        lo, hi = box.tau
+        tau = lo + (hi - lo) * next(u)
+        alpha, beta = draw_pair(u, box)
+        gamma, delta = draw_pair(u, box)
+        return (tau, alpha, beta, gamma, delta, _draw_value(u, box, dim),
+                _draw_value(u, box, dim))
 
-    def residuals(s):
-        tau, alpha, beta = s["tau"], s["alpha"], s["beta"]
-        gamma, delta, a, b = s["gamma"], s["delta"], s["a"], s["b"]
-        direct = _as_value(f(tau, alpha, beta, a, b), dim)
-        at_gamma = _as_value(f(gamma, alpha, beta, a, b), dim)
-        at_delta = _as_value(f(delta, alpha, beta, a, b), dim)
-        rebased = _as_value(f(tau, gamma, delta, at_gamma, at_delta), dim)
-        return [(_gap(direct, rebased), s)]
+    def residuals(tau, alpha, beta, gamma, delta, a, b):
+        x = f(tau, alpha, beta, a, b)
+        direct = x if type(x) is exact else _as_value(x, dim)
+        x = f(gamma, alpha, beta, a, b)
+        at_gamma = x if type(x) is exact else _as_value(x, dim)
+        x = f(delta, alpha, beta, a, b)
+        at_delta = x if type(x) is exact else _as_value(x, dim)
+        x = f(tau, gamma, delta, at_gamma, at_delta)
+        rebased = x if type(x) is exact else _as_value(x, dim)
+        return (_gap(direct, rebased),)
 
-    law = SampledLaw(("composition",), draw, residuals, ("a", "b"))
+    law = SampledLaw(("composition",),
+                     ("tau", "alpha", "beta", "gamma", "delta", "a", "b"),
+                     draw, residuals, ("a", "b"))
     return run_law(law, spec, F.domain)[0]
 
 
@@ -433,20 +475,21 @@ def check_boundary(F: DependenceEvaluator, spec: SampleSpec) -> LawReport:
 
     Draw order per sample: (alpha, beta) pair; a components; b components.
     """
-    dim, f = F.dim, F.eval_f
+    dim, f, exact = F.dim, F.eval_f, _exact_type(F.dim)
 
-    def draw(rng, box):
-        alpha, beta = draw_pair(rng, box)
-        return dict(alpha=alpha, beta=beta, a=_draw_value(rng, box, dim),
-                    b=_draw_value(rng, box, dim))
+    def draw(u, box):
+        alpha, beta = draw_pair(u, box)
+        return (alpha, beta, _draw_value(u, box, dim), _draw_value(u, box, dim))
 
-    def residuals(s):
-        alpha, beta, a, b = s["alpha"], s["beta"], s["a"], s["b"]
-        at_alpha = _as_value(f(alpha, alpha, beta, a, b), dim)
-        at_beta = _as_value(f(beta, alpha, beta, a, b), dim)
-        return [(max(_gap(at_alpha, a), _gap(at_beta, b)), s)]
+    def residuals(alpha, beta, a, b):
+        x = f(alpha, alpha, beta, a, b)
+        at_alpha = x if type(x) is exact else _as_value(x, dim)
+        x = f(beta, alpha, beta, a, b)
+        at_beta = x if type(x) is exact else _as_value(x, dim)
+        return (max(_gap(at_alpha, a), _gap(at_beta, b)),)
 
-    law = SampledLaw(("boundary",), draw, residuals, ("a", "b"))
+    law = SampledLaw(("boundary",), ("alpha", "beta", "a", "b"), draw,
+                     residuals, ("a", "b"))
     return run_law(law, spec, F.domain)[0]
 
 
@@ -475,41 +518,51 @@ def check_extension(F: DependenceEvaluator,
     names = ("extension_offdiag",) + tuple(
         f"extension_diag_{eps:.0e}".replace("e-0", "e-")
         for eps in DIAG_EPSILONS)
-    dim, f, s_map = F.dim, F.eval_f, F.eval_s
+    sample_names = ("tau", "alpha", "beta", "a", "v")
+    dim, f, s_map, exact = F.dim, F.eval_f, F.eval_s, _exact_type(F.dim)
 
-    def draw(rng, box):
-        tau = rng.uniform(*box.tau)
-        alpha, beta = draw_pair(rng, box)
-        return dict(tau=tau, alpha=alpha, beta=beta,
-                    a=_draw_value(rng, box, dim), v=_draw_value(rng, box, dim))
+    def draw(u, box):
+        lo, hi = box.tau
+        tau = lo + (hi - lo) * next(u)
+        alpha, beta = draw_pair(u, box)
+        return (tau, alpha, beta, _draw_value(u, box, dim),
+                _draw_value(u, box, dim))
 
-    def residuals(s):
-        tau, alpha, beta, a, v = s["tau"], s["alpha"], s["beta"], s["a"], s["v"]
+    def residuals(tau, alpha, beta, a, v):
         try:
-            s_val = _as_value(s_map(tau, alpha, beta, a, v), dim)
+            x = s_map(tau, alpha, beta, a, v)
+            s_val = x if type(x) is exact else _as_value(x, dim)
             b = (a + v * (beta - alpha) if dim == 1
                  else end_value(a, v, beta - alpha))
-            f_val = _as_value(f(tau, alpha, beta, a, b), dim)
+            x = f(tau, alpha, beta, a, b)
+            f_val = x if type(x) is exact else _as_value(x, dim)
         except SAMPLE_ERRORS:
             outcomes = [None]
         else:
-            outcomes = [(_gap(s_val, f_val), s)]
+            outcomes = [_gap(s_val, f_val)]
         try:
-            on_diag = _as_value(s_map(tau, alpha, alpha, a, v), dim)
+            x = s_map(tau, alpha, alpha, a, v)
+            on_diag = x if type(x) is exact else _as_value(x, dim)
         except SAMPLE_ERRORS:
             return outcomes + [None] * len(DIAG_EPSILONS)
         for eps in DIAG_EPSILONS:
             try:
-                near = _as_value(s_map(tau, alpha, alpha + eps, a, v), dim)
+                x = s_map(tau, alpha, alpha + eps, a, v)
+                near = x if type(x) is exact else _as_value(x, dim)
             except SAMPLE_ERRORS:
                 outcomes.append(None)
                 continue
-            outcomes.append((_gap(near, on_diag),
-                             dict(tau=tau, alpha=alpha, eps=eps, a=a, v=v)))
+            outcomes.append(_gap(near, on_diag))
         return outcomes
 
-    return run_law(SampledLaw(names, draw, residuals, ("a", "v")), spec,
-                   F.domain)
+    def case(i, sample):
+        if i == 0:
+            return dict(zip(sample_names, sample))
+        tau, alpha, _, a, v = sample
+        return dict(tau=tau, alpha=alpha, eps=DIAG_EPSILONS[i - 1], a=a, v=v)
+
+    law = SampledLaw(names, sample_names, draw, residuals, ("a", "v"), case)
+    return run_law(law, spec, F.domain)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -538,13 +591,12 @@ def check_lemma1_equivalence(ode: SecondOrderOde, spec: SampleSpec,
     both reports.
     """
 
-    def draw(rng, box):
-        alpha, beta = draw_pair(rng, box)
-        return dict(alpha=alpha, beta=beta, a=_draw_value(rng, box, ode.dim),
-                    v=_draw_value(rng, box, ode.dim))
+    def draw(u, box):
+        alpha, beta = draw_pair(u, box)
+        return (alpha, beta, _draw_value(u, box, ode.dim),
+                _draw_value(u, box, ode.dim))
 
-    def residuals(s):
-        alpha, beta, a, v = s["alpha"], s["beta"], s["a"], s["v"]
+    def residuals(alpha, beta, a, v):
         traj = solve_integral(ode, IntegralConditions(alpha, beta, a, v), cfg).trajectory
         nodes = [(1.0 - node) * alpha + node * beta for node in _GL01_NODES]
         # one batched read; each component summed in node order
@@ -554,10 +606,10 @@ def check_lemma1_equivalence(ode: SecondOrderOde, spec: SampleSpec,
             for i, vi in enumerate(row[n:]):
                 mean_slope[i] += weight * vi
         slope = mean_slope[0] if n == 1 else np.array(mean_slope)
-        return [(0.0, s), (_gap(slope, v), s)]
+        return (0.0, _gap(slope, v))
 
-    law = SampledLaw(("lemma1_agreement", "lemma1_quadrature"), draw,
-                     residuals, ("a", "v"))
+    law = SampledLaw(("lemma1_agreement", "lemma1_quadrature"),
+                     ("alpha", "beta", "a", "v"), draw, residuals, ("a", "v"))
     return run_law(law, spec)
 
 

@@ -37,7 +37,6 @@ from .functional_laws import (
     LawReport,
     SampleSpec,
     SampledLaw,
-    Splitmix64,
     run_law,
 )
 from .ode_core import SecondOrderOde
@@ -166,14 +165,16 @@ def _interpolation_law(name: str, gmap: GeodesicMap,
         raise ValueError(f"rho_range must have finite ends, got {tuple(rho_range)!r}")
     conn = gmap.connection
 
-    def draw(rng: Splitmix64, box) -> dict:
+    def draw(u, box) -> tuple:
         points = conn.sampling_box or [box.values] * conn.dim
-        a = np.array([rng.uniform(lo, hi) for lo, hi in points])
-        b = np.array([rng.uniform(lo, hi) for lo, hi in points])
-        return dict(a=a, b=b, zeta=rng.uniform(*rho_range),
-                    eta=rng.uniform(*rho_range), rho=rng.uniform(*rho_range))
+        a = np.array([lo + (hi - lo) * x for (lo, hi), x in zip(points, u)])
+        b = np.array([lo + (hi - lo) * x for (lo, hi), x in zip(points, u)])
+        lo, hi = rho_range
+        return (a, b, lo + (hi - lo) * next(u), lo + (hi - lo) * next(u),
+                lo + (hi - lo) * next(u))
 
-    return SampledLaw((name,), draw, lambda s: [(residual(**s), s)])
+    return SampledLaw((name,), ("a", "b", "zeta", "eta", "rho"), draw,
+                      lambda *sample: (residual(*sample),))
 
 
 def check_klapka(gmap: GeodesicMap, spec: SampleSpec,

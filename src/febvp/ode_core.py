@@ -48,8 +48,10 @@ bits on either variant.
 
 integrate_ivp runs the step loop exactly once.  With its ``record``
 argument set (the default) the loop appends one tuple per accepted step
-to a list: start time, signed width, start state and the seven stage
-derivatives, ``(t, h, x, v, v1, k1, ..., v7, k7)``; without it the run
+to a list: start time, signed width, start state and the stage
+derivatives the interpolant reads, ``(t, h, x, v, k1, v3, k3, ..., v7,
+k7)`` (stage 1's derivative is ``(v, k1)``, and stage 2's, whose row of
+P is zero, is not kept); without it the run
 keeps only its two ends and its count of accepted steps, so runs read
 only at their ends (Jacobian columns, extensions, Cauchy runs) pass
 record=False and record nothing.  A step's interpolant
@@ -243,9 +245,11 @@ _P = (
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
 _FLOAT64 = np.dtype(float)
-# The nonzero entries (s, P[s][j]) of each column j of P, in stage order.
+# The nonzero entries (s, P[s][j]) of each column j of P, in stage order,
+# and the stages they read, whose derivatives a recorded step keeps.
 _P_COLUMNS = tuple(tuple((s, row[j]) for s, row in enumerate(_P) if row[j] != 0.0)
                    for j in range(4))
+_P_STAGES = tuple(s for s, row in enumerate(_P) if any(row))
 
 # PI controller constants: factor = SAFETY * err^(-KI) * err_prev^(KP),
 # clamped to [MIN_FACTOR, MAX_FACTOR].
@@ -261,16 +265,18 @@ def _dense_q(n: int) -> Callable:
     """The q of a step tuple in dimension n, ``q(step)``: the 8n floats
     (row-major (2n, 4), x rows, then v rows) of K.T @ P, each summed from
     0.0 over its column of P's nonzero entries in stage order, as
-    straight-line float code compiled on first use into _DENSE_Q."""
+    straight-line float code compiled on first use into _DENSE_Q.  Row s
+    of K is stage s's derivative; the tuple keeps those of _P_STAGES from
+    its start v on (stage 0's derivative begins with v)."""
 
     def build() -> tuple[str, str]:
         n2 = 2 * n
-        names = ", ".join(f"k{s}_{r}" for s in range(7) for r in range(n2))
+        names = ", ".join(f"k{s}_{r}" for s in _P_STAGES for r in range(n2))
         sums = ", ".join(" + ".join(["0.0"] + [f"{p!r} * k{s}_{r}" for s, p in column])
                          for r in range(n2) for column in _P_COLUMNS)
         return (f"<febvp.ode_core dense q, dim {n}>",
                 f"def q(step):\n"
-                f"    {names}, = step[{2 + n2}:]\n"
+                f"    {names}, = step[{2 + n}:]\n"
                 f"    return ({sums},)\n")
 
     return _DENSE_Q.function(n, build, globals())
@@ -282,9 +288,12 @@ class Trajectory:
     It holds the run's two ends, ``_ends`` (the start and end taus) and
     ``_rows`` (the (2n,) states ``x, v`` there, as lists of floats), its
     count of accepted steps, and, when the run recorded, ``_steps``: one
-    tuple of ``2 + 16 n`` floats per accepted step, in integration order,
-    ``t, h, y (2n), K (7 x 2n, stage-major)``: start time, signed width,
-    start state and the seven stage derivatives.  A run that did not
+    tuple of ``2 + 13 n`` floats per accepted step, in integration order,
+    ``t, h, x (n), v (n), k1 (n), (v3, k3), ..., (v7, k7)``: start time,
+    signed width, start state, and the stage derivatives the interpolant
+    reads, each ``(v_s, k_s)`` of 2n floats.  Stage 1's is ``(v, k1)``,
+    whose v is the start state's, and stage 2's is not kept, as its row
+    of the interpolant's P is zero.  A run that did not
     record has ``_steps`` None: it reads its two ends and nothing else.
     The knot list, each step's start time and the end tau, is built on
     the first read that needs it; a backward run keeps decreasing tau and
@@ -596,7 +605,9 @@ def kernel(f, t0, y0, t_end, cfg, record):
         if isfinite(en) and en <= 1.0:
             accepted += 1
             if record:
-                append((t, hs, x{*}_1, v{*}_1, v{*}_1, k{*}_1, v{*}_2, k{*}_2, v{*}_3, k{*}_3,
+                # stage 1's derivative starts at the state's v, and stage
+                # 2's P row is zero: neither is kept
+                append((t, hs, x{*}_1, v{*}_1, k{*}_1, v{*}_3, k{*}_3,
                         v{*}_4, k{*}_4, v{*}_5, k{*}_5, v{*}_6, k{*}_6, v{*}_7, k{*}_7))
             # _pi_factor(en, err_prev), then max(en, _ERR_PREV_INIT).
             if en == 0.0:

@@ -152,15 +152,16 @@ def roundtrip_check(ode: SecondOrderOde,
     """
     S, eff_cfg = solver_extension(ode, cfg, shooting_cfg)
 
-    def draw(rng, box):
-        return dict(tau=rng.uniform(*box.tau), x=draw_vec(rng, box, ode.dim),
-                    v=draw_vec(rng, box, ode.dim))
+    def draw(u, box):
+        lo, hi = box.tau
+        return (lo + (hi - lo) * next(u), draw_vec(u, box, ode.dim),
+                draw_vec(u, box, ode.dim))
 
-    def residuals(s):
-        tau, x, v = s["tau"], s["x"], s["v"]
+    def residuals(tau, x, v):
         rebuilt = reconstruct_f(S, tau, x, v, eff_cfg)
         truth = np.atleast_1d(np.asarray(ode.rhs(tau, x, v), dtype=float))
-        return [(float(np.max(np.abs(rebuilt - truth))), s)]
+        return (float(np.max(np.abs(rebuilt - truth))),)
 
-    law = SampledLaw(("reconstruction_roundtrip",), draw, residuals)
+    law = SampledLaw(("reconstruction_roundtrip",), ("tau", "x", "v"), draw,
+                     residuals)
     return run_law(law, spec)[0]

@@ -6,6 +6,7 @@ published algorithm (Steele/Lea/Flood), frozen here as the PRNG oracle.
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import signal
@@ -124,6 +125,30 @@ def test_block_draws_follow_the_plain_int_stream(seed, calls, lo, width):
                 assert rng.next_u64() == z
             assert rng.state == state
     assert rng.state == (seed + _GAMMA * len(calls)) & _MASK
+
+
+@settings(max_examples=200, deadline=None)
+@example(seed=-1, taken=0, n=2 * DRAW_BLOCK + 2, lo=-1.0, width=2.0)
+@example(seed=2 ** 64 - 1, taken=DRAW_BLOCK - 1, n=DRAW_BLOCK + 3, lo=0.0, width=1.0)
+@example(seed=2 ** 64 + 5, taken=3, n=2 * DRAW_BLOCK + 2, lo=-2.0, width=4.0)
+@given(seed=_seeds, taken=hst.integers(0, DRAW_BLOCK + 1), n=hst.integers(0, 2 * DRAW_BLOCK + 2),
+       lo=hst.floats(-10.0, 10.0), width=hst.floats(0.0, 10.0))
+def test_uniforms_yield_the_bits_of_successive_uniform_calls(seed, taken, n, lo, width):
+    # uniforms() starts where the generator stands, after taken uniform
+    # calls, and its values cross block boundaries and the counter's wrap
+    # past 2^64 as uniform(0.0, 1.0) does; a law's lo + (hi - lo) * u is
+    # then uniform(lo, hi)
+    rng, plain, ranged = Splitmix64(seed), Splitmix64(seed), Splitmix64(seed)
+    hi = lo + width
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gen in (rng, plain, ranged):
+            [gen.uniform(0.0, 1.0) for _ in range(taken)]
+        got = list(itertools.islice(rng.uniforms(), n))
+        assert [u.hex() for u in got] == [plain.uniform(0.0, 1.0).hex() for _ in range(n)]
+        assert ([(lo + (hi - lo) * u).hex() for u in got]
+                == [ranged.uniform(lo, hi).hex() for _ in range(n)])
+    assert got == [(z >> 11) * 2.0 ** -53 for z, _ in _reference_outputs(seed, taken + n)[taken:]]
 
 
 def test_setting_state_restarts_the_stream_there():
@@ -352,6 +377,47 @@ def test_mean_of_equal_residuals_stays_at_their_max():
     assert rep.failures == 0
     assert rep.max_residual == 0.1
     assert rep.mean_residual == rep.max_residual
+
+
+def _zero(*args):
+    return 0.0
+
+
+@pytest.mark.parametrize("check, ev, per_sample", [
+    (check_composition, DependenceEvaluator(dim=1, eval_f=_zero), 4),
+    (check_boundary, DependenceEvaluator(dim=1, eval_f=lambda t, al, be, a, b: a if t == al else b), 2),
+    (check_extension, DependenceEvaluator(dim=1, eval_f=_zero, eval_s=_zero), 6),
+])
+def test_worst_case_of_equal_residuals_is_the_last_sample_built_once(
+        monkeypatch, check, ev, per_sample):
+    # every residual is 0.0, so each sample ties the maximum: the worst
+    # case is the last sample, as it has always been, and each report's
+    # is built once per run_law call
+    calls, built = [], []
+
+    def logged(fn):
+        return None if fn is None else lambda *args: calls.append(args) or fn(*args)
+
+    build = functional_laws._worst_case
+    monkeypatch.setattr(functional_laws, "_worst_case",
+                        lambda *args: built.append(args[1]) or build(*args))
+    ev = DependenceEvaluator(dim=1, eval_f=logged(ev.eval_f), eval_s=logged(ev.eval_s))
+    reports = check(ev, SampleSpec(count=40, seed=17))
+    reports = reports if isinstance(reports, list) else [reports]
+    assert built == list(range(len(reports)))
+    assert all(r.failures == 0 and r.max_residual == 0.0 for r in reports)
+    last = calls[-per_sample:]
+    if check is check_composition:
+        (tau, alpha, beta, a, b), (gamma, *_), (delta, *_), _ = last
+        want = [dict(tau=tau, alpha=alpha, beta=beta, gamma=gamma, delta=delta, a=[a], b=[b])]
+    elif check is check_boundary:
+        (alpha, _, beta, a, b), _ = last
+        want = [dict(alpha=alpha, beta=beta, a=[a], b=[b])]
+    else:
+        tau, alpha, beta, a, v = last[0]
+        want = [dict(tau=tau, alpha=alpha, beta=beta, a=[a], v=[v])] + [
+            dict(tau=tau, alpha=alpha, eps=eps, a=[a], v=[v]) for eps in DIAG_EPSILONS]
+    assert [r.worst_case for r in reports] == want
 
 
 def counting_evaluator(calls, fail_s=lambda al, be: False):

@@ -194,10 +194,16 @@ def eager_interpolant(y0, h, q, th):
 
 
 def step_records(traj):
-    """(t, h, y0, K) of each accepted step's tuple, in integration order."""
-    n2 = 2 * traj.dim
-    return [(step[0], step[1], np.array(step[2:2 + n2]), np.array(step[2 + n2:]).reshape(7, n2))
-            for step in traj._steps]
+    """(t, h, y0, K) of each accepted step's tuple, in integration order.
+    The tuple keeps stage 1's derivative as (v, k1), v being y0's, and not
+    stage 2's, whose row of P is zero: K's row 1 is NaN."""
+    n = traj.dim
+    records = []
+    for step in traj._steps:
+        y0, k1, rest = step[2:2 + 2 * n], step[2 + 2 * n:2 + 3 * n], step[2 + 3 * n:]
+        K = np.array([y0[n:] + k1, [math.nan] * 2 * n, *np.reshape(rest, (5, 2 * n)).tolist()])
+        records.append((step[0], step[1], np.array(y0), K))
+    return records
 
 
 def buffers(traj):
@@ -388,7 +394,7 @@ def reference_integrate_scalar(f, t0: float, x0: float, v0: float, t_end: float,
         en = math.sqrt(0.5 * (ex * ex + ev * ev))
 
         if math.isfinite(en) and en <= 1.0:
-            steps.append((t, hs, x, v, kx1, kv1, v2, kv2, v3, kv3, v4, kv4,
+            steps.append((t, hs, x, v, kv1, v3, kv3, v4, kv4,
                           v5, kv5, v6, kv6, v_new, kv7))
             h = hs * _pi_factor(en, err_prev)
             err_prev = max(en, _ERR_PREV_INIT)
@@ -560,7 +566,7 @@ def reference_integrate_vector(ode: SecondOrderOde, t0: float, start: StatePoint
         en = math.sqrt(ss / (2 * n))
 
         if math.isfinite(en) and en <= 1.0:
-            steps.append((t, hs, *y.tolist(), *K.ravel().tolist()))
+            steps.append((t, hs, *y.tolist(), *K[0, n:].tolist(), *K[2:].ravel().tolist()))
             h = hs * _pi_factor(en, err_prev)
             err_prev = max(en, _ERR_PREV_INIT)
             t, y, k1 = t_new, y_new, K[6].copy()
@@ -1106,7 +1112,7 @@ def test_dim1_read_sums_in_the_order_of_the_stacked_product():
     rng = np.random.default_rng(12)
     m = 4000
     knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.5, m))]).tolist()
-    steps = [(t, t1 - t, *(rng.standard_normal(16) * 10.0 ** rng.integers(-8, 8)).tolist())
+    steps = [(t, t1 - t, *(rng.standard_normal(13) * 10.0 ** rng.integers(-8, 8)).tolist())
              for t, t1 in zip(knots, knots[1:])]
     traj = ode_core.Trajectory(1, (0.0, knots[-1]), (list(steps[0][2:4]), [0.0, 0.0]), m, steps)
     picked = [(step, step[0] + f * step[1]) for step, f in zip(steps, rng.uniform(0.0, 1.0, m))]
