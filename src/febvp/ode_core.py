@@ -266,8 +266,8 @@ def _dense_q(n: int) -> Callable:
     (row-major (2n, 4), x rows, then v rows) of K.T @ P, each summed from
     0.0 over its column of P's nonzero entries in stage order, as
     straight-line float code compiled on first use into _DENSE_Q.  Row s
-    of K is stage s's derivative; the tuple keeps those of _P_STAGES from
-    its start v on (stage 0's derivative begins with v)."""
+    of K is the derivative of stage s + 1; the tuple keeps the rows of
+    _P_STAGES from its start v on, row 0 being (v, k1)."""
 
     def build() -> tuple[str, str]:
         n2 = 2 * n
