@@ -51,10 +51,10 @@ def _flaky_s(t, al, be, a, v):
     return free_fall_S(-9.8, t, al, be, a, v)
 
 
-def _f_law_case(law, mode, family):
+def _f_law_case(law, mode, family, count=6, seed=31):
     def run():
         ev = EVALUATORS[mode](family, FAMILIES[family])
-        return F_LAWS[law](ev, SampleSpec(count=6, seed=31))
+        return F_LAWS[law](ev, SampleSpec(count=count, seed=seed))
     return run
 
 
@@ -89,11 +89,8 @@ CASES.update({
 # Streams of more than two draw blocks (over 1024 draws each), so that a
 # sample whose draws straddle a block boundary is pinned too.
 LONG_COUNTS = {"composition": 200, "boundary": 300, "extension": 250}
-CASES.update({
-    f"{law}-closed-conic-blocks": (lambda law, count: lambda: F_LAWS[law](
-        closed_evaluator("conic", FAMILIES["conic"]),
-        SampleSpec(count=count, seed=51)))(law, count)
-    for law, count in LONG_COUNTS.items()})
+CASES.update({f"{law}-closed-conic-blocks": _f_law_case(law, "closed", "conic", count, 51)
+              for law, count in LONG_COUNTS.items()})
 CASES.update({
     "klapka-flat-blocks": lambda: check_klapka(
         GeodesicMap(flat_connection()), SampleSpec(count=160, seed=52)),
