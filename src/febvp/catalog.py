@@ -253,21 +253,30 @@ def check_angelesco(spec: SampleSpec,
     fixed_k = params.get("k") if params else None
     fixed_g = params.get("g") if params else None
 
-    def draw(u, box):
-        k = float(fixed_k) if fixed_k is not None else 0.25 + (2.0 - 0.25) * next(u)
-        lo, hi = box.values
-        g = float(fixed_g) if fixed_g is not None else lo + (hi - lo) * next(u)
-        alpha, beta = draw_pair(u, box)
-        a = lo + (hi - lo) * next(u)
-        b = lo + (hi - lo) * next(u)
-        tau_lo, tau_hi = box.tau
-        tau0 = tau_lo + (tau_hi - tau_lo) * next(u)
-        delta = 0.1 + (0.5 - 0.1) * next(u)
-        ConicParams(k, g)  # a non-finite member is a configuration error
-        return (k, g, alpha, beta, a, b, tau0, delta)
+    def draw(box):
+        k0 = None if fixed_k is None else float(fixed_k)
+        g0 = None if fixed_g is None else float(fixed_g)
+        try:  # a fixed member's params, built once per call
+            fixed = None if k0 is None or g0 is None else ConicParams(k0, g0)
+        except ValueError:  # raised again by the first sample's draw
+            fixed = None
+        (lo, hi), (tau_lo, tau_hi), pair = box.values, box.tau, draw_pair(box)
+        width, tau_width = hi - lo, tau_hi - tau_lo
 
-    def residuals(k, g, alpha, beta, a, b, tau0, delta):
-        p = ConicParams(k, g)
+        def sample(u):
+            k = k0 if k0 is not None else 0.25 + (2.0 - 0.25) * next(u)
+            g = g0 if g0 is not None else lo + width * next(u)
+            alpha, beta = pair(u)
+            a = lo + width * next(u)
+            b = lo + width * next(u)
+            tau0 = tau_lo + tau_width * next(u)
+            delta = 0.1 + (0.5 - 0.1) * next(u)
+            # a non-finite member is a configuration error; the member's
+            # params ride after the named values, for residuals
+            return (k, g, alpha, beta, a, b, tau0, delta, fixed or ConicParams(k, g))
+        return sample
+
+    def residuals(k, g, alpha, beta, a, b, tau0, delta, p):
         values = []
 
         def member(t: float) -> float:

@@ -213,19 +213,19 @@ def conic_F(p: ConicParams, tau: float, alpha: float, beta: float,
     # evaluated through sinh(A) + sinh(B) - sinh(A+B)
     #   = -2 [sinh(A) sinh^2(B/2) + sinh(B) sinh^2(A/2)],
     # which removes the three-way cancellation that otherwise eats half the
-    # mantissa for small |ks|.  Each sinh(z)/z is _shc(z): when no half
-    # argument is below _shc's switch, no whole one is (|0.5 k| <= |k| and
-    # |ks| >= SERIES_SWITCH = 1e-4), so all five take its sinh branch inline.
+    # mantissa for small |ks|.  Each sinh(z)/z is _shc(z) written out, with
+    # its test as z < 1e-4 and -1e-4 < z; ks needs none (|ks| >= SERIES_SWITCH).
+    sinh = math.sinh
+    h = 0.5 * k
     ku = k * u
     kw = k * w
-    ku2 = 0.5 * k * u
-    kw2 = 0.5 * k * w
-    if abs(ku2) >= 1e-4 and abs(kw2) >= 1e-4:
-        sinh = math.sinh
-        shs, shu, shw = sinh(ks) / ks, sinh(ku) / ku, sinh(kw) / kw
-        hu, hw = sinh(ku2) / ku2, sinh(kw2) / kw2
-    else:
-        shs, shu, shw, hu, hw = _shc(ks), _shc(ku), _shc(kw), _shc(ku2), _shc(kw2)
+    hu = h * u
+    hw = h * w
+    shs = sinh(ks) / ks
+    shu = 1.0 + (z2 := ku * ku) / 6.0 + z2 * z2 / 120.0 if ku < 1e-4 and -1e-4 < ku else sinh(ku) / ku
+    shw = 1.0 + (z2 := kw * kw) / 6.0 + z2 * z2 / 120.0 if kw < 1e-4 and -1e-4 < kw else sinh(kw) / kw
+    hu = 1.0 + (z2 := hu * hu) / 6.0 + z2 * z2 / 120.0 if hu < 1e-4 and -1e-4 < hu else sinh(hu) / hu
+    hw = 1.0 + (z2 := hw * hw) / 6.0 + z2 * z2 / 120.0 if hw < 1e-4 and -1e-4 < hw else sinh(hw) / hw
     den = s * shs
     term_ab = (a * u * shu + b * w * shw) / den
     bracket = w * shu * hw * hw + u * shw * hu * hu
@@ -245,22 +245,21 @@ def conic_S(p: ConicParams, tau: float, alpha: float, beta: float,
     k, g = p.k, p.g
     sp = beta - alpha
     tp = tau - alpha
-    ksp = k * sp
-    ktp = k * tp
-    ksp2 = 0.5 * k * sp
-    ktp2 = 0.5 * k * tp
-    # each sinh(z)/z is _shc(z), inline when no half argument is below its
-    # switch (then, as |0.5 k| <= |k|, no whole one is)
-    if abs(ksp2) >= 1e-4 and abs(ktp2) >= 1e-4:
-        sinh = math.sinh
-        sh_sp, sh_tp = sinh(ksp) / ksp, sinh(ktp) / ktp
-        h_sp, h_tp = sinh(ksp2) / ksp2, sinh(ktp2) / ktp2
-    else:
-        sh_sp, sh_tp, h_sp, h_tp = _shc(ksp), _shc(ktp), _shc(ksp2), _shc(ktp2)
-    u0 = (-0.5 * sp * (k * k * a + g) * h_sp * h_sp + v) / sh_sp
-    return (a * math.cosh(ktp)
-            + 0.5 * g * tp * tp * h_tp * h_tp
-            + u0 * tp * sh_tp)
+    # each sinh(z)/z is _shc(z) written out, as in conic_F
+    sinh = math.sinh
+    h = 0.5 * k
+    ks = k * sp
+    kt = k * tp
+    hs = h * sp
+    ht = h * tp
+    shs = 1.0 + (z2 := ks * ks) / 6.0 + z2 * z2 / 120.0 if ks < 1e-4 and -1e-4 < ks else sinh(ks) / ks
+    sht = 1.0 + (z2 := kt * kt) / 6.0 + z2 * z2 / 120.0 if kt < 1e-4 and -1e-4 < kt else sinh(kt) / kt
+    hs = 1.0 + (z2 := hs * hs) / 6.0 + z2 * z2 / 120.0 if hs < 1e-4 and -1e-4 < hs else sinh(hs) / hs
+    ht = 1.0 + (z2 := ht * ht) / 6.0 + z2 * z2 / 120.0 if ht < 1e-4 and -1e-4 < ht else sinh(ht) / ht
+    u0 = (-0.5 * sp * (k * k * a + g) * hs * hs + v) / shs
+    return (a * math.cosh(kt)
+            + 0.5 * g * tp * tp * ht * ht
+            + u0 * tp * sht)
 
 
 def cos_sin_S(tau: float, alpha: float, beta: float,

@@ -3,14 +3,15 @@ satisfy: composition, boundary behavior, smooth extension across the
 diagonal, and the equivalence of endpoint data with average-slope data.
 
 Each law is a SampledLaw record: the names of its reports, the names of a
-sample's values, a draw(u, box) function that draws one sample as a
-positional tuple in the law's documented order, and a residuals(*sample)
-function that returns one bare residual per report.  run_law owns
-everything else: the sampling box, one seeded draw stream per law call,
-the loop over spec.count samples, per-sample failures, and the
-aggregation into LawReports, whose worst cases it builds once, after the
-loop.  The laws of catalog, geodesics and reconstruction are records over
-the same runner.
+sample's values, a draw(box) function that returns the law's drawer for a
+sampling box, draw(u), which draws one sample as a positional tuple in
+the law's documented order, and a residuals(*sample) function that
+returns one bare residual per report.  run_law owns everything else: the
+sampling box, one drawer and one seeded draw stream per law call, the
+loop over spec.count samples, per-sample failures, and the aggregation
+into LawReports, whose worst cases it builds once, after the loop.  The
+laws of catalog, geodesics and reconstruction are records over the same
+runner.
 
 Every check draws its samples from a seeded splitmix64 stream so that any
 implementation, in any language, can reproduce the exact sample tuples.  The
@@ -246,7 +247,6 @@ class LawReport:
 DIAG_EPSILONS = (1e-2, 1e-3, 1e-4)
 
 _MAX_PAIR_TRIES = 1000
-_PAIR_TRIES = range(_MAX_PAIR_TRIES)
 
 # Errors that mark a sample as failed rather than aborting the whole check.
 SAMPLE_ERRORS = (FebvpError, ValueError, ZeroDivisionError,
@@ -293,29 +293,36 @@ class SampleBox:
         )
 
 
-def draw_pair(u: Iterator[float], box: SampleBox) -> tuple[float, float]:
-    """An endpoint pair by whole-pair rejection (module docstring), drawn
-    from u, an iterator over uniforms (Splitmix64.uniforms)."""
+def draw_pair(box: SampleBox) -> Callable[[Iterator[float]], tuple[float, float]]:
+    """The box's endpoint-pair drawer: pair(u) draws a pair from u, an
+    iterator over uniforms, by whole-pair rejection (module docstring)."""
     lo, hi = box.endpoints
-    width, min_sep, cap = hi - lo, box.min_sep, box.max_interval
-    for _ in _PAIR_TRIES:
-        p = lo + width * next(u)
-        q = lo + width * next(u)
-        sep = abs(q - p)
-        if sep < min_sep or (cap is not None and sep > cap):
-            continue
-        return p, q
-    raise ValueError(
-        "could not draw an admissible endpoint pair in "
-        f"{_MAX_PAIR_TRIES} attempts (range {box.endpoints}, "
-        f"min_separation {box.min_sep}, max_interval {box.max_interval})")
+    width, min_sep = hi - lo, box.min_sep
+    # no separation exceeds an infinite cap, NaN's included
+    cap = math.inf if box.max_interval is None else box.max_interval
+
+    def pair(u):
+        tries = 0
+        while tries < _MAX_PAIR_TRIES:
+            p = lo + width * next(u)
+            q = lo + width * next(u)
+            sep = abs(q - p)
+            if not (sep < min_sep or sep > cap):
+                return p, q
+            tries += 1
+        raise ValueError(
+            "could not draw an admissible endpoint pair in "
+            f"{_MAX_PAIR_TRIES} attempts (range {box.endpoints}, "
+            f"min_separation {box.min_sep}, max_interval {box.max_interval})")
+    return pair
 
 
-def draw_vec(u: Iterator[float], box: SampleBox, n: int) -> np.ndarray:
-    """n data components, each from the box's value range, drawn from u,
-    an iterator over uniforms (Splitmix64.uniforms)."""
+def draw_vec(box: SampleBox, n: int) -> Callable[[Iterator[float]], np.ndarray]:
+    """The box's data-vector drawer: vec(u) draws n components, each from
+    the box's value range, from u, an iterator over uniforms."""
     lo, hi = box.values
-    return np.array([lo + (hi - lo) * x for x in islice(u, n)])
+    width = hi - lo
+    return lambda u: np.array([lo + width * x for x in islice(u, n)])
 
 
 # Inside a law a value is a Python float in dim 1, from the draw to the
@@ -323,12 +330,13 @@ def draw_vec(u: Iterator[float], box: SampleBox, n: int) -> np.ndarray:
 # and an (n,) array in dim n.  Values that overflow to inf or NaN fail
 # their sample, so NumPy's warnings about them are silenced.
 
-def _draw_value(u: Iterator[float], box: SampleBox, dim: int):
-    """dim data components as a harness value."""
-    if dim == 1:
-        lo, hi = box.values
-        return lo + (hi - lo) * next(u)
-    return draw_vec(u, box, dim)
+def _draw_value(box: SampleBox, dim: int) -> Callable[[Iterator[float]], object]:
+    """The drawer of dim data components as a harness value."""
+    if dim != 1:
+        return draw_vec(box, dim)
+    lo, hi = box.values
+    width = hi - lo
+    return lambda u: lo + width * next(u)
 
 
 def _exact_type(dim: int):
@@ -359,21 +367,21 @@ class SampledLaw:
     """A law checked over a seeded sample stream.
 
     reports names the law's reports, and names the values of a sample.
-    draw(u, box) draws one sample from u, an iterator over uniforms that
-    is the law call's one draw stream, and returns its values as a tuple
-    in the law's documented draw order.  residuals(*sample) returns one
-    bare float per report, its residual, or None when the sample failed
-    for that report; raising a SAMPLE_ERRORS error fails the sample in
-    every report.  A report's worst case is built once, after the loop,
-    from the sample that reached its maximum: case(i, sample) gives report
-    i's named values, by default the sample's.  vectors names the case
-    values that are data vectors, which a worst case writes as lists, a
-    dim-1 float as a one-element list.
+    draw(box), called once per law call, returns the drawer draw(u): one
+    sample from u, the law call's iterator over uniforms, as a tuple in
+    the law's documented draw order.  residuals(*sample) returns one bare
+    float per report, its residual, or None when the sample failed for
+    that report; raising a SAMPLE_ERRORS error fails the sample in every
+    report.  A report's worst case is built once, after the loop, from the
+    sample that reached its maximum: case(i, sample) gives report i's
+    named values, by default the sample's named ones.  vectors names the
+    case values that are data vectors, which a worst case writes as lists,
+    a dim-1 float as a one-element list.
     """
 
     reports: tuple[str, ...]
     names: tuple[str, ...]
-    draw: Callable[[Iterator[float], SampleBox], tuple]
+    draw: Callable[[SampleBox], Callable[[Iterator[float]], tuple]]
     residuals: Callable[..., Sequence[Optional[float]]]
     vectors: tuple[str, ...] = ()
     case: Optional[Callable[[int, tuple], dict]] = None
@@ -391,14 +399,14 @@ def _worst_case(law: SampledLaw, i: int, sample: tuple) -> dict:
 def run_law(law: SampledLaw, spec: SampleSpec,
             domain: EvalDomain = EvalDomain()) -> list[LawReport]:
     """Draw spec.count samples from one splitmix64 stream seeded with
-    spec.seed over the box of spec and domain, and aggregate each report's
-    residuals: a failed or non-finite residual counts as a failure, and
-    the worst case is the last sample to reach the maximum residual.  The
-    loop keeps that sample per report, and each worst case is built from
-    it once, after the loop."""
+    spec.seed, with the law's drawer made once for the box of spec and
+    domain, and aggregate each report's residuals: a failed or non-finite
+    residual counts as a failure, and the worst case is the last sample to
+    reach the maximum residual.  The loop keeps that sample per report,
+    and each worst case is built from it once, after the loop."""
     box = SampleBox.of(spec, domain)
+    draw, residuals, isfinite = law.draw(box), law.residuals, math.isfinite
     u = Splitmix64(spec.seed).uniforms()
-    draw, residuals, isfinite = law.draw, law.residuals, math.isfinite
     n = len(law.reports)
     failed = (None,) * n
     failures = [0] * n
@@ -406,7 +414,7 @@ def run_law(law: SampledLaw, spec: SampleSpec,
     maxima = [0.0] * n
     worst: list[Optional[tuple]] = [None] * n
     for _ in range(spec.count):
-        sample = draw(u, box)
+        sample = draw(u)
         try:
             outcomes = residuals(*sample)
         except SAMPLE_ERRORS:
@@ -444,13 +452,16 @@ def check_composition(F: DependenceEvaluator, spec: SampleSpec) -> LawReport:
     """
     dim, f, exact = F.dim, F.eval_f, _exact_type(F.dim)
 
-    def draw(u, box):
+    def draw(box):
         lo, hi = box.tau
-        tau = lo + (hi - lo) * next(u)
-        alpha, beta = draw_pair(u, box)
-        gamma, delta = draw_pair(u, box)
-        return (tau, alpha, beta, gamma, delta, _draw_value(u, box, dim),
-                _draw_value(u, box, dim))
+        width, pair, value = hi - lo, draw_pair(box), _draw_value(box, dim)
+
+        def sample(u):
+            tau = lo + width * next(u)
+            alpha, beta = pair(u)
+            gamma, delta = pair(u)
+            return (tau, alpha, beta, gamma, delta, value(u), value(u))
+        return sample
 
     def residuals(tau, alpha, beta, gamma, delta, a, b):
         x = f(tau, alpha, beta, a, b)
@@ -477,9 +488,13 @@ def check_boundary(F: DependenceEvaluator, spec: SampleSpec) -> LawReport:
     """
     dim, f, exact = F.dim, F.eval_f, _exact_type(F.dim)
 
-    def draw(u, box):
-        alpha, beta = draw_pair(u, box)
-        return (alpha, beta, _draw_value(u, box, dim), _draw_value(u, box, dim))
+    def draw(box):
+        pair, value = draw_pair(box), _draw_value(box, dim)
+
+        def sample(u):
+            alpha, beta = pair(u)
+            return (alpha, beta, value(u), value(u))
+        return sample
 
     def residuals(alpha, beta, a, b):
         x = f(alpha, alpha, beta, a, b)
@@ -521,12 +536,15 @@ def check_extension(F: DependenceEvaluator,
     sample_names = ("tau", "alpha", "beta", "a", "v")
     dim, f, s_map, exact = F.dim, F.eval_f, F.eval_s, _exact_type(F.dim)
 
-    def draw(u, box):
+    def draw(box):
         lo, hi = box.tau
-        tau = lo + (hi - lo) * next(u)
-        alpha, beta = draw_pair(u, box)
-        return (tau, alpha, beta, _draw_value(u, box, dim),
-                _draw_value(u, box, dim))
+        width, pair, value = hi - lo, draw_pair(box), _draw_value(box, dim)
+
+        def sample(u):
+            tau = lo + width * next(u)
+            alpha, beta = pair(u)
+            return (tau, alpha, beta, value(u), value(u))
+        return sample
 
     def residuals(tau, alpha, beta, a, v):
         try:
@@ -591,10 +609,9 @@ def check_lemma1_equivalence(ode: SecondOrderOde, spec: SampleSpec,
     both reports.
     """
 
-    def draw(u, box):
-        alpha, beta = draw_pair(u, box)
-        return (alpha, beta, _draw_value(u, box, ode.dim),
-                _draw_value(u, box, ode.dim))
+    def draw(box):
+        pair, value = draw_pair(box), _draw_value(box, ode.dim)
+        return lambda u: (*pair(u), value(u), value(u))
 
     def residuals(alpha, beta, a, v):
         traj = solve_integral(ode, IntegralConditions(alpha, beta, a, v), cfg).trajectory

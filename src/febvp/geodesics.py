@@ -165,13 +165,12 @@ def _interpolation_law(name: str, gmap: GeodesicMap,
         raise ValueError(f"rho_range must have finite ends, got {tuple(rho_range)!r}")
     conn = gmap.connection
 
-    def draw(u, box) -> tuple:
-        points = conn.sampling_box or [box.values] * conn.dim
-        a = np.array([lo + (hi - lo) * x for (lo, hi), x in zip(points, u)])
-        b = np.array([lo + (hi - lo) * x for (lo, hi), x in zip(points, u)])
-        lo, hi = rho_range
-        return (a, b, lo + (hi - lo) * next(u), lo + (hi - lo) * next(u),
-                lo + (hi - lo) * next(u))
+    def draw(box):
+        points = [(lo, hi - lo) for lo, hi in conn.sampling_box or [box.values] * conn.dim]
+        lo, width = rho_range[0], rho_range[1] - rho_range[0]
+        return lambda u: (np.array([p + w * x for (p, w), x in zip(points, u)]),
+                          np.array([p + w * x for (p, w), x in zip(points, u)]),
+                          lo + width * next(u), lo + width * next(u), lo + width * next(u))
 
     return SampledLaw((name,), ("a", "b", "zeta", "eta", "rho"), draw,
                       lambda *sample: (residual(*sample),))

@@ -152,10 +152,10 @@ def roundtrip_check(ode: SecondOrderOde,
     """
     S, eff_cfg = solver_extension(ode, cfg, shooting_cfg)
 
-    def draw(u, box):
+    def draw(box):
         lo, hi = box.tau
-        return (lo + (hi - lo) * next(u), draw_vec(u, box, ode.dim),
-                draw_vec(u, box, ode.dim))
+        width, vec = hi - lo, draw_vec(box, ode.dim)
+        return lambda u: (lo + width * next(u), vec(u), vec(u))
 
     def residuals(tau, x, v):
         rebuilt = reconstruct_f(S, tau, x, v, eff_cfg)

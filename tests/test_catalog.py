@@ -261,6 +261,42 @@ def test_angelesco_unsatisfiable_range_raises():
                                    alpha_beta_range=(0.0, 0.01)))
 
 
+def test_angelesco_builds_a_members_params_once_per_sample_or_once_per_call(monkeypatch):
+    # drawn members build their ConicParams in the draw, which residuals
+    # reuses; a member params fix builds once per law call
+    built = []
+
+    class Counted(catalog.ConicParams):
+        def __post_init__(self):
+            built.append((self.k, self.g))
+            super().__post_init__()
+
+    spec = SampleSpec(count=6, seed=2)
+    drawn, fixed = check_angelesco(spec), check_angelesco(spec, {"k": 1.5, "g": 2.0})
+    monkeypatch.setattr(catalog, "ConicParams", Counted)
+    assert check_angelesco(spec).to_json() == drawn.to_json()
+    assert len(built) == 6
+    del built[:]
+    assert check_angelesco(spec, {"k": 1.5, "g": 2.0}).to_json() == fixed.to_json()
+    assert built == [(1.5, 2.0)]
+
+
+@pytest.mark.parametrize("params, spec, message", [
+    # a fixed non-finite member raises after the first pair
+    ({"k": math.inf, "g": 0.0}, SampleSpec(count=3, seed=0), "k and g must be finite"),
+    ({"k": 1.0, "g": math.nan}, SampleSpec(count=3, seed=0), "k and g must be finite"),
+    # so an unsatisfiable pair is the error that shows
+    ({"k": math.inf, "g": 0.0}, SampleSpec(count=3, seed=0, alpha_beta_range=(0.0, 0.01)),
+     "1000 attempts"),
+    # a drawn g on an overflowing value range is not finite
+    (None, SampleSpec(count=3, seed=0, ab_range=(-1e308, 1e308)), "k and g must be finite"),
+    ({"k": 1.0}, SampleSpec(count=3, seed=0, ab_range=(-1e308, 1e308)), "k and g must be finite"),
+])
+def test_angelesco_member_errors_keep_their_text_and_place(params, spec, message):
+    with pytest.raises(ValueError, match=message):
+        check_angelesco(spec, params)
+
+
 def test_angelesco_non_finite_member_is_a_configuration_error():
     # raised by the draw, before any residual, so it is not counted as a
     # sample failure

@@ -422,3 +422,21 @@ def test_conic_closed_forms_keep_the_shc_bits_at_the_switch():
                     assert _bits(conic_F, *args) == _bits(_ref_conic_F, *args)
                     args = (p, tau, 0.0, other, 0.7, -0.4)
                     assert _bits(conic_S, *args) == _bits(_ref_conic_S, *args)
+
+
+def test_conic_closed_forms_make_no_shc_call(monkeypatch):
+    # each sinh(z)/z is computed where it is used, with _shc's bits, also
+    # where an argument is 0 or below the switch: tau on an end, the
+    # diagonal, a tiny span
+    calls = []
+    monkeypatch.setattr(closed_forms, "_shc", lambda z: calls.append(z))
+    p = ConicParams(2.0, -2.0)
+    for tau, alpha, beta in ((0.3, -0.5, 0.6), (-0.5, -0.5, 0.6), (0.6, -0.5, 0.6),
+                             (0.3, 0.6, -0.5), (0.3, 0.3, 0.3 + 1e-5), (1e-5, 0.0, 1.0)):
+        assert _bits(conic_F, p, tau, alpha, beta, 0.7, -0.4) == _bits(
+            _ref_conic_F, p, tau, alpha, beta, 0.7, -0.4)
+    for tau, alpha, beta in ((0.3, -0.5, 0.6), (-0.5, -0.5, 0.6), (0.3, -0.5, -0.5),
+                             (-0.5, -0.5, -0.5), (0.3, -0.5, -0.5 + 1e-4), (1e-5, 0.0, 1e-5)):
+        assert _bits(conic_S, p, tau, alpha, beta, 0.7, -0.4) == _bits(
+            _ref_conic_S, p, tau, alpha, beta, 0.7, -0.4)
+    assert calls == []

@@ -734,3 +734,152 @@ def test_worst_case_shapes(dim):
         klapka = check_klapka(GeodesicMap(flat_connection()), spec)
         assert _shape(klapka.worst_case) == dict(a=2, b=2, zeta="float",
                                                  eta="float", rho="float")
+
+
+# ------------------------------------------------------------- drawers
+#
+# A law's draw(box) reads the box once per law call and returns its
+# per-sample drawer.  draw_pair, draw_vec and _draw_value are such
+# drawers; these reference copies draw from (u, box) on every call, as the
+# harness once did, and the drawers must give their values exactly.
+
+def _ref_draw_pair(u, box):
+    lo, hi = box.endpoints
+    width, min_sep, cap = hi - lo, box.min_sep, box.max_interval
+    for _ in range(1000):
+        p = lo + width * next(u)
+        q = lo + width * next(u)
+        sep = abs(q - p)
+        if sep < min_sep or (cap is not None and sep > cap):
+            continue
+        return p, q
+    raise ValueError(
+        "could not draw an admissible endpoint pair in "
+        f"1000 attempts (range {box.endpoints}, "
+        f"min_separation {box.min_sep}, max_interval {box.max_interval})")
+
+
+def _ref_draw_vec(u, box, n):
+    lo, hi = box.values
+    return np.array([lo + (hi - lo) * x for x in itertools.islice(u, n)])
+
+
+def _ref_draw_value(u, box, dim):
+    if dim == 1:
+        lo, hi = box.values
+        return lo + (hi - lo) * next(u)
+    return _ref_draw_vec(u, box, dim)
+
+
+def _outcome(draw, *args):
+    """The hex of every float draw returns, or its error's class and text."""
+    try:
+        got = draw(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [x.hex() for x in np.atleast_1d(got).tolist()], type(got)
+
+
+@hst.composite
+def _boxes(draw):
+    """Sampling boxes whose min separation reaches 0.95 of the endpoint
+    width and whose cap, when there is one, lies in [0, width]."""
+    lo = draw(hst.floats(-5.0, 5.0))
+    width = draw(hst.floats(1e-3, 5.0))
+    endpoints = (lo, lo + width)
+    min_sep = draw(hst.floats(0.0, 0.95)) * (endpoints[1] - endpoints[0])
+    cap = draw(hst.none() | hst.floats(0.0, 1.0).map(lambda f: f * (endpoints[1] - endpoints[0])))
+    v_lo = draw(hst.floats(-5.0, 5.0))
+    values = (v_lo, v_lo + draw(hst.floats(0.0, 5.0)))
+    return functional_laws.SampleBox((-1.0, 1.0), endpoints, values, min_sep, cap)
+
+
+@settings(max_examples=150, deadline=None)
+@example(box=functional_laws.SampleBox((-1.0, 1.0), (0.0, 1.0), (-2.0, 2.0), 0.95, None),
+         seed=2 ** 64 - 1, ops=[("pair", 1)] * 6)
+@example(box=functional_laws.SampleBox((-1.0, 1.0), (0.0, 1.0), (-2.0, 2.0), 0.05, 0.0),
+         seed=2 ** 64 - 3, ops=[("pair", 1)])
+@given(box=_boxes(), seed=hst.integers(2 ** 64 - 2 ** 12, 2 ** 64 + 2 ** 12),
+       ops=hst.lists(hst.tuples(hst.sampled_from(["pair", "vec", "value"]), hst.integers(1, 3)),
+                     min_size=1, max_size=12))
+def test_drawers_give_the_values_of_the_per_call_draws(box, seed, ops):
+    # The same ops on two streams from one seed near 2^64, whose counter
+    # wraps: a drawer made once must give each value, rejection and error
+    # of the per-call reference, and leave its stream where it leaves its.
+    ref_u, u = Splitmix64(seed).uniforms(), Splitmix64(seed).uniforms()
+    pair = functional_laws.draw_pair(box)
+    for kind, n in ops:
+        if kind == "pair":
+            want, got = _outcome(_ref_draw_pair, ref_u, box), _outcome(pair, u)
+        elif kind == "vec":
+            want = _outcome(_ref_draw_vec, ref_u, box, n)
+            got = _outcome(functional_laws.draw_vec(box, n), u)
+        else:
+            want = _outcome(_ref_draw_value, ref_u, box, n)
+            got = _outcome(functional_laws._draw_value(box, n), u)
+        assert got == want
+        event(f"{kind}: {'error' if want[0] is ValueError else 'drawn'}")
+    assert next(u) == next(ref_u)
+
+
+def test_a_pair_drawer_that_runs_out_of_tries_names_its_box():
+    # no pair in [0, 1] is 2 apart: all 1000 tries, 2000 draws, are spent
+    box = functional_laws.SampleBox((-1.0, 1.0), (0.0, 1.0), (-2.0, 2.0), 2.0, None)
+    u = Splitmix64(11).uniforms()
+    with pytest.raises(ValueError) as exc:
+        functional_laws.draw_pair(box)(u)
+    assert str(exc.value) == ("could not draw an admissible endpoint pair in 1000 attempts "
+                              "(range (0.0, 1.0), min_separation 2.0, max_interval None)")
+    assert next(u) == list(itertools.islice(Splitmix64(11).uniforms(), 2001))[-1]
+    capped = dataclasses.replace(box, min_sep=0.5, max_interval=0.25)
+    with pytest.raises(ValueError, match=r"min_separation 0\.5, max_interval 0\.25\)$"):
+        functional_laws.draw_pair(capped)(u)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_a_pair_at_exactly_the_min_separation_or_the_cap_is_drawn(seed):
+    u0, u1 = itertools.islice(Splitmix64(seed).uniforms(), 2)
+    p, q = -1.0 + 3.0 * u0, -1.0 + 3.0 * u1
+    for min_sep, cap in ((abs(q - p), None), (0.0, abs(q - p))):
+        box = functional_laws.SampleBox((-1.0, 1.0), (-1.0, 2.0), (-2.0, 2.0), min_sep, cap)
+        assert functional_laws.draw_pair(box)(Splitmix64(seed).uniforms()) == (p, q)
+
+
+def _box_reads(monkeypatch):
+    """Every read of a SampleBox field that run_law's boxes see."""
+    reads = []
+    fields = {f.name for f in dataclasses.fields(functional_laws.SampleBox)}
+
+    class CountingBox(functional_laws.SampleBox):
+        def __getattribute__(self, name):
+            if name in fields:
+                reads.append(name)
+            return super().__getattribute__(name)
+
+    monkeypatch.setattr(functional_laws, "SampleBox", CountingBox)
+    return reads
+
+
+_LAW_CALLS = {
+    "composition": lambda spec: check_composition(ff_evaluator(), spec),
+    "boundary": lambda spec: check_boundary(ff_evaluator(), spec),
+    "extension": lambda spec: check_extension(ff_evaluator(), spec),
+    "lemma1": lambda spec: check_lemma1_equivalence(catalog.make_ode("free_fall")[0], spec),
+    "angelesco": lambda spec: catalog.check_angelesco(spec),
+    "angelesco-fixed": lambda spec: catalog.check_angelesco(spec, {"k": 1.5, "g": 2.0}),
+    # a connection without a sampling box draws its points from the box's
+    "klapka": lambda spec: check_klapka(
+        GeodesicMap(dataclasses.replace(flat_connection(), sampling_box=None)), spec),
+    "roundtrip": lambda spec: roundtrip_check(catalog.make_ode("free_fall")[0], spec=spec),
+}
+
+
+@pytest.mark.parametrize("law", sorted(_LAW_CALLS))
+def test_a_law_call_reads_its_box_a_number_of_times_independent_of_count(monkeypatch, law):
+    reads = _box_reads(monkeypatch)
+    counts = []
+    for count in (2, 7):
+        del reads[:]
+        _LAW_CALLS[law](SampleSpec(count=count, seed=4))
+        counts.append(len(reads))
+    assert counts[0] == counts[1] > 0

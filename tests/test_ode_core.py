@@ -1597,6 +1597,33 @@ def test_end_reads_return_the_general_paths_bits_with_no_knot_list(
     assert traj._knots is None
 
 
+@pytest.mark.parametrize("span", [2, -2, 0], ids=["forward", "backward", "zero-width"])
+@pytest.mark.parametrize("record", [True, False], ids=["recorded", "unrecorded"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_span_end_read_returns_fresh_copies_of_the_stored_rows(dim, record, span):
+    # A read of one tau at a span end (what Newton's residuals and the
+    # extension starts make) returns a fresh row: a caller that changes it
+    # changes no later read.  The tau may be a float, an np.float64 or an
+    # int, passed in a tuple, a list or a generator; a NaN tau is outside
+    # every span.
+    ode = linear_ode(dim, True, [0.3] * 9, [-0.2] * 9, [0.5] * 3)
+    traj = integrate_ivp(ode, StatePoint.of(0.0, [0.4, -1.0][:dim], [1.2, 0.7][:dim]),
+                         float(span), DEFAULT, record)
+    stored = [list(row) for row in traj._rows]
+    spellings = (lambda tau: (tau,), lambda tau: [tau], lambda tau: (t for t in (tau,)))
+    for end, row in ((0, stored[0]), (span, stored[1] if span else stored[0])):
+        for tau in (float(end), np.float64(end), end):
+            for spell in spellings:
+                got = traj.read(spell(tau))
+                assert [[c.hex() for c in r] for r in got] == [[c.hex() for c in row]]
+                got[0][:] = [math.nan] * (2 * dim)
+                got[0].append(0.0)
+        assert [list(r) for r in traj._rows] == stored
+    for spell in spellings:
+        with pytest.raises(OutOfSpan):
+            traj.read(spell(math.nan))
+
+
 # ------------------------------------------------- start states and dtypes
 
 @pytest.mark.parametrize("dtype", [np.int64, np.float32], ids=["int64", "float32"])
