@@ -11,6 +11,7 @@ kernel runs it inline, and every member of a family shares one code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
@@ -250,16 +251,15 @@ def check_angelesco(spec: SampleSpec,
     Raises:
         ValueError: no pair at least min_separation apart was drawn.
     """
-    fixed_k = params.get("k") if params else None
-    fixed_g = params.get("g") if params else None
+    params = params or {}
+    k0 = None if params.get("k") is None else float(params["k"])
+    g0 = None if params.get("g") is None else float(params["g"])
+    # a fixed finite member's params are built once per call; a non-finite
+    # member is raised by the draw, after the pair
+    fixed = (ConicParams(k0, g0) if k0 is not None and g0 is not None
+             and math.isfinite(k0) and math.isfinite(g0) else None)
 
     def draw(box):
-        k0 = None if fixed_k is None else float(fixed_k)
-        g0 = None if fixed_g is None else float(fixed_g)
-        try:  # a fixed member's params, built once per call
-            fixed = None if k0 is None or g0 is None else ConicParams(k0, g0)
-        except ValueError:  # raised again by the first sample's draw
-            fixed = None
         (lo, hi), (tau_lo, tau_hi), pair = box.values, box.tau, draw_pair(box)
         width, tau_width = hi - lo, tau_hi - tau_lo
 
@@ -271,12 +271,13 @@ def check_angelesco(spec: SampleSpec,
             b = lo + width * next(u)
             tau0 = tau_lo + tau_width * next(u)
             delta = 0.1 + (0.5 - 0.1) * next(u)
-            # a non-finite member is a configuration error; the member's
-            # params ride after the named values, for residuals
-            return (k, g, alpha, beta, a, b, tau0, delta, fixed or ConicParams(k, g))
+            if not (math.isfinite(k) and math.isfinite(g)):
+                ConicParams(k, g)  # raises: a configuration error
+            return (k, g, alpha, beta, a, b, tau0, delta)
         return sample
 
-    def residuals(k, g, alpha, beta, a, b, tau0, delta, p):
+    def residuals(k, g, alpha, beta, a, b, tau0, delta):
+        p = fixed or ConicParams(k, g)
         values = []
 
         def member(t: float) -> float:

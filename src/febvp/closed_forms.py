@@ -213,19 +213,21 @@ def conic_F(p: ConicParams, tau: float, alpha: float, beta: float,
     # evaluated through sinh(A) + sinh(B) - sinh(A+B)
     #   = -2 [sinh(A) sinh^2(B/2) + sinh(B) sinh^2(A/2)],
     # which removes the three-way cancellation that otherwise eats half the
-    # mantissa for small |ks|.  Each sinh(z)/z is _shc(z) written out, with
-    # its test as z < 1e-4 and -1e-4 < z; ks needs none (|ks| >= SERIES_SWITCH).
+    # mantissa for small |ks|.  Each sinh(z)/z is _shc(z) written out: its
+    # series below |z| = 1e-4, which ks is not (|ks| >= SERIES_SWITCH).
     sinh = math.sinh
     h = 0.5 * k
-    ku = k * u
-    kw = k * w
-    hu = h * u
-    hw = h * w
+    ku, kw = k * u, k * w
+    ku2, kw2 = h * u, h * w
     shs = sinh(ks) / ks
-    shu = 1.0 + (z2 := ku * ku) / 6.0 + z2 * z2 / 120.0 if ku < 1e-4 and -1e-4 < ku else sinh(ku) / ku
-    shw = 1.0 + (z2 := kw * kw) / 6.0 + z2 * z2 / 120.0 if kw < 1e-4 and -1e-4 < kw else sinh(kw) / kw
-    hu = 1.0 + (z2 := hu * hu) / 6.0 + z2 * z2 / 120.0 if hu < 1e-4 and -1e-4 < hu else sinh(hu) / hu
-    hw = 1.0 + (z2 := hw * hw) / 6.0 + z2 * z2 / 120.0 if hw < 1e-4 and -1e-4 < hw else sinh(hw) / hw
+    shu = (1.0 + ku * ku / 6.0 + ku * ku * (ku * ku) / 120.0
+           if ku < 1e-4 and -1e-4 < ku else sinh(ku) / ku)
+    shw = (1.0 + kw * kw / 6.0 + kw * kw * (kw * kw) / 120.0
+           if kw < 1e-4 and -1e-4 < kw else sinh(kw) / kw)
+    hu = (1.0 + ku2 * ku2 / 6.0 + ku2 * ku2 * (ku2 * ku2) / 120.0
+          if ku2 < 1e-4 and -1e-4 < ku2 else sinh(ku2) / ku2)
+    hw = (1.0 + kw2 * kw2 / 6.0 + kw2 * kw2 * (kw2 * kw2) / 120.0
+          if kw2 < 1e-4 and -1e-4 < kw2 else sinh(kw2) / kw2)
     den = s * shs
     term_ab = (a * u * shu + b * w * shw) / den
     bracket = w * shu * hw * hw + u * shw * hu * hu
@@ -248,18 +250,20 @@ def conic_S(p: ConicParams, tau: float, alpha: float, beta: float,
     # each sinh(z)/z is _shc(z) written out, as in conic_F
     sinh = math.sinh
     h = 0.5 * k
-    ks = k * sp
-    kt = k * tp
-    hs = h * sp
-    ht = h * tp
-    shs = 1.0 + (z2 := ks * ks) / 6.0 + z2 * z2 / 120.0 if ks < 1e-4 and -1e-4 < ks else sinh(ks) / ks
-    sht = 1.0 + (z2 := kt * kt) / 6.0 + z2 * z2 / 120.0 if kt < 1e-4 and -1e-4 < kt else sinh(kt) / kt
-    hs = 1.0 + (z2 := hs * hs) / 6.0 + z2 * z2 / 120.0 if hs < 1e-4 and -1e-4 < hs else sinh(hs) / hs
-    ht = 1.0 + (z2 := ht * ht) / 6.0 + z2 * z2 / 120.0 if ht < 1e-4 and -1e-4 < ht else sinh(ht) / ht
-    u0 = (-0.5 * sp * (k * k * a + g) * hs * hs + v) / shs
-    return (a * math.cosh(kt)
-            + 0.5 * g * tp * tp * ht * ht
-            + u0 * tp * sht)
+    ksp, ktp = k * sp, k * tp
+    ksp2, ktp2 = h * sp, h * tp
+    sh_sp = (1.0 + ksp * ksp / 6.0 + ksp * ksp * (ksp * ksp) / 120.0
+             if ksp < 1e-4 and -1e-4 < ksp else sinh(ksp) / ksp)
+    sh_tp = (1.0 + ktp * ktp / 6.0 + ktp * ktp * (ktp * ktp) / 120.0
+             if ktp < 1e-4 and -1e-4 < ktp else sinh(ktp) / ktp)
+    h_sp = (1.0 + ksp2 * ksp2 / 6.0 + ksp2 * ksp2 * (ksp2 * ksp2) / 120.0
+            if ksp2 < 1e-4 and -1e-4 < ksp2 else sinh(ksp2) / ksp2)
+    h_tp = (1.0 + ktp2 * ktp2 / 6.0 + ktp2 * ktp2 * (ktp2 * ktp2) / 120.0
+            if ktp2 < 1e-4 and -1e-4 < ktp2 else sinh(ktp2) / ktp2)
+    u0 = (-0.5 * sp * (k * k * a + g) * h_sp * h_sp + v) / sh_sp
+    return (a * math.cosh(ktp)
+            + 0.5 * g * tp * tp * h_tp * h_tp
+            + u0 * tp * sh_tp)
 
 
 def cos_sin_S(tau: float, alpha: float, beta: float,

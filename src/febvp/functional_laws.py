@@ -374,9 +374,9 @@ class SampledLaw:
     that report; raising a SAMPLE_ERRORS error fails the sample in every
     report.  A report's worst case is built once, after the loop, from the
     sample that reached its maximum: case(i, sample) gives report i's
-    named values, by default the sample's named ones.  vectors names the
-    case values that are data vectors, which a worst case writes as lists,
-    a dim-1 float as a one-element list.
+    named values, by default the sample's.  vectors names the case values
+    that are data vectors, which a worst case writes as lists, a dim-1
+    float as a one-element list.
     """
 
     reports: tuple[str, ...]

@@ -364,11 +364,10 @@ class Trajectory:
         2n plain floats: x, then v.
 
         When every tau is a span end, copies of the stored end rows are
-        returned, for one tau in a tuple before any list is built.  Else a
-        knot tau reads its stored state, and an interior tau its step's
-        interpolant y0 + h * (q @ p), with th = (tau - t) / h and
-        p = (th, th^2, th^3, th^4): q is built once per touched step, and
-        each row of q @ p is summed in floats, in dim 1 in pairs,
+        returned.  Else a knot tau reads its stored state, and an interior
+        tau its step's interpolant y0 + h * (q @ p), with th = (tau - t) / h
+        and p = (th, th^2, th^3, th^4): q is built once per touched step,
+        and each row of q @ p is summed in floats, in dim 1 in pairs,
         (q0 p1 + q2 p3) + (q1 p2 + q3 p4), in dim n left to right.  A run
         that did not record reads only its ends.
 
@@ -377,11 +376,6 @@ class Trajectory:
             ValueError: a tau lies strictly inside the span of a run that
                 did not record.
         """
-        if type(taus) is tuple and len(taus) == 1:
-            # one tau at a span end (Newton residuals, extension starts)
-            tau, (t0, t1) = float(taus[0]), self._ends
-            if tau == t0 or tau == t1:
-                return [self._rows[0 if tau == t0 else 1][:]]
         lo, hi = self.span
         taus = [float(tau) for tau in taus]
         n2 = 2 * self.dim

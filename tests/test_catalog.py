@@ -262,8 +262,8 @@ def test_angelesco_unsatisfiable_range_raises():
 
 
 def test_angelesco_builds_a_members_params_once_per_sample_or_once_per_call(monkeypatch):
-    # drawn members build their ConicParams in the draw, which residuals
-    # reuses; a member params fix builds once per law call
+    # a drawn member builds its ConicParams once, in residuals; a member
+    # that params fixes builds once per law call
     built = []
 
     class Counted(catalog.ConicParams):
